@@ -15,16 +15,21 @@
 //!   declared a duplicate), and a declared drop is never delivered.
 //! * **FIFO order** — per (source, destination, job) channel, deliveries
 //!   occur in launch order (the machine stamps a monotonic uid at launch).
-//! * **Drain progress** — a process sitting in buffered mode with pending
-//!   messages must extract *something* within a bounded number of its own
-//!   scheduling quanta.
+//! * **Drain progress** — a process with messages in its software buffer
+//!   (which the machine allows only in buffered mode) must extract
+//!   *something* within a bounded number of its own scheduling quanta.
 //! * **Bounded buffering** — optionally, the per-node page-frame high-water
 //!   mark stays under a configured bound (the paper's §5.1 claim).
 //!
-//! Violations carry a structured `{at, kind, detail}` diagnostic. By
-//! default they are collected for inspection ([`InvariantChecker::violations`],
-//! [`InvariantChecker::assert_clean`]); in strict mode the first violation
-//! aborts the run immediately from inside the trace callback.
+//! The per-message lifecycle the rules read (launch, deliveries, buffer
+//! inserts, declared drops and duplicates, buffer residency) lives in a
+//! [`MessageLedger`], the model every trace oracle shares; the checker
+//! keeps only its own rule state: the last uid delivered per channel, the
+//! drain strikes and the page bound.
+//!
+//! Violations carry a structured `{at, kind, detail}` diagnostic and are
+//! collected for inspection ([`InvariantChecker::violations`],
+//! [`InvariantChecker::assert_clean`]).
 //!
 //! # Example
 //!
@@ -65,8 +70,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use fugu_net::NodeId;
-use fugu_sim::json::Json;
-use fugu_sim::trace::{CategoryMask, TraceEvent, Tracer};
+use fugu_sim::ledger::{MessageLedger, Observed};
+use fugu_sim::trace::{TraceEvent, Tracer};
 use fugu_sim::Cycles;
 
 /// Consecutive quanta a buffered-mode process may let a nonempty buffer sit
@@ -105,45 +110,26 @@ pub struct InvariantStats {
     pub peak_pages: u64,
 }
 
-/// What the checker knows about one launched message.
-struct LaunchRec {
-    src: NodeId,
-    dst: NodeId,
-    job: usize,
-    dropped: bool,
-    duplicated: bool,
-    deliveries: u32,
-    inserts: u32,
-}
-
+#[derive(Default)]
 struct State {
-    launches: HashMap<u64, LaunchRec>,
+    ledger: MessageLedger,
     /// Highest uid delivered per (src, dst, job) channel.
     last_uid: HashMap<(NodeId, NodeId, usize), u64>,
-    /// Messages inserted-but-not-extracted per (node, job).
-    buffered: HashMap<(NodeId, usize), u64>,
-    /// (node, job) pairs currently in buffered mode.
-    in_buffered: HashMap<(NodeId, usize), bool>,
     /// Consecutive extraction-free quanta per buffered (node, job).
     strikes: HashMap<(NodeId, usize), u32>,
     page_bound: Option<u64>,
-    strict: bool,
     stats: InvariantStats,
     violations: Vec<Violation>,
 }
 
 impl State {
     fn violate(&mut self, at: Cycles, kind: &'static str, detail: String) {
-        let v = Violation { at, kind, detail };
-        if self.strict {
-            panic!("delivery invariant violated: {v}");
-        }
-        self.violations.push(v);
+        self.violations.push(Violation { at, kind, detail });
     }
 
     fn deliver(&mut self, at: Cycles, node: NodeId, job: usize, uid: u64, how: &str) {
         self.stats.delivered += 1;
-        let Some(rec) = self.launches.get_mut(&uid) else {
+        let Some(rec) = self.ledger.get(uid) else {
             self.violate(
                 at,
                 "unknown-delivery",
@@ -151,7 +137,10 @@ impl State {
             );
             return;
         };
-        let (src, dst, ljob) = (rec.src, rec.dst, rec.job);
+        let (src, dst, ljob) = (rec.src, rec.dst, rec.src_job);
+        // A declared duplicate may arrive twice.
+        let allowed = 1 + u32::from(rec.duplicated);
+        let (dropped, deliveries) = (rec.dropped, rec.deliveries);
         if dst != node || ljob != job {
             self.violate(
                 at,
@@ -163,7 +152,7 @@ impl State {
             );
             return;
         }
-        if rec.dropped {
+        if dropped {
             self.violate(
                 at,
                 "dropped-delivered",
@@ -171,9 +160,6 @@ impl State {
             );
             return;
         }
-        rec.deliveries += 1;
-        let allowed = if rec.duplicated { 2 } else { 1 };
-        let deliveries = rec.deliveries;
         if deliveries > allowed {
             self.violate(
                 at,
@@ -199,101 +185,69 @@ impl State {
     }
 
     fn on_event(&mut self, at: Cycles, ev: &TraceEvent) {
+        // An extract must take a message that is in the buffer before it.
+        let underflow = matches!(*ev, TraceEvent::BufferExtract { node, uid, .. }
+            if !self.ledger.is_resident(node, uid));
+        let observed = self.ledger.observe(at, ev);
         match *ev {
-            TraceEvent::MsgLaunch {
-                node,
-                job,
-                dst,
-                uid,
-                ..
-            } => {
+            TraceEvent::MsgLaunch { uid, .. } => {
                 self.stats.launched += 1;
-                let prev = self.launches.insert(
-                    uid,
-                    LaunchRec {
-                        src: node,
-                        dst,
-                        job,
-                        dropped: false,
-                        duplicated: false,
-                        deliveries: 0,
-                        inserts: 0,
-                    },
-                );
-                if prev.is_some() {
+                if observed == Observed::Repeat {
                     self.violate(at, "uid-reuse", format!("uid={uid} launched twice"));
                 }
             }
-            TraceEvent::FaultDrop { uid, .. } => {
-                self.stats.dropped += 1;
-                if let Some(rec) = self.launches.get_mut(&uid) {
-                    rec.dropped = true;
-                }
-            }
-            TraceEvent::FaultDuplicate { uid, .. } => {
-                self.stats.duplicated += 1;
-                if let Some(rec) = self.launches.get_mut(&uid) {
-                    rec.duplicated = true;
-                }
-            }
+            TraceEvent::FaultDrop { .. } => self.stats.dropped += 1,
+            TraceEvent::FaultDuplicate { .. } => self.stats.duplicated += 1,
             TraceEvent::FastUpcall { node, job, uid, .. } => {
                 self.deliver(at, node, job, uid, "fast upcall");
             }
             TraceEvent::PollDelivery { node, job, uid, .. } => {
                 self.deliver(at, node, job, uid, "poll delivery");
             }
-            TraceEvent::BufferInsert { node, job, uid, .. } => {
-                *self.buffered.entry((node, job)).or_insert(0) += 1;
-                let status = self.launches.get_mut(&uid).map(|rec| {
-                    rec.inserts += 1;
-                    (rec.inserts, if rec.duplicated { 2 } else { 1 }, rec.dropped)
-                });
-                match status {
-                    Some((inserts, allowed, dropped)) => {
-                        if inserts > allowed {
-                            self.violate(
-                                at,
-                                "over-buffering",
-                                format!("uid={uid} buffered {inserts} times (allowed {allowed})"),
-                            );
-                        }
-                        if dropped {
-                            self.violate(
-                                at,
-                                "dropped-delivered",
-                                format!("uid={uid} was declared dropped yet reached a buffer"),
-                            );
-                        }
-                    }
-                    None => {
-                        self.violate(
-                            at,
-                            "unknown-delivery",
-                            format!("buffer insert of never-launched uid={uid} at node {node}"),
-                        );
-                    }
+            TraceEvent::BufferInsert { node, uid, .. } => {
+                let Some(rec) = self.ledger.get(uid) else {
+                    self.violate(
+                        at,
+                        "unknown-delivery",
+                        format!("buffer insert of never-launched uid={uid} at node {node}"),
+                    );
+                    return;
+                };
+                let (inserts, dropped) = (rec.inserts, rec.dropped);
+                let allowed = 1 + u32::from(rec.duplicated);
+                if inserts > allowed {
+                    self.violate(
+                        at,
+                        "over-buffering",
+                        format!("uid={uid} buffered {inserts} times (allowed {allowed})"),
+                    );
+                }
+                if dropped {
+                    self.violate(
+                        at,
+                        "dropped-delivered",
+                        format!("uid={uid} was declared dropped yet reached a buffer"),
+                    );
                 }
             }
             TraceEvent::BufferExtract { node, job, uid, .. } => {
-                let outstanding = self.buffered.entry((node, job)).or_insert(0);
-                if *outstanding == 0 {
+                if underflow {
                     self.violate(
                         at,
                         "extract-underflow",
-                        format!("node {node} job {job}: extract from an empty buffer (uid={uid})"),
+                        format!(
+                            "node {node} job {job}: extract of uid={uid}, which is not buffered"
+                        ),
                     );
-                } else {
-                    *outstanding -= 1;
                 }
                 self.strikes.insert((node, job), 0);
                 self.deliver(at, node, job, uid, "buffered extract");
             }
             TraceEvent::ModeEnter { node, job } => {
-                self.in_buffered.insert((node, job), true);
                 self.strikes.insert((node, job), 0);
             }
             TraceEvent::ModeExit { node, job } => {
-                let residual = self.buffered.get(&(node, job)).copied().unwrap_or(0);
+                let residual = self.ledger.buffered(node, job);
                 if residual != 0 {
                     self.violate(
                         at,
@@ -304,7 +258,6 @@ impl State {
                         ),
                     );
                 }
-                self.in_buffered.insert((node, job), false);
                 self.strikes.insert((node, job), 0);
             }
             TraceEvent::QuantumSwitch {
@@ -315,9 +268,8 @@ impl State {
                 // The outgoing job just finished a whole quantum; if it is
                 // sitting on buffered messages and never extracted one, that
                 // is a strike toward a drain-progress livelock.
-                let buffered_mode = self.in_buffered.get(&(node, job)).copied().unwrap_or(false);
-                let pending = self.buffered.get(&(node, job)).copied().unwrap_or(0);
-                if buffered_mode && pending > 0 {
+                let pending = self.ledger.buffered(node, job);
+                if pending > 0 {
                     let s = self.strikes.entry((node, job)).or_insert(0);
                     *s += 1;
                     let s = *s;
@@ -354,15 +306,9 @@ impl State {
 ///
 /// Cloning is cheap and clones share state, so a test can keep one handle
 /// while the trace subscription owns another.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct InvariantChecker {
     inner: Arc<Mutex<State>>,
-}
-
-impl Default for InvariantChecker {
-    fn default() -> Self {
-        InvariantChecker::new()
-    }
 }
 
 impl std::fmt::Debug for InvariantChecker {
@@ -378,26 +324,7 @@ impl std::fmt::Debug for InvariantChecker {
 impl InvariantChecker {
     /// A checker that collects violations for later inspection.
     pub fn new() -> Self {
-        InvariantChecker {
-            inner: Arc::new(Mutex::new(State {
-                launches: HashMap::new(),
-                last_uid: HashMap::new(),
-                buffered: HashMap::new(),
-                in_buffered: HashMap::new(),
-                strikes: HashMap::new(),
-                page_bound: None,
-                strict: false,
-                stats: InvariantStats::default(),
-                violations: Vec::new(),
-            })),
-        }
-    }
-
-    /// Aborts the run (panics from inside the trace callback) on the first
-    /// violation instead of collecting it.
-    pub fn strict(self) -> Self {
-        self.inner.lock().unwrap().strict = true;
-        self
+        InvariantChecker::default()
     }
 
     /// Additionally enforces the §5.1 bounded-buffering claim: no node's
@@ -407,23 +334,12 @@ impl InvariantChecker {
         self
     }
 
-    /// The trace categories the checker needs to observe.
-    pub fn mask() -> CategoryMask {
-        CategoryMask::MSG
-            | CategoryMask::UPCALL
-            | CategoryMask::BUFFER
-            | CategoryMask::MODE
-            | CategoryMask::VM
-            | CategoryMask::SCHED
-            | CategoryMask::FAULT
-    }
-
     /// Subscribes this checker to `tracer`. Call before
     /// [`Machine::set_tracer`](crate::Machine::set_tracer) so every event
     /// of the run is observed.
     pub fn attach(&self, tracer: &Tracer) {
         let handle = self.clone();
-        tracer.subscribe(Self::mask(), move |at, ev| {
+        tracer.subscribe(MessageLedger::mask(), move |at, ev| {
             handle.inner.lock().unwrap().on_event(at, ev);
         });
     }
@@ -442,11 +358,7 @@ impl InvariantChecker {
     /// in flight (or lost) when the run ended. A retry protocol makes this
     /// benign; a transport bug makes it grow with the drop rate.
     pub fn undelivered(&self) -> u64 {
-        let st = self.inner.lock().unwrap();
-        st.launches
-            .values()
-            .filter(|r| !r.dropped && r.deliveries == 0)
-            .count() as u64
+        self.inner.lock().unwrap().ledger.undelivered()
     }
 
     /// Panics with every collected violation if any invariant broke.
@@ -460,31 +372,12 @@ impl InvariantChecker {
             panic!("{msg}");
         }
     }
-
-    /// Structured JSON summary (violations + stats) for harness reports.
-    pub fn to_json(&self) -> Json {
-        let st = self.inner.lock().unwrap();
-        let violations = st.violations.iter().map(|v| {
-            Json::object([
-                ("at", Json::from(v.at)),
-                ("kind", Json::from(v.kind)),
-                ("detail", Json::from(v.detail.as_str())),
-            ])
-        });
-        Json::object([
-            ("launched", Json::from(st.stats.launched)),
-            ("delivered", Json::from(st.stats.delivered)),
-            ("dropped", Json::from(st.stats.dropped)),
-            ("duplicated", Json::from(st.stats.duplicated)),
-            ("peak_pages", Json::from(st.stats.peak_pages)),
-            ("violations", Json::array(violations)),
-        ])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fugu_sim::trace::CategoryMask;
 
     fn checker_and_tracer() -> (InvariantChecker, Tracer) {
         let tracer = Tracer::recorder(0, CategoryMask::NONE);
@@ -660,19 +553,5 @@ mod tests {
         tracer.emit(TraceEvent::PageAlloc { node: 0, in_use: 5 });
         assert_eq!(bounded.violations()[0].kind, "page-bound");
         assert_eq!(bounded.stats().peak_pages, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "delivery invariant violated")]
-    fn strict_mode_aborts_immediately() {
-        let tracer = Tracer::recorder(0, CategoryMask::NONE);
-        let checker = InvariantChecker::new().strict();
-        checker.attach(&tracer);
-        tracer.emit(TraceEvent::FastUpcall {
-            node: 1,
-            job: 0,
-            words: 0,
-            uid: 99,
-        });
     }
 }

@@ -19,6 +19,8 @@
 //!   [`stats::MetricsRegistry`] used by the experiment harnesses;
 //! * [`trace`] — typed [`trace::TraceEvent`]s with a ring-buffer recorder
 //!   and subscriber callbacks, zero-cost when disabled;
+//! * [`ledger`] — the per-message lifecycle record, folded from the trace
+//!   stream, that every trace oracle reads;
 //! * [`span`] — a message-lifecycle profiler that stitches trace events
 //!   into per-message causal spans with exact cycle attribution;
 //! * [`trace_export`] — Chrome trace-event / Perfetto JSON export of
@@ -50,6 +52,7 @@ pub mod event;
 pub mod explore;
 pub mod fault;
 pub mod json;
+pub mod ledger;
 pub mod prop;
 pub mod rng;
 pub mod span;

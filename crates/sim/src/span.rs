@@ -18,9 +18,12 @@
 //! | `handler` | delivery → handler retirement              |
 //!
 //! The five segments partition the span, so their sum equals the
-//! end-to-end latency *exactly* — and the collector re-derives both sides
+//! end-to-end latency *exactly* — and the profiler re-derives both sides
 //! independently and records a violation if they ever disagree, in the
-//! style of `udm::invariant`. Attach a [`Profiler`] before a run, call
+//! style of `udm::invariant`. The spans themselves are the records of a
+//! [`MessageLedger`], the lifecycle model every trace oracle shares; this
+//! module adds only the attribution rules and the report. Attach a
+//! [`Profiler`] before a run, call
 //! [`Profiler::finish`] after, and feed [`ProfileReport::spans`] to
 //! [`crate::trace_export`] for a Perfetto-loadable timeline.
 //!
@@ -55,116 +58,17 @@
 //! assert_eq!(attr.total(), 40);
 //! ```
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
+use crate::ledger::{MessageLedger, Observed};
 use crate::stats::{Accum, Histogram};
-use crate::trace::{CategoryMask, TraceEvent, Tracer};
+use crate::trace::{TraceEvent, Tracer};
 use crate::Cycles;
 
-/// Which of the paper's two delivery cases a message took.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeliveryPath {
-    /// First case: delivered straight from the NIC (upcall or poll).
-    Fast,
-    /// Second case: inserted into the software buffer and extracted later.
-    Buffered,
-}
-
-impl DeliveryPath {
-    /// Lower-case name used in reports (`"fast"` / `"buffered"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            DeliveryPath::Fast => "fast",
-            DeliveryPath::Buffered => "buffered",
-        }
-    }
-}
-
-/// One message's stitched lifecycle, keyed by its launch-stamped uid.
-///
-/// Timestamps are simulated [`Cycles`]; every field after `launch` is
-/// `None` until (unless) the corresponding trace event is observed.
-#[derive(Debug, Clone)]
-pub struct MessageSpan {
-    /// Machine-wide unique message id (stamped at launch).
-    pub uid: u64,
-    /// Sending node.
-    pub src: usize,
-    /// Destination node.
-    pub dst: usize,
-    /// Sending job index.
-    pub src_job: usize,
-    /// Receiving job index, once a delivery-side event names it.
-    pub dst_job: Option<usize>,
-    /// Message length in words (header + payload).
-    pub words: usize,
-    /// Launch time (the span's origin).
-    pub launch: Cycles,
-    /// NIC arrival time at the destination.
-    pub arrive: Option<Cycles>,
-    /// Software-buffer insert time (buffered case only).
-    pub insert: Option<Cycles>,
-    /// Delivery-to-program time: upcall, poll, or buffer extract.
-    pub deliver: Option<Cycles>,
-    /// Handler retirement cycle (absent for peek-style extracts that run
-    /// no handler, and for spans still open when the run ended).
-    pub done: Option<Cycles>,
-    /// The delivery case taken, known at delivery time.
-    pub path: Option<DeliveryPath>,
-    /// True if the fast-path delivery happened via `poll` rather than an
-    /// interrupt upcall.
-    pub via_poll: bool,
-    /// True if the message was paged to backing store while buffered.
-    pub swapped: bool,
-    /// Buffered residency spent while the owning job was descheduled
-    /// (maintained from the `QuantumSwitch` stream).
-    pub sched_wait: Cycles,
-    /// Residency-accounting watermark: start of the interval not yet
-    /// folded into [`MessageSpan::sched_wait`].
-    mark: Cycles,
-    /// True if the stream contradicted itself for this uid (e.g. a
-    /// fault-injected duplicate re-arriving); anomalous spans are counted
-    /// but excluded from statistics and invariant checks.
-    pub anomalous: bool,
-}
+pub use crate::ledger::{DeliveryPath, MessageSpan};
 
 impl MessageSpan {
-    fn new(uid: u64, src: usize, dst: usize, src_job: usize, words: usize, at: Cycles) -> Self {
-        MessageSpan {
-            uid,
-            src,
-            dst,
-            src_job,
-            dst_job: None,
-            words,
-            launch: at,
-            arrive: None,
-            insert: None,
-            deliver: None,
-            done: None,
-            path: None,
-            via_poll: false,
-            swapped: false,
-            sched_wait: 0,
-            mark: at,
-            anomalous: false,
-        }
-    }
-
-    /// The span's terminal cycle: handler retirement if a handler ran,
-    /// otherwise the delivery time. `None` while still in flight.
-    pub fn end(&self) -> Option<Cycles> {
-        self.done.or(self.deliver)
-    }
-
-    /// True once the message reached its program (both cases).
-    pub fn delivered(&self) -> bool {
-        self.deliver.is_some()
-    }
-
     /// Splits the span's end-to-end latency across the five subsystems.
     ///
     /// Returns `None` if the span is not yet delivered, is anomalous, or
@@ -390,255 +294,57 @@ impl ProfileReport {
     }
 }
 
-/// The subscriber state: open spans plus the per-node scheduling context
-/// needed to split buffered residency into `sched` and `vbuf` time.
+/// The subscriber state: the message ledger plus the consistency errors
+/// found so far.
 #[derive(Debug, Default)]
 struct SpanCollector {
-    spans: HashMap<u64, MessageSpan>,
-    /// Job currently scheduled on each node (from the `QuantumSwitch`
-    /// stream, primed by the machine's initial-schedule event).
-    cur_job: HashMap<usize, Option<usize>>,
-    /// Uids resident in each node's software buffer, in insert order.
-    resident: HashMap<usize, Vec<u64>>,
+    ledger: MessageLedger,
     errors: Vec<String>,
-    anomalies: u64,
 }
 
 impl SpanCollector {
-    fn err(&mut self, at: Cycles, msg: String) {
-        self.errors.push(format!("[{at}] {msg}"));
-    }
-
-    fn mark_anomalous(&mut self, uid: u64) {
-        if let Some(span) = self.spans.get_mut(&uid) {
-            if !span.anomalous {
-                span.anomalous = true;
-                self.anomalies += 1;
-            }
-        }
-    }
-
-    /// Folds residency time since the span's watermark into `sched_wait`
-    /// if the owning job was descheduled over that interval.
-    fn account_residency(span: &mut MessageSpan, running: Option<usize>, at: Cycles) {
-        if span.dst_job.is_some() && span.dst_job != running {
-            span.sched_wait += at.saturating_sub(span.mark);
-        }
-        span.mark = at;
-    }
-
     fn on_event(&mut self, at: Cycles, event: &TraceEvent) {
-        // Each arm updates the span under `self.spans` and reports what
-        // happened; bookkeeping that needs `&mut self` again (violations,
-        // anomaly marking, the online check) runs after the borrow ends.
-        enum Outcome {
-            Advanced,
-            /// Contradictory event for a known uid (fault-injected
-            /// duplicates re-arriving / re-delivering): flag, don't fail.
-            Duplicate,
-            /// Event for a uid never launched: a stitching violation.
-            Orphan(&'static str),
-            /// The span just closed; run the online invariant on it.
-            Closed(Box<MessageSpan>),
-            /// Arrival landed on a different node than the launch named.
-            Misrouted(usize),
-        }
-        use Outcome::*;
-        let uid = match *event {
-            TraceEvent::MsgLaunch { uid, .. }
-            | TraceEvent::MsgArrive { uid, .. }
-            | TraceEvent::FastUpcall { uid, .. }
-            | TraceEvent::PollDelivery { uid, .. }
-            | TraceEvent::BufferInsert { uid, .. }
-            | TraceEvent::BufferExtract { uid, .. }
-            | TraceEvent::HandlerDone { uid, .. } => uid,
-            TraceEvent::QuantumSwitch { node, to_job, .. } => {
-                let running = self.cur_job.get(&node).copied().unwrap_or(None);
-                if let Some(list) = self.resident.get(&node) {
-                    for uid in list.clone() {
-                        if let Some(span) = self.spans.get_mut(&uid) {
-                            Self::account_residency(span, running, at);
-                        }
-                    }
-                }
-                self.cur_job.insert(node, to_job);
-                return;
+        // Repeats (fault-injected duplicates re-arriving or re-delivering)
+        // leave the span anomalous: flagged, not failed.
+        match (self.ledger.observe(at, event), event) {
+            (Observed::Orphan(uid), _) => {
+                let msg = format!("[{at}] uid {uid} without a launch: {event:?}");
+                self.errors.push(msg);
             }
-            _ => return,
-        };
-        let outcome = match *event {
-            TraceEvent::MsgLaunch {
-                node,
-                job,
-                dst,
-                words,
-                uid,
-            } => match self.spans.entry(uid) {
-                Entry::Occupied(_) => Duplicate,
-                Entry::Vacant(slot) => {
-                    slot.insert(MessageSpan::new(uid, node, dst, job, words, at));
-                    Advanced
-                }
-            },
-            TraceEvent::MsgArrive { node, uid, .. } => match self.spans.get_mut(&uid) {
-                Some(span) if span.arrive.is_none() => {
-                    span.arrive = Some(at);
-                    if span.dst == node {
-                        Advanced
-                    } else {
-                        Misrouted(node)
-                    }
-                }
-                Some(_) => Duplicate,
-                None => Orphan("arrived"),
-            },
-            TraceEvent::FastUpcall { job, uid, .. } | TraceEvent::PollDelivery { job, uid, .. } => {
-                let via_poll = matches!(event, TraceEvent::PollDelivery { .. });
-                match self.spans.get_mut(&uid) {
-                    Some(span) if span.deliver.is_none() => {
-                        span.deliver = Some(at);
-                        span.path = Some(DeliveryPath::Fast);
-                        span.via_poll = via_poll;
-                        span.dst_job = Some(job);
-                        Advanced
-                    }
-                    Some(_) => Duplicate,
-                    None => Orphan("delivered"),
+            (Observed::Fresh, &TraceEvent::MsgArrive { node, uid, .. }) => {
+                if let Some(span) = self.ledger.get(uid).filter(|s| s.dst != node) {
+                    self.errors.push(format!(
+                        "[{at}] uid {uid} arrived at node {node}, launched toward {}",
+                        span.dst
+                    ));
                 }
             }
-            TraceEvent::BufferInsert {
-                node,
-                job,
-                swapped,
-                uid,
-                ..
-            } => match self.spans.get_mut(&uid) {
-                Some(span) if span.insert.is_none() && span.deliver.is_none() => {
-                    span.insert = Some(at);
-                    span.dst_job = Some(job);
-                    span.swapped |= swapped;
-                    span.mark = at;
-                    self.resident.entry(node).or_default().push(uid);
-                    Advanced
-                }
-                Some(_) => Duplicate,
-                None => Orphan("buffered"),
-            },
-            TraceEvent::BufferExtract {
-                node,
-                job,
-                swapped,
-                uid,
-                ..
-            } => {
-                let running = self.cur_job.get(&node).copied().unwrap_or(None);
-                if let Some(list) = self.resident.get_mut(&node) {
-                    list.retain(|&u| u != uid);
-                }
-                match self.spans.get_mut(&uid) {
-                    Some(span) if span.deliver.is_none() && span.insert.is_some() => {
-                        Self::account_residency(span, running, at);
-                        span.deliver = Some(at);
-                        span.path = Some(DeliveryPath::Buffered);
-                        span.dst_job = Some(job);
-                        span.swapped |= swapped;
-                        Advanced
-                    }
-                    Some(_) => Duplicate,
-                    None => Orphan("extracted"),
-                }
-            }
-            TraceEvent::HandlerDone { uid, end, .. } => match self.spans.get_mut(&uid) {
-                Some(span) if span.delivered() && span.done.is_none() => {
-                    span.done = Some(end);
-                    Closed(Box::new(span.clone()))
-                }
-                Some(_) => Duplicate,
-                None => Orphan("retired a handler"),
-            },
-            _ => Advanced,
-        };
-        match outcome {
-            Advanced => {}
-            Duplicate => self.mark_anomalous(uid),
-            Orphan(what) => self.err(at, format!("uid {uid} {what} without a launch")),
             // The span just closed: check it while the stream is still
             // flowing, not at teardown.
-            Closed(span) => self.check_span(&span),
-            Misrouted(node) => {
-                let dst = self.spans[&uid].dst;
-                self.err(
-                    at,
-                    format!("uid {uid} arrived at node {node}, launched toward {dst}"),
-                );
-            }
-        }
-    }
-
-    /// The online invariant: a closed, non-anomalous span must carry a
-    /// complete, monotone event chain whose five-way attribution sums
-    /// *exactly* to its end-to-end latency.
-    fn check_span(&mut self, span: &MessageSpan) {
-        if span.anomalous {
-            return;
-        }
-        let uid = span.uid;
-        let (Some(end), Some(launch)) = (span.end(), Some(span.launch)) else {
-            return;
-        };
-        match span.attribution() {
-            None => self.err(
-                end,
-                format!(
-                    "uid {uid} closed with an inconsistent chain: launch={launch} \
-                     arrive={:?} insert={:?} deliver={:?} done={:?} sched_wait={}",
-                    span.arrive, span.insert, span.deliver, span.done, span.sched_wait
-                ),
-            ),
-            Some(attr) => {
-                let span_latency = end - launch;
-                if attr.total() != span_latency {
-                    self.err(
-                        end,
-                        format!(
-                            "uid {uid} attribution {} != end-to-end latency {span_latency} \
-                             (net={} nic={} sched={} vbuf={} handler={})",
-                            attr.total(),
-                            attr.net,
-                            attr.nic,
-                            attr.sched,
-                            attr.vbuf,
-                            attr.handler
-                        ),
-                    );
+            (Observed::Fresh, &TraceEvent::HandlerDone { uid, .. }) => {
+                if let Some(span) = self.ledger.get(uid) {
+                    check_span(span, &mut self.errors);
                 }
             }
+            _ => {}
         }
     }
 
-    fn into_report(mut self) -> ProfileReport {
-        let mut spans: Vec<MessageSpan> = self.spans.drain().map(|(_, s)| s).collect();
-        spans.sort_by_key(|s| s.uid);
-        // Spans delivered without a handler (peek-style extracts) or still
-        // resident at teardown were never closed by a HandlerDone: check
-        // the delivered ones now.
-        for span in &spans {
-            if span.delivered() && span.done.is_none() {
-                self.check_span(span);
-            }
-        }
+    fn into_report(self) -> ProfileReport {
+        let in_flight = self.ledger.undelivered();
+        let spans = self.ledger.into_spans();
         let mut report = ProfileReport {
             launched: spans.len() as u64,
-            anomalies: self.anomalies,
-            errors: std::mem::take(&mut self.errors),
+            in_flight,
+            anomalies: spans.iter().filter(|s| s.anomalous).count() as u64,
+            errors: self.errors,
             ..ProfileReport::default()
         };
-        for span in &spans {
-            if !span.delivered() {
-                if !span.anomalous {
-                    report.in_flight += 1;
-                }
-                continue;
+        for span in spans.iter().filter(|s| s.delivered()) {
+            // Spans delivered without a handler (peek-style extracts) were
+            // never closed by a HandlerDone: check them now.
+            if span.done.is_none() {
+                check_span(span, &mut report.errors);
             }
             report.delivered += 1;
             let Some(attr) = span.attribution() else {
@@ -656,14 +362,45 @@ impl SpanCollector {
     }
 }
 
+/// The online invariant: a closed, non-anomalous span must carry a
+/// complete, monotone event chain whose five-way attribution sums
+/// *exactly* to its end-to-end latency.
+fn check_span(span: &MessageSpan, errors: &mut Vec<String>) {
+    if span.anomalous {
+        return;
+    }
+    let (uid, launch) = (span.uid, span.launch);
+    let Some(end) = span.end() else {
+        return;
+    };
+    match span.attribution() {
+        None => errors.push(format!(
+            "[{end}] uid {uid} closed with an inconsistent chain: launch={launch} \
+             arrive={:?} insert={:?} deliver={:?} done={:?} sched_wait={}",
+            span.arrive, span.insert, span.deliver, span.done, span.sched_wait
+        )),
+        Some(attr) if attr.total() != end - launch => errors.push(format!(
+            "[{end}] uid {uid} attribution {} != end-to-end latency {} \
+             (net={} nic={} sched={} vbuf={} handler={})",
+            attr.total(),
+            end - launch,
+            attr.net,
+            attr.nic,
+            attr.sched,
+            attr.vbuf,
+            attr.handler
+        )),
+        Some(_) => {}
+    }
+}
+
 /// Attachable message-lifecycle profiler.
 ///
 /// Subscribe it to a [`Tracer`] before the run ([`Profiler::attach`]),
 /// then consume the [`ProfileReport`] after ([`Profiler::finish`]). The
-/// profiler listens to the `msg`, `upcall`, `buffer`, `sched` and `span`
-/// categories; attaching widens the tracer's effective mask, so emission
-/// sites pay for event construction only while a profiler (or another
-/// sink) is watching.
+/// profiler listens to the [`MessageLedger::mask`] categories; attaching
+/// widens the tracer's effective mask, so emission sites pay for event
+/// construction only while a profiler (or another sink) is watching.
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
     collector: Arc<Mutex<SpanCollector>>,
@@ -680,16 +417,9 @@ impl Profiler {
     /// tracers if a harness wires them that way.
     pub fn attach(&self, tracer: &Tracer) {
         let collector = Arc::clone(&self.collector);
-        tracer.subscribe(
-            CategoryMask::MSG
-                | CategoryMask::UPCALL
-                | CategoryMask::BUFFER
-                | CategoryMask::SCHED
-                | CategoryMask::SPAN,
-            move |at, event| {
-                collector.lock().unwrap().on_event(at, event);
-            },
-        );
+        tracer.subscribe(MessageLedger::mask(), move |at, event| {
+            collector.lock().unwrap().on_event(at, event);
+        });
     }
 
     /// Closes out the collection and builds the report. The profiler can

@@ -59,6 +59,12 @@ cmp results/explore_corpus.json "$tmpdir/explore_a.json" \
 cargo run --offline --release -p fugu-bench --bin table6 -- --jobs 4 --json "$tmpdir/table6.json" >/dev/null
 cmp results/table6.json "$tmpdir/table6.json" \
   || { echo "ci: results/table6.json drifted from regenerated output" >&2; exit 1; }
+# Profile drift gate: the full-size span profile must reproduce the
+# committed BENCH_PROFILE.json byte for byte, so oracle and trace changes
+# cannot move the latency distributions unnoticed (~50 s at --jobs 2).
+cargo run --offline --release -p fugu-bench --bin profile -- --jobs 4 --json "$tmpdir/profile.json" >/dev/null
+cmp BENCH_PROFILE.json "$tmpdir/profile.json" \
+  || { echo "ci: BENCH_PROFILE.json drifted from regenerated output" >&2; exit 1; }
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "ci: all checks passed"
