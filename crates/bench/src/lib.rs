@@ -13,7 +13,6 @@
 //! | `fig10`  | Fig. 10: % buffered vs buffered-path cost | `... --bin fig10` |
 //! | `ablate` | design-choice ablations from DESIGN.md §6 | `... --bin ablate` |
 //! | `chaos`  | fault-injection sweep asserting delivery guarantees (docs/ROBUSTNESS.md) | `... --bin chaos` |
-//! | `perf`   | engine wall-clock baseline (no simulated quantity) | `... --bin perf` |
 //! | `profile` | per-message latency spans, percentiles and cycle attribution by delivery case, plus a Perfetto trace (docs/OBSERVABILITY.md) | `... --bin profile` |
 //! | `explore` | coverage-guided deterministic scenario explorer with automatic failure shrinking and `--replay` (docs/TESTING.md); its own flag set | `... --bin explore` |
 //!

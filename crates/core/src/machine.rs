@@ -237,7 +237,7 @@ pub struct Machine {
     /// Machine-wide message-uid counter; every launch stamps the next one.
     next_uid: u64,
     /// Events popped from the queue by [`Machine::run`]. Wall-clock
-    /// instrumentation only (the perf harness's events/sec denominator);
+    /// instrumentation only (`perfbench`'s events/sec denominator);
     /// never serialized into run reports.
     events_processed: u64,
 }
@@ -305,7 +305,7 @@ impl Machine {
     }
 
     /// Replaces the machine's [`Tracer`] (by default built from the
-    /// `FUGU_TRACE*` environment, see [`Tracer::from_env`]) and re-attaches
+    /// `FUGU_TRACE` environment, see [`Tracer::from_env`]) and re-attaches
     /// it to every node's NIC, frame allocator and overflow controller.
     /// Call before [`Machine::run`]; typically with
     /// [`Tracer::recorder`](fugu_sim::trace::Tracer::recorder) to capture
@@ -740,7 +740,11 @@ impl Machine {
                     && matches!(proc.handler.state, TState::AwaitUpcall)
                 {
                     self.preempt_active(n);
-                    self.dispatch_buffered(n, j);
+                    let start = self.nodes[n].free_at.max(self.queue.now());
+                    let env = self
+                        .take_buffered(n, j, start, true)
+                        .expect("vbuf nonempty");
+                    self.run_burst(n, j, Which::Handler, SimResp::Upcall(env));
                     continue;
                 }
             }
@@ -1000,97 +1004,108 @@ impl Machine {
 
     /// Fast-path user-level interrupt delivery (Figure 2's timeline).
     fn dispatch_upcall(&mut self, n: NodeId, j: usize) {
-        let now = self.queue.now();
-        let env;
-        let t;
-        let uid;
-        {
-            let node = &mut self.nodes[n];
-            let msg = node
-                .nic
-                .dispose(Mode::User)
-                .expect("head was a matching user message");
-            let words = msg.payload().len();
-            uid = msg.uid();
-            t = node.free_at.max(now);
-            // Charge the interrupt entry sequence plus the handler's
-            // minimum (dispose + per-word reads); the handler body's own
-            // `compute` comes on top. An empty body therefore costs exactly
-            // Table 4's interrupt total (87 cycles at hard atomicity).
-            let pre = self.cfg.costs.rx_interrupt.pre()
-                + self.cfg.costs.null_handler
-                + self.cfg.costs.rx_per_word * words as Cycles;
-            node.free_at = t + pre;
-            // Handlers begin in an atomic section.
-            node.nic.kernel_set_uac(UacMask::INTERRUPT_DISABLE);
-            env = Envelope {
-                src: msg.src(),
-                handler: msg.handler(),
-                payload: msg.payload_shared(),
-            };
-        }
-        let proc = &mut self.nodes[n].procs[j];
-        proc.in_upcall = true;
-        proc.upcall_kind = UpcallKind::Interrupt;
-        proc.upcall_start = t;
-        proc.upcall_uid = uid;
-        self.jobs[j].fast += 1;
-        self.tracer
-            .emit_with(CategoryMask::UPCALL, || TraceEvent::FastUpcall {
-                node: n,
-                job: j,
-                words: env.payload.len(),
-                uid,
-            });
-        self.reset_timer(n);
+        let start = self.nodes[n].free_at.max(self.queue.now());
+        // Charge the interrupt entry sequence plus the handler's minimum
+        // (dispose + per-word reads); the handler body's own `compute`
+        // comes on top. An empty body therefore costs exactly Table 4's
+        // interrupt total (87 cycles at hard atomicity).
+        let entry = self.cfg.costs.rx_interrupt.pre() + self.cfg.costs.null_handler;
+        let env = self.take_fast(n, j, start, entry, Some(UpcallKind::Interrupt));
         self.run_burst(n, j, Which::Handler, SimResp::Upcall(env));
     }
 
-    /// Buffered-path replay: pop the software buffer and run the handler
-    /// with Table 5 extraction costs (Figure 5's timeline).
-    fn dispatch_buffered(&mut self, n: NodeId, j: usize) {
-        let now = self.queue.now();
-        let env;
-        let t;
-        let swapped;
-        let uid;
-        {
-            let node = &mut self.nodes[n];
-            let frames = &mut node.frames;
-            let proc = &mut node.procs[j];
-            let (msg, was_swapped) = proc.vbuf.pop(frames).expect("vbuf nonempty");
-            let words = msg.payload().len();
-            swapped = was_swapped;
-            uid = msg.uid();
-            t = node.free_at.max(now);
-            let mut cost = self.cfg.costs.buf_extract_total(words);
-            if was_swapped {
-                cost += self.swap_cost;
-            }
-            node.free_at = t + cost;
-            proc.in_upcall = true;
-            proc.upcall_kind = UpcallKind::Buffered;
-            proc.upcall_start = t;
-            proc.upcall_uid = uid;
-            env = Envelope {
-                src: msg.src(),
-                handler: msg.handler(),
-                payload: msg.payload_shared(),
-            };
+    /// Whether process `j` on node `n` reads the software buffer rather
+    /// than the NIC: it is in buffered mode, or not scheduled at all.
+    fn buffered_case(&self, n: NodeId, j: usize) -> bool {
+        let node = &self.nodes[n];
+        node.procs[j].mode == DeliveryMode::Buffered || node.cur_job != j
+    }
+
+    /// Fast case: disposes the head message straight out of the NIC,
+    /// charging `entry` plus the per-word reads from `start`. With an
+    /// `upcall` the handler is entered in an atomic section.
+    fn take_fast(
+        &mut self,
+        n: NodeId,
+        j: usize,
+        start: Cycles,
+        entry: Cycles,
+        upcall: Option<UpcallKind>,
+    ) -> Envelope {
+        let node = &mut self.nodes[n];
+        let msg = node
+            .nic
+            .dispose(Mode::User)
+            .expect("head was a matching user message");
+        let (words, uid) = (msg.payload().len(), msg.uid());
+        node.free_at = start + entry + self.cfg.costs.rx_per_word * words as Cycles;
+        if let Some(kind) = upcall {
+            // Handlers begin in an atomic section.
+            node.nic.kernel_set_uac(UacMask::INTERRUPT_DISABLE);
+            self.begin_upcall(n, j, kind, start, uid);
         }
+        self.jobs[j].fast += 1;
+        let (node, job) = (n, j);
+        self.tracer
+            .emit_with(CategoryMask::UPCALL, || match upcall {
+                Some(UpcallKind::Interrupt) => TraceEvent::FastUpcall {
+                    node,
+                    job,
+                    words,
+                    uid,
+                },
+                _ => TraceEvent::PollDelivery {
+                    node,
+                    job,
+                    words,
+                    uid,
+                },
+            });
+        self.reset_timer(n);
+        envelope(&msg)
+    }
+
+    /// Buffered case: pops the process's software buffer, charging the
+    /// Table 5 extraction (plus the swap-in of a paged-out message) from
+    /// `start`, and enters the handler if `upcall`. `None` when the buffer
+    /// is empty.
+    fn take_buffered(
+        &mut self,
+        n: NodeId,
+        j: usize,
+        start: Cycles,
+        upcall: bool,
+    ) -> Option<Envelope> {
+        let node = &mut self.nodes[n];
+        let (msg, swapped) = node.procs[j].vbuf.pop(&mut node.frames)?;
+        let (words, uid) = (msg.payload().len(), msg.uid());
+        node.free_at = start + self.cfg.costs.buf_extract_total(words);
         if swapped {
-            self.nodes[n].free_at += self.faults.second_net_delay();
+            // Swap the paged-out message back in over the second network.
+            node.free_at += self.swap_cost + self.faults.second_net_delay();
+        }
+        if upcall {
+            self.begin_upcall(n, j, UpcallKind::Buffered, start, uid);
         }
         self.tracer
             .emit_with(CategoryMask::BUFFER, || TraceEvent::BufferExtract {
                 node: n,
                 job: j,
-                words: env.payload.len(),
+                words,
                 swapped,
                 uid,
             });
         self.maybe_unsuspend(n, j);
-        self.run_burst(n, j, Which::Handler, SimResp::Upcall(env));
+        Some(envelope(&msg))
+    }
+
+    /// Marks a handler dispatch of message `uid` in flight from `start`.
+    fn begin_upcall(&mut self, n: NodeId, j: usize, kind: UpcallKind, start: Cycles, uid: u64) {
+        let proc = &mut self.nodes[n].procs[j];
+        proc.in_upcall = true;
+        proc.upcall_kind = kind;
+        proc.upcall_start = start;
+        proc.upcall_uid = uid;
     }
 
     /// Switches a process to buffered mode (the uniform response to all
@@ -1220,8 +1235,8 @@ impl Machine {
             } => {
                 // `injectc`: refuse instead of blocking when the fabric
                 // toward the destination is congested.
-                let congested = self.net.in_flight(dst)
-                    + self.nodes[dst.min(self.cfg.nodes - 1)].backlog.len() as u64
+                self.check_dst(dst);
+                let congested = self.net.in_flight(dst) + self.nodes[dst].backlog.len() as u64
                     >= self.cfg.inject_window;
                 if congested {
                     // The failed probe still costs the descriptor check.
@@ -1322,29 +1337,18 @@ impl Machine {
 
             SimCall::FaultsActive => Some(SimResp::Bool(self.faults.is_active())),
 
-            SimCall::PollExtract => {
-                let e = self.do_poll_extract(n, j);
-                Some(SimResp::Extract(e))
-            }
+            SimCall::PollExtract => Some(SimResp::Extract(self.poll_take(n, j, false))),
 
             SimCall::Peek => {
-                let node = &mut self.nodes[n];
-                node.free_at += self.cfg.costs.poll_check;
-                let env = if node.procs[j].mode == DeliveryMode::Buffered || node.cur_job != j {
-                    // Transparent access: peek the software buffer.
-                    node.procs[j].vbuf.peek().map(|m| Envelope {
-                        src: m.src(),
-                        handler: m.handler(),
-                        payload: m.payload_shared(),
-                    })
+                self.nodes[n].free_at += self.cfg.costs.poll_check;
+                let node = &self.nodes[n];
+                // Transparent access: peek whichever case is active.
+                let msg = if self.buffered_case(n, j) {
+                    node.procs[j].vbuf.peek()
                 } else {
-                    node.nic.peek().map(|m| Envelope {
-                        src: m.src(),
-                        handler: m.handler(),
-                        payload: m.payload_shared(),
-                    })
+                    node.nic.peek()
                 };
-                Some(SimResp::Extract(env))
+                Some(SimResp::Extract(msg.map(envelope)))
             }
 
             SimCall::TouchPage(page) => {
@@ -1382,13 +1386,15 @@ impl Machine {
 
             SimCall::PollDispatch => {
                 assert_eq!(which, Which::Main, "handler context cannot poll-dispatch");
-                match self.do_poll_dispatch(n, j) {
-                    PollOutcome::Empty => Some(SimResp::Bool(false)),
-                    // The main thread parks until the dispatched handler
-                    // completes; do_poll_dispatch recorded WaitingPoll (or
-                    // the handler already completed and made it Ready).
-                    PollOutcome::Dispatched => None,
-                }
+                let Some(env) = self.poll_take(n, j, true) else {
+                    return Some(SimResp::Bool(false));
+                };
+                // Park the polling main *before* the handler runs: the
+                // handler may complete synchronously inside this call, and
+                // its completion is what re-readies the main thread.
+                self.nodes[n].procs[j].main.state = TState::WaitingPoll;
+                self.run_burst(n, j, Which::Handler, SimResp::Upcall(env));
+                None
             }
 
             SimCall::AwaitUpcall => {
@@ -1410,11 +1416,7 @@ impl Machine {
         handler: fugu_net::HandlerId,
         payload: fugu_net::Payload,
     ) {
-        assert!(
-            dst < self.cfg.nodes,
-            "send to node {dst} but the machine has {} nodes",
-            self.cfg.nodes
-        );
+        self.check_dst(dst);
         let node = &mut self.nodes[n];
         let words = payload.len();
         node.free_at += self.cfg.costs.send_total(words);
@@ -1499,179 +1501,31 @@ impl Machine {
         }
     }
 
-    /// `extract` against whichever delivery case is active — the essence of
-    /// transparent access (§4.3).
-    fn do_poll_extract(&mut self, n: NodeId, j: usize) -> Option<Envelope> {
-        let poll_check = self.cfg.costs.poll_check;
-        let via_buffer = {
-            let node = &mut self.nodes[n];
-            node.free_at += poll_check;
-            node.procs[j].mode == DeliveryMode::Buffered || node.cur_job != j
-        };
-        if via_buffer {
-            // Transparent: the base register points at the software buffer.
-            let swapped;
-            let uid;
-            let env = {
-                let node = &mut self.nodes[n];
-                let frames = &mut node.frames;
-                let proc = &mut node.procs[j];
-                let (msg, was_swapped) = proc.vbuf.pop(frames)?;
-                let words = msg.payload().len();
-                swapped = was_swapped;
-                uid = msg.uid();
-                let mut cost = self.cfg.costs.buf_extract_total(words);
-                if was_swapped {
-                    cost += self.swap_cost;
-                }
-                node.free_at += cost;
-                Envelope {
-                    src: msg.src(),
-                    handler: msg.handler(),
-                    payload: msg.payload_shared(),
-                }
-            };
-            if swapped {
-                self.nodes[n].free_at += self.faults.second_net_delay();
-            }
-            self.tracer
-                .emit_with(CategoryMask::BUFFER, || TraceEvent::BufferExtract {
-                    node: n,
-                    job: j,
-                    words: env.payload.len(),
-                    swapped,
-                    uid,
-                });
-            self.maybe_unsuspend(n, j);
-            Some(env)
-        } else {
-            let uid;
-            let env = {
-                let node = &mut self.nodes[n];
-                if !node.nic.message_available() {
-                    return None;
-                }
-                let msg = node.nic.dispose(Mode::User).expect("flag checked");
-                let words = msg.payload().len();
-                uid = msg.uid();
-                node.free_at += self.cfg.costs.rx_per_word * words as Cycles;
-                Envelope {
-                    src: msg.src(),
-                    handler: msg.handler(),
-                    payload: msg.payload_shared(),
-                }
-            };
-            self.jobs[j].fast += 1;
-            self.tracer
-                .emit_with(CategoryMask::UPCALL, || TraceEvent::PollDelivery {
-                    node: n,
-                    job: j,
-                    words: env.payload.len(),
-                    uid,
-                });
-            self.reset_timer(n);
-            Some(env)
-        }
+    /// Panics unless `dst` names a node of this machine.
+    fn check_dst(&self, dst: NodeId) {
+        assert!(
+            dst < self.cfg.nodes,
+            "send to node {dst} but the machine has {} nodes",
+            self.cfg.nodes
+        );
     }
 
-    fn do_poll_dispatch(&mut self, n: NodeId, j: usize) -> PollOutcome {
-        let poll_check = self.cfg.costs.poll_check;
-        let via_buffer = {
-            let node = &mut self.nodes[n];
-            node.free_at += poll_check;
-            node.procs[j].mode == DeliveryMode::Buffered || node.cur_job != j
-        };
-        if via_buffer {
-            let env;
-            let t;
-            let swapped;
-            let uid;
-            {
-                let node = &mut self.nodes[n];
-                let frames = &mut node.frames;
-                let proc = &mut node.procs[j];
-                let Some((msg, was_swapped)) = proc.vbuf.pop(frames) else {
-                    return PollOutcome::Empty;
-                };
-                swapped = was_swapped;
-                uid = msg.uid();
-                let words = msg.payload().len();
-                t = node.free_at;
-                let mut cost = self.cfg.costs.buf_extract_total(words);
-                if was_swapped {
-                    cost += self.swap_cost;
-                }
-                node.free_at += cost;
-                proc.in_upcall = true;
-                proc.upcall_kind = UpcallKind::Buffered;
-                proc.upcall_start = t;
-                proc.upcall_uid = uid;
-                // Park the polling main *before* the handler runs: the
-                // handler may complete synchronously inside this call, and
-                // its completion is what re-readies the main thread.
-                proc.main.state = TState::WaitingPoll;
-                env = Envelope {
-                    src: msg.src(),
-                    handler: msg.handler(),
-                    payload: msg.payload_shared(),
-                };
-            }
-            if swapped {
-                self.nodes[n].free_at += self.faults.second_net_delay();
-            }
-            self.tracer
-                .emit_with(CategoryMask::BUFFER, || TraceEvent::BufferExtract {
-                    node: n,
-                    job: j,
-                    words: env.payload.len(),
-                    swapped,
-                    uid,
-                });
-            self.maybe_unsuspend(n, j);
-            self.run_burst(n, j, Which::Handler, SimResp::Upcall(env));
-            PollOutcome::Dispatched
+    /// `extract` (or, with `dispatch`, a polling handler dispatch) against
+    /// whichever delivery case is active — the essence of transparent
+    /// access (§4.3). `None` when no message is waiting.
+    fn poll_take(&mut self, n: NodeId, j: usize, dispatch: bool) -> Option<Envelope> {
+        self.nodes[n].free_at += self.cfg.costs.poll_check;
+        let start = self.nodes[n].free_at;
+        if self.buffered_case(n, j) {
+            // Transparent: the base register points at the software buffer.
+            self.take_buffered(n, j, start, dispatch)
+        } else if !self.nodes[n].nic.message_available() {
+            None
+        } else if dispatch {
+            let entry = self.cfg.costs.poll_dispatch + self.cfg.costs.poll_null_handler;
+            Some(self.take_fast(n, j, start, entry, Some(UpcallKind::Poll)))
         } else {
-            let env;
-            let t;
-            let uid;
-            {
-                let node = &mut self.nodes[n];
-                if !node.nic.message_available() {
-                    return PollOutcome::Empty;
-                }
-                let msg = node.nic.dispose(Mode::User).expect("flag checked");
-                let words = msg.payload().len();
-                uid = msg.uid();
-                t = node.free_at;
-                node.free_at += self.cfg.costs.poll_dispatch
-                    + self.cfg.costs.poll_null_handler
-                    + self.cfg.costs.rx_per_word * words as Cycles;
-                node.nic.kernel_set_uac(UacMask::INTERRUPT_DISABLE);
-                let proc = &mut node.procs[j];
-                proc.in_upcall = true;
-                proc.upcall_kind = UpcallKind::Poll;
-                proc.upcall_start = t;
-                proc.upcall_uid = uid;
-                // Park the polling main before the handler runs (see the
-                // buffered branch above).
-                proc.main.state = TState::WaitingPoll;
-                env = Envelope {
-                    src: msg.src(),
-                    handler: msg.handler(),
-                    payload: msg.payload_shared(),
-                };
-            }
-            self.jobs[j].fast += 1;
-            self.tracer
-                .emit_with(CategoryMask::UPCALL, || TraceEvent::PollDelivery {
-                    node: n,
-                    job: j,
-                    words: env.payload.len(),
-                    uid,
-                });
-            self.reset_timer(n);
-            self.run_burst(n, j, Which::Handler, SimResp::Upcall(env));
-            PollOutcome::Dispatched
+            Some(self.take_fast(n, j, start, 0, None))
         }
     }
 
@@ -1864,9 +1718,12 @@ impl Machine {
     }
 }
 
-enum PollOutcome {
-    Empty,
-    Dispatched,
+fn envelope(msg: &Message) -> Envelope {
+    Envelope {
+        src: msg.src(),
+        handler: msg.handler(),
+        payload: msg.payload_shared(),
+    }
 }
 
 fn slot_mut(proc: &mut Proc, which: Which) -> &mut ThreadSlot {

@@ -22,7 +22,7 @@ pub struct RunReport {
     /// and JSON export.
     pub metrics: MetricsRegistry,
     /// Discrete events the engine processed to produce this run — the
-    /// denominator of the perf harness's events/sec figure. Wall-clock
+    /// denominator of `perfbench`'s events/sec figure. Wall-clock
     /// instrumentation, not a simulated measurement, so it is deliberately
     /// *excluded* from [`RunReport::to_json`]: result documents must stay
     /// byte-identical across engine-performance work.

@@ -840,6 +840,29 @@ fn injectc_refuses_when_fabric_congested() {
     );
 }
 
+#[test]
+#[should_panic(expected = "but the machine has")]
+fn try_send_to_missing_node_fails_even_when_congested() {
+    // A closed window makes every probe congested; a nonexistent
+    // destination must still fail loudly instead of being refused forever.
+    struct Stray;
+    impl Program for Stray {
+        fn main(&self, ctx: &mut UserCtx<'_>) {
+            if ctx.node() == 0 {
+                ctx.try_send(2, 0, &[]);
+            }
+        }
+        fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {}
+    }
+    let mut m = Machine::new(MachineConfig {
+        nodes: 2,
+        inject_window: 0,
+        ..Default::default()
+    });
+    m.add_job(JobSpec::new("stray", Arc::new(Stray)));
+    m.run();
+}
+
 // ======================================================================
 // Protection: GID isolation between jobs
 // ======================================================================

@@ -27,9 +27,8 @@
 //!   block) keeps the heap within a constant factor of the live count
 //!   instead of growing without bound.
 //!
-//! The previous implementation is retained, verbatim, as [`legacy`]: it is
-//! the reference model for the differential property test and the baseline
-//! the perf harness measures the slab queue against.
+//! `tests/event_differential.rs` checks the queue against a plain
+//! scan-for-the-minimum reference model over randomized interleavings.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -280,147 +279,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-pub mod legacy {
-    //! The original `BinaryHeap` + `HashMap` event queue, retained as a
-    //! reference model.
-    //!
-    //! This is the implementation the slab-backed [`EventQueue`] replaced.
-    //! It stays in the tree for two reasons: the differential property
-    //! test (`crates/sim/tests/event_differential.rs`) checks the new
-    //! queue against it over randomized interleavings, and the perf
-    //! harness (`fugu-bench --bin perf`) measures the speedup over it.
-    //! Known deficiency, preserved deliberately: cancelled events leave
-    //! tombstones in the heap forever, so cancel-heavy workloads grow the
-    //! heap without bound.
-    //!
-    //! [`EventQueue`]: super::EventQueue
-
-    use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, HashMap};
-
-    use crate::Cycles;
-
-    /// Handle to an event scheduled on the legacy queue.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-    pub struct EventId(u64);
-
-    /// The original heap + hash-map event queue. Same observable semantics
-    /// as [`EventQueue`](super::EventQueue); slower, and unbounded under
-    /// cancel churn.
-    #[derive(Debug)]
-    pub struct EventQueue<E> {
-        heap: BinaryHeap<Reverse<(Cycles, u64)>>,
-        live: HashMap<u64, E>,
-        next_id: u64,
-        now: Cycles,
-    }
-
-    impl<E> Default for EventQueue<E> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<E> EventQueue<E> {
-        /// Creates an empty queue at time zero.
-        pub fn new() -> Self {
-            EventQueue {
-                heap: BinaryHeap::new(),
-                live: HashMap::new(),
-                next_id: 0,
-                now: 0,
-            }
-        }
-
-        /// Current simulated time.
-        pub fn now(&self) -> Cycles {
-            self.now
-        }
-
-        /// Schedules `event` to fire at absolute time `at`.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `at` is earlier than the current time.
-        pub fn schedule(&mut self, at: Cycles, event: E) -> EventId {
-            assert!(
-                at >= self.now,
-                "scheduled event at {} before current time {}",
-                at,
-                self.now
-            );
-            let id = self.next_id;
-            self.next_id += 1;
-            self.heap.push(Reverse((at, id)));
-            self.live.insert(id, event);
-            EventId(id)
-        }
-
-        /// Schedules `event` to fire `delay` cycles from now.
-        pub fn schedule_in(&mut self, delay: Cycles, event: E) -> EventId {
-            let at = self
-                .now
-                .checked_add(delay)
-                .expect("simulated time overflow");
-            self.schedule(at, event)
-        }
-
-        /// Withdraws a scheduled event, returning its payload.
-        pub fn cancel(&mut self, id: EventId) -> Option<E> {
-            self.live.remove(&id.0)
-        }
-
-        /// Returns `true` if the event has neither fired nor been
-        /// cancelled.
-        pub fn is_pending(&self, id: EventId) -> bool {
-            self.live.contains_key(&id.0)
-        }
-
-        /// Time of the earliest pending event, if any.
-        pub fn peek_time(&mut self) -> Option<Cycles> {
-            self.skim_cancelled();
-            self.heap.peek().map(|Reverse((t, _))| *t)
-        }
-
-        /// Removes and returns the earliest pending event, advancing the
-        /// clock. Ties fire in insertion order.
-        pub fn pop(&mut self) -> Option<(Cycles, E)> {
-            loop {
-                let Reverse((t, id)) = self.heap.pop()?;
-                if let Some(ev) = self.live.remove(&id) {
-                    debug_assert!(t >= self.now);
-                    self.now = t;
-                    return Some((t, ev));
-                }
-            }
-        }
-
-        /// Number of pending (non-cancelled) events.
-        pub fn len(&self) -> usize {
-            self.live.len()
-        }
-
-        /// Returns `true` if no events are pending.
-        pub fn is_empty(&self) -> bool {
-            self.live.is_empty()
-        }
-
-        /// Heap entries including tombstones (unbounded under churn).
-        pub fn heap_entries(&self) -> usize {
-            self.heap.len()
-        }
-
-        fn skim_cancelled(&mut self) {
-            while let Some(Reverse((_, id))) = self.heap.peek() {
-                if self.live.contains_key(id) {
-                    break;
-                }
-                self.heap.pop();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,17 +410,5 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, 64);
-    }
-
-    #[test]
-    fn legacy_queue_matches_basic_semantics() {
-        let mut q = legacy::EventQueue::new();
-        let a = q.schedule(10, "a");
-        q.schedule(20, "b");
-        assert_eq!(q.cancel(a), Some("a"));
-        assert_eq!(q.peek_time(), Some(20));
-        assert_eq!(q.pop(), Some((20, "b")));
-        assert_eq!(q.now(), 20);
-        assert!(q.is_empty());
     }
 }

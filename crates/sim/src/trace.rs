@@ -719,44 +719,30 @@ impl Tracer {
         })
     }
 
-    /// Builds a tracer from the `FUGU_TRACE*` environment variables.
-    ///
-    /// `FUGU_TRACE` takes a comma-separated category list (see
-    /// [`CategoryMask::parse`]); the seed repository's `FUGU_TRACE_ARRIVE`,
-    /// `FUGU_TRACE_INSERT` and `FUGU_TRACE_MODE` variables remain supported
-    /// as aliases for `msg`, `buffer` and `mode`. When any category is
-    /// selected, a stderr line-printer subscriber is installed for it;
-    /// otherwise the tracer starts disabled. Category names that match
-    /// nothing draw a one-time stderr warning (misspelling `buffer` as
-    /// `buffers` should not silently trace nothing).
+    /// Builds a tracer from the `FUGU_TRACE` environment variable, a
+    /// comma-separated category list (see [`CategoryMask::parse`]). When
+    /// any category is selected, a stderr line-printer subscriber is
+    /// installed for it; otherwise the tracer starts disabled. Category
+    /// names that match nothing draw a one-time stderr warning (misspelling
+    /// `buffer` as `buffers` should not silently trace nothing).
     pub fn from_env() -> Tracer {
-        let mut mask = CategoryMask::NONE;
-        if let Ok(names) = std::env::var("FUGU_TRACE") {
-            let (parsed, unknown) = CategoryMask::parse_report(&names);
-            mask = mask | parsed;
-            if !unknown.is_empty() {
-                static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                WARN_ONCE.call_once(|| {
-                    eprintln!(
-                        "warning: FUGU_TRACE: unknown categor{} {}; known names: \
-                         msg, upcall, buffer, mode, atomicity, overflow, vm, sched, \
-                         fault, span, all",
-                        if unknown.len() == 1 { "y" } else { "ies" },
-                        unknown.join(", ")
-                    );
-                });
-            }
-        }
-        for (var, cat) in [
-            ("FUGU_TRACE_ARRIVE", CategoryMask::MSG),
-            ("FUGU_TRACE_INSERT", CategoryMask::BUFFER),
-            ("FUGU_TRACE_MODE", CategoryMask::MODE),
-        ] {
-            if std::env::var_os(var).is_some() {
-                mask = mask | cat;
-            }
-        }
         let tracer = Tracer::disabled();
+        let Ok(names) = std::env::var("FUGU_TRACE") else {
+            return tracer;
+        };
+        let (mask, unknown) = CategoryMask::parse_report(&names);
+        if !unknown.is_empty() {
+            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
+            WARN_ONCE.call_once(|| {
+                eprintln!(
+                    "warning: FUGU_TRACE: unknown categor{} {}; known names: \
+                     msg, upcall, buffer, mode, atomicity, overflow, vm, sched, \
+                     fault, span, all",
+                    if unknown.len() == 1 { "y" } else { "ies" },
+                    unknown.join(", ")
+                );
+            });
+        }
         if !mask.is_empty() {
             tracer.subscribe(mask, |at, event| {
                 eprintln!("[trace {at:>12}] {event}");

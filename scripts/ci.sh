@@ -17,15 +17,21 @@ cargo test --offline -q -p fugu-apps --test crl_chaos_props
 # Chaos smoke: sweep fault injection over every app and assert the
 # delivery guarantees (exits nonzero on any violation).
 cargo run --offline --release -p fugu-bench --bin chaos -- --quick --jobs 4
-# Differential property test: the slab event queue vs the retained legacy
-# implementation (same pop order / now / cancel semantics). Covered by the
-# workspace run; re-run by name for a standalone failure line.
+# Differential property test: the slab event queue vs a naive reference
+# model in the test file (same pop order / now / cancel semantics). Covered
+# by the workspace run; re-run by name for a standalone failure line.
 cargo test --offline -q -p fugu-sim --test event_differential
-# Perf-harness smoke: a small workload must complete and the binary itself
-# re-reads and parses the JSON it wrote (exits nonzero otherwise).
+# Host-time benchmark smoke: perfbench is a separate package, so build it
+# here too or a crate API change that breaks it would pass. Every
+# invocation first checks the RunReport digests in perfbench/golden.json at
+# two seeds and replays its oracles (exits nonzero on any mismatch); the
+# one-second runs only keep the timing phase short.
+for workload in lu_skew barrier_oracle; do
+  cargo run --offline --release --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seconds 1 >/dev/null
+done
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-cargo run --offline --release -p fugu-bench --bin perf -- --quick --json "$tmpdir/perf.json" >/dev/null
 # Profiler determinism gate: run the span profiler twice on the same seed
 # and demand byte-identical JSON and Perfetto outputs. The binary itself
 # asserts 100% stitch rate, exact attribution sums, and that both
@@ -53,12 +59,17 @@ cmp "$tmpdir/explore_a.json" "$tmpdir/explore_b.json" \
   || { echo "ci: explore corpus not deterministic across --jobs" >&2; exit 1; }
 cmp results/explore_corpus.json "$tmpdir/explore_a.json" \
   || { echo "ci: results/explore_corpus.json drifted from regenerated output" >&2; exit 1; }
-# Behavioral-drift gate: engine/perf work must never change simulated
-# results. Regenerate table6 (covers all five apps, runs in seconds) with
-# the committed flags and demand byte-identical output.
+# Behavioral-drift gates: engine/perf work must never change simulated
+# results. Regenerate, with the committed flags, table4 (fast-path send,
+# interrupt and poll costs), table5 (buffered-path extract costs) and
+# table6 (all five apps) — seconds each — and demand byte-identical output.
+cargo run --offline --release -p fugu-bench --bin table4 -- --json "$tmpdir/table4.json" >/dev/null
+cargo run --offline --release -p fugu-bench --bin table5 -- --json "$tmpdir/table5.json" >/dev/null
 cargo run --offline --release -p fugu-bench --bin table6 -- --jobs 4 --json "$tmpdir/table6.json" >/dev/null
-cmp results/table6.json "$tmpdir/table6.json" \
-  || { echo "ci: results/table6.json drifted from regenerated output" >&2; exit 1; }
+for table in table4 table5 table6; do
+  cmp "results/$table.json" "$tmpdir/$table.json" \
+    || { echo "ci: results/$table.json drifted from regenerated output" >&2; exit 1; }
+done
 # Profile drift gate: the full-size span profile must reproduce the
 # committed BENCH_PROFILE.json byte for byte, so oracle and trace changes
 # cannot move the latency distributions unnoticed (~50 s at --jobs 2).
