@@ -102,10 +102,6 @@ pub struct InvariantStats {
     pub launched: u64,
     /// Deliveries observed (fast upcall, poll, or buffered extract).
     pub delivered: u64,
-    /// Launches the fault injector declared dropped.
-    pub dropped: u64,
-    /// Launches the fault injector declared duplicated.
-    pub duplicated: u64,
     /// Highest per-node frame count seen in a `PageAlloc` event.
     pub peak_pages: u64,
 }
@@ -196,8 +192,6 @@ impl State {
                     self.violate(at, "uid-reuse", format!("uid={uid} launched twice"));
                 }
             }
-            TraceEvent::FaultDrop { .. } => self.stats.dropped += 1,
-            TraceEvent::FaultDuplicate { .. } => self.stats.duplicated += 1,
             TraceEvent::FastUpcall { node, job, uid, .. } => {
                 self.deliver(at, node, job, uid, "fast upcall");
             }

@@ -863,6 +863,16 @@ fn try_send_to_missing_node_fails_even_when_congested() {
     m.run();
 }
 
+#[test]
+#[should_panic(expected = "duplicate job name")]
+fn duplicate_job_names_are_rejected() {
+    // Job names key the run report (`RunReport::job`, the `job.<name>.*`
+    // JSON keys), so a second job under the same name is refused.
+    let mut m = machine(2);
+    m.add_job(JobSpec::new("null", Arc::new(NullApp)).background());
+    m.add_job(JobSpec::new("null", Arc::new(NullApp)).background());
+}
+
 // ======================================================================
 // Protection: GID isolation between jobs
 // ======================================================================

@@ -119,7 +119,7 @@ impl ScenarioSpec {
             self.scale,
             u8::from(self.bg_null),
         );
-        let faults = render_faults(&self.faults);
+        let faults = self.faults.render();
         if !faults.is_empty() {
             out.push_str(":faults=");
             out.push_str(&faults);
@@ -190,7 +190,7 @@ impl ScenarioSpec {
     pub fn size(&self) -> u64 {
         (self.nodes as u64) * 2
             + (u64::from(self.scale) + 1) * 8
-            + active_fault_classes(&self.faults) * 3
+            + self.faults.active_classes() * 3
             + if self.bg_null { 6 } else { 0 }
             + u64::from(self.watchdog)
             + if self.skew_pct > 0 { 2 } else { 0 }
@@ -201,67 +201,6 @@ impl fmt::Display for ScenarioSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
     }
-}
-
-/// Renders only the non-default entries of a fault plan in
-/// [`FaultPlan::parse`] syntax (empty string for an inert plan).
-fn render_faults(p: &FaultPlan) -> String {
-    let d = FaultPlan::default();
-    let mut parts: Vec<String> = Vec::new();
-    if p.drop != d.drop {
-        parts.push(format!("drop={}", p.drop));
-    }
-    if p.duplicate != d.duplicate {
-        parts.push(format!("dup={}", p.duplicate));
-    }
-    if p.delay != d.delay {
-        parts.push(format!("delay={}", p.delay));
-    }
-    if p.delay_cycles != d.delay_cycles {
-        parts.push(format!("delay-cycles={}", p.delay_cycles));
-    }
-    if p.second_net_delay != d.second_net_delay {
-        parts.push(format!("net2={}", p.second_net_delay));
-    }
-    if p.second_net_delay_cycles != d.second_net_delay_cycles {
-        parts.push(format!("net2-cycles={}", p.second_net_delay_cycles));
-    }
-    if p.nic_stall != d.nic_stall {
-        parts.push(format!("stall={}", p.nic_stall));
-    }
-    if p.nic_stall_cycles != d.nic_stall_cycles {
-        parts.push(format!("stall-cycles={}", p.nic_stall_cycles));
-    }
-    if p.frame_fail != d.frame_fail {
-        parts.push(format!("frame-fail={}", p.frame_fail));
-    }
-    if p.frame_fail_burst != d.frame_fail_burst {
-        parts.push(format!("frame-burst={}", p.frame_fail_burst));
-    }
-    if p.handler_fault != d.handler_fault {
-        parts.push(format!("handler-fault={}", p.handler_fault));
-    }
-    if p.quantum_jitter != d.quantum_jitter {
-        parts.push(format!("jitter={}", p.quantum_jitter));
-    }
-    parts.join(",")
-}
-
-/// Number of enabled fault classes (the knobs, not the injected counts).
-fn active_fault_classes(p: &FaultPlan) -> u64 {
-    [
-        p.drop > 0.0,
-        p.duplicate > 0.0,
-        p.delay > 0.0,
-        p.second_net_delay > 0.0,
-        p.nic_stall > 0.0,
-        p.frame_fail > 0.0,
-        p.handler_fault > 0.0,
-        p.quantum_jitter > 0,
-    ]
-    .iter()
-    .filter(|&&on| on)
-    .count() as u64
 }
 
 /// Fault probabilities the generator draws from. A discrete set keeps the
