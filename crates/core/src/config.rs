@@ -22,11 +22,6 @@ pub struct MachineConfig {
     /// The cycle-cost model (Tables 4/5 constants live here, including the
     /// timeslice and atomicity timeout).
     pub costs: CostModel,
-    /// Main-network timing.
-    pub net: NetworkConfig,
-    /// Second (operating-system) network timing; determines the cost of
-    /// paging a buffer page to backing store when frames run out.
-    pub second_net: NetworkConfig,
     /// Network-interface hardware parameters.
     pub nic: NicConfig,
     /// Gang-schedule skew as a fraction of the timeslice (0 = perfectly
@@ -65,8 +60,6 @@ impl Default for MachineConfig {
         MachineConfig {
             nodes: 8,
             costs: CostModel::hard_atomicity(),
-            net: NetworkConfig::main_network(),
-            second_net: NetworkConfig::second_network(),
             nic: NicConfig::default(),
             skew: 0.0,
             seed: 0xF00D,
@@ -115,8 +108,9 @@ impl MachineConfig {
     /// (round trip: request out, acknowledgement back), derived from the
     /// second network's timing and the page size.
     pub fn page_swap_cost(&self) -> Cycles {
+        let net = NetworkConfig::second_network();
         let words = (self.costs.page_size_bytes / 4) as Cycles;
-        2 * (self.second_net.base_latency + self.second_net.cycles_per_word * words)
+        2 * (net.base_latency + net.cycles_per_word * words)
     }
 }
 

@@ -82,7 +82,7 @@ pub use config::{JobSpec, MachineConfig};
 pub use invariant::InvariantChecker;
 pub use machine::Machine;
 pub use report::{JobReport, NodeReport, RunReport};
-pub use user::{CtxKind, Envelope, Program, SimCall, SimResp, UserCtx};
+pub use user::{CtxKind, Envelope, Program, UserCtx};
 
 // Re-export the substrate types that appear in this crate's public API so
 // downstream users need only depend on `udm`.

@@ -27,7 +27,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use fugu_glaze::{FrameAllocator, GangScheduler, OverflowAction, OverflowControl, VirtualBuffer};
-use fugu_net::{Gid, Message, Network, NodeId};
+use fugu_net::{Gid, Message, Network, NetworkConfig, NodeId};
 use fugu_nic::{HeadDisposition, Mode, Nic, UacMask};
 use fugu_sim::coro::{CoEvent, CoId, CoRuntime};
 use fugu_sim::event::{EventId, EventQueue};
@@ -49,7 +49,7 @@ enum Ev {
     AdvanceDone {
         node: NodeId,
         job: usize,
-        which: Which,
+        which: CtxKind,
     },
     /// The atomicity timer on a node expired: revoke interrupt disable.
     AtomTimeout { node: NodeId },
@@ -61,18 +61,9 @@ enum Ev {
     StallEnd { node: NodeId },
 }
 
-/// The two execution contexts of a process on a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Which {
-    Main,
-    Handler,
-}
-
 /// Scheduling state of one sim-thread.
 #[derive(Debug)]
 enum TState {
-    /// Never resumed yet.
-    Unstarted,
     /// Runnable: a response is ready to deliver at next dispatch.
     Ready(SimResp),
     /// Occupying the processor in a `compute` block scheduled over
@@ -146,6 +137,18 @@ struct Proc {
     heap_pages: std::collections::HashSet<u32>,
 }
 
+impl Proc {
+    /// Consumes a banked wake permit for `key`, if there is one.
+    fn take_permit(&mut self, key: u32) -> bool {
+        let permits = self.wake_permits.entry(key).or_insert(0);
+        let banked = *permits > 0;
+        if banked {
+            *permits -= 1;
+        }
+        banked
+    }
+}
+
 /// Per-node machine state.
 struct NodeState {
     nic: Nic,
@@ -160,7 +163,7 @@ struct NodeState {
     stall_q: VecDeque<Message>,
     timer_ev: Option<EventId>,
     /// The thread currently occupying the CPU with an `ActiveCompute`.
-    active: Option<(usize, Which)>,
+    active: Option<(usize, CtxKind)>,
     procs: Vec<Proc>,
     frames: FrameAllocator,
     overflow: OverflowControl,
@@ -275,12 +278,11 @@ impl Machine {
                 node
             })
             .collect();
-        let net = Network::new(cfg.net);
         Machine {
             cfg,
             queue: EventQueue::new(),
             coro: CoRuntime::new(),
-            net,
+            net: Network::new(NetworkConfig::main_network()),
             sched: None,
             swap_cost,
             jobs: Vec::new(),
@@ -335,30 +337,34 @@ impl Machine {
         }
         let nnodes = self.cfg.nodes;
         let seed = self.cfg.seed;
+        let faults = self.faults.is_active();
         for n in 0..nnodes {
             let program = Arc::clone(&spec.program);
             let main_seed = mix_seed(seed, job, n, 0);
             let main = self.coro.spawn(move |co| {
-                let mut ctx = UserCtx::new(co, n, nnodes, job, CtxKind::Main, main_seed);
+                let mut ctx = UserCtx::new(co, n, nnodes, job, CtxKind::Main, faults, main_seed);
                 program.main(&mut ctx);
             });
             let program = Arc::clone(&spec.program);
             let handler_seed = mix_seed(seed, job, n, 1);
             let handler = self.coro.spawn(move |co| {
-                let mut ctx = UserCtx::new(co, n, nnodes, job, CtxKind::Handler, handler_seed);
+                let kind = CtxKind::Handler;
+                let mut ctx = UserCtx::new(co, n, nnodes, job, kind, faults, handler_seed);
                 loop {
                     let env = ctx.await_upcall();
                     program.handler(&mut ctx, &env);
                 }
             });
             self.nodes[n].procs.push(Proc {
+                // The first resume's response is discarded, so a main
+                // starts as any ready thread does; `run` parks the handler.
                 main: ThreadSlot {
                     coid: main,
-                    state: TState::Unstarted,
+                    state: TState::Ready(SimResp::Ok),
                 },
                 handler: ThreadSlot {
                     coid: handler,
-                    state: TState::Unstarted,
+                    state: TState::AwaitUpcall,
                 },
                 mode: DeliveryMode::Fast,
                 vbuf: VirtualBuffer::new(self.cfg.costs.page_size_bytes),
@@ -419,7 +425,7 @@ impl Machine {
                 self.queue.schedule(at, Ev::Quantum { node: n });
             }
             for j in 0..self.jobs.len() {
-                self.start_handler_loop(n, j);
+                self.run_burst(n, j, CtxKind::Handler, SimResp::Ok);
             }
         }
         self.sched = Some(sched);
@@ -464,7 +470,6 @@ impl Machine {
     fn diagnostic_dump(&self) -> Json {
         let thread_state = |s: &TState| -> String {
             match s {
-                TState::Unstarted => "unstarted".into(),
                 TState::Ready(_) => "ready".into(),
                 TState::ActiveCompute { until, .. } => format!("active-compute until={until}"),
                 TState::PausedCompute { remaining } => {
@@ -574,7 +579,7 @@ impl Machine {
         self.schedule_node(n);
     }
 
-    fn on_advance_done(&mut self, n: NodeId, job: usize, which: Which) {
+    fn on_advance_done(&mut self, n: NodeId, job: usize, which: CtxKind) {
         debug_assert_eq!(self.nodes[n].active, Some((job, which)));
         let node = &mut self.nodes[n];
         let slot = slot_mut(&mut node.procs[job], which);
@@ -641,10 +646,8 @@ impl Machine {
         // Injected per-node jitter delays the *next* boundary; the gang
         // scheduler itself is a pure function of time, so a late switch
         // simply shortens the following quantum.
-        self.queue.schedule(
-            next + self.faults.quantum_jitter(n),
-            Ev::Quantum { node: n },
-        );
+        self.queue
+            .schedule(next + self.faults.quantum_jitter(), Ev::Quantum { node: n });
 
         let prev_job = self.nodes[n].cur_job;
         self.tracer
@@ -729,7 +732,7 @@ impl Machine {
                     let env = self
                         .take_buffered(n, j, start, true)
                         .expect("vbuf nonempty");
-                    self.run_burst(n, j, Which::Handler, SimResp::Upcall(env));
+                    self.run_burst(n, j, CtxKind::Handler, SimResp::Upcall(env));
                     continue;
                 }
             }
@@ -759,7 +762,7 @@ impl Machine {
                 // entry, so the OS charges the fault and switches the
                 // process to buffered mode — the next loop iteration then
                 // diverts the message into the software buffer (§4.3).
-                if self.faults.handler_fault(n) {
+                if self.faults.handler_fault() {
                     self.tracer
                         .emit_with(CategoryMask::FAULT, || TraceEvent::FaultHandlerFault {
                             node: n,
@@ -777,53 +780,29 @@ impl Machine {
                 continue;
             }
             // 6. Resume computation if the CPU is idle: a suspended handler
-            //    outranks the main thread.
-            if self.nodes[n].active.is_none() {
-                if matches!(self.nodes[n].procs[j].handler.state, TState::Ready(_)) {
-                    let resp = match std::mem::replace(
-                        &mut self.nodes[n].procs[j].handler.state,
-                        TState::AwaitUpcall, // placeholder; run_burst sets the real state
-                    ) {
-                        TState::Ready(r) => r,
-                        _ => unreachable!(),
-                    };
+            //    outranks the main thread, which waits out a global
+            //    suspension.
+            if self.nodes[n].active.is_some() {
+                break;
+            }
+            let which = match self.nodes[n].procs[j].handler.state {
+                TState::Ready(_) | TState::PausedCompute { .. } => CtxKind::Handler,
+                _ if !self.jobs[j].suspended => CtxKind::Main,
+                _ => break,
+            };
+            let slot = slot_mut(&mut self.nodes[n].procs[j], which);
+            // `Done` is a placeholder until run_burst or resume_compute sets
+            // the real state.
+            match std::mem::replace(&mut slot.state, TState::Done) {
+                TState::Ready(resp) => {
                     let now = self.queue.now();
                     let node = &mut self.nodes[n];
                     node.free_at = node.free_at.max(now);
-                    self.run_burst(n, j, Which::Handler, resp);
+                    self.run_burst(n, j, which, resp);
                     continue;
                 }
-                if let TState::PausedCompute { remaining } = self.nodes[n].procs[j].handler.state {
-                    self.resume_compute(n, j, Which::Handler, remaining);
-                    break;
-                }
-                if !self.jobs[j].suspended {
-                    match self.nodes[n].procs[j].main.state {
-                        TState::Unstarted => {
-                            self.nodes[n].procs[j].main.state = TState::Ready(SimResp::Ok);
-                            continue;
-                        }
-                        TState::Ready(_) => {
-                            let resp = match std::mem::replace(
-                                &mut self.nodes[n].procs[j].main.state,
-                                TState::Done, // placeholder; run_burst sets the real state
-                            ) {
-                                TState::Ready(r) => r,
-                                _ => unreachable!(),
-                            };
-                            let now = self.queue.now();
-                            let node = &mut self.nodes[n];
-                            node.free_at = node.free_at.max(now);
-                            self.run_burst(n, j, Which::Main, resp);
-                            continue;
-                        }
-                        TState::PausedCompute { remaining } => {
-                            self.resume_compute(n, j, Which::Main, remaining);
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
+                TState::PausedCompute { remaining } => self.resume_compute(n, j, which, remaining),
+                other => slot.state = other,
             }
             break;
         }
@@ -831,7 +810,7 @@ impl Machine {
     }
 
     /// Reschedules a paused compute on the now-free processor.
-    fn resume_compute(&mut self, n: NodeId, j: usize, which: Which, remaining: Cycles) {
+    fn resume_compute(&mut self, n: NodeId, j: usize, which: CtxKind, remaining: Cycles) {
         let now = self.queue.now();
         let node = &mut self.nodes[n];
         let start = node.free_at.max(now);
@@ -996,7 +975,7 @@ impl Machine {
         // interrupt total (87 cycles at hard atomicity).
         let entry = self.cfg.costs.rx_interrupt.pre() + self.cfg.costs.null_handler;
         let env = self.take_fast(n, j, start, entry, Some(UpcallKind::Interrupt));
-        self.run_burst(n, j, Which::Handler, SimResp::Upcall(env));
+        self.run_burst(n, j, CtxKind::Handler, SimResp::Upcall(env));
     }
 
     /// Whether process `j` on node `n` reads the software buffer rather
@@ -1120,20 +1099,9 @@ impl Machine {
     // Sim-thread execution
     // ==================================================================
 
-    /// Starts a handler context so it parks in its dispatch loop.
-    fn start_handler_loop(&mut self, n: NodeId, j: usize) {
-        let coid = self.nodes[n].procs[j].handler.coid;
-        match self.coro.resume(coid, SimResp::Ok) {
-            CoEvent::Request(SimCall::AwaitUpcall) => {
-                self.nodes[n].procs[j].handler.state = TState::AwaitUpcall;
-            }
-            other => panic!("handler context misbehaved at startup: {other:?}"),
-        }
-    }
-
     /// Resumes a thread with `resp` and services its requests until it
     /// suspends or finishes.
-    fn run_burst(&mut self, n: NodeId, j: usize, which: Which, first: SimResp) {
+    fn run_burst(&mut self, n: NodeId, j: usize, which: CtxKind, first: SimResp) {
         let mut resp = first;
         loop {
             let coid = slot_mut(&mut self.nodes[n].procs[j], which).coid;
@@ -1154,13 +1122,13 @@ impl Machine {
         }
     }
 
-    fn on_thread_finished(&mut self, n: NodeId, j: usize, which: Which) {
+    fn on_thread_finished(&mut self, n: NodeId, j: usize, which: CtxKind) {
         match which {
-            Which::Handler => panic!(
+            CtxKind::Handler => panic!(
                 "handler context of job '{}' on node {} exited its dispatch loop",
                 self.jobs[j].spec.name, n
             ),
-            Which::Main => {
+            CtxKind::Main => {
                 self.nodes[n].procs[j].main.state = TState::Done;
                 let t = self.nodes[n].free_at.max(self.queue.now());
                 let job = &mut self.jobs[j];
@@ -1178,7 +1146,7 @@ impl Machine {
     /// Services one simulator call from a thread. Returns `Some(resp)` to
     /// continue the burst, or `None` if the thread suspended (its state has
     /// been recorded).
-    fn apply(&mut self, n: NodeId, j: usize, which: Which, call: SimCall) -> Option<SimResp> {
+    fn apply(&mut self, n: NodeId, j: usize, which: CtxKind, call: SimCall) -> Option<SimResp> {
         match call {
             SimCall::Now => Some(SimResp::Time(self.nodes[n].free_at)),
 
@@ -1219,11 +1187,10 @@ impl Machine {
                 payload,
             } => {
                 // `injectc`: refuse instead of blocking when the fabric
-                // toward the destination is congested.
+                // toward the destination is congested. Messages held in
+                // the destination's fabric backlog are still in flight.
                 self.check_dst(dst);
-                let congested = self.net.in_flight(dst) + self.nodes[dst].backlog.len() as u64
-                    >= self.cfg.inject_window;
-                if congested {
+                if self.net.in_flight(dst) >= self.cfg.inject_window {
                     // The failed probe still costs the descriptor check.
                     self.nodes[n].free_at += self.cfg.costs.send_descriptor;
                     Some(SimResp::Bool(false))
@@ -1258,11 +1225,9 @@ impl Machine {
             }
 
             SimCall::Block(key) => {
-                assert_eq!(which, Which::Main, "handlers must not block");
+                assert_eq!(which, CtxKind::Main, "handlers must not block");
                 let proc = &mut self.nodes[n].procs[j];
-                let permits = proc.wake_permits.entry(key).or_insert(0);
-                if *permits > 0 {
-                    *permits -= 1;
+                if proc.take_permit(key) {
                     Some(SimResp::Ok)
                 } else {
                     proc.main.state = TState::Blocked(key);
@@ -1271,17 +1236,8 @@ impl Machine {
             }
 
             SimCall::BlockTimeout { key, timeout } => {
-                assert_eq!(which, Which::Main, "handlers must not block");
-                let has_permit = {
-                    let permits = self.nodes[n].procs[j].wake_permits.entry(key).or_insert(0);
-                    if *permits > 0 {
-                        *permits -= 1;
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if has_permit {
+                assert_eq!(which, CtxKind::Main, "handlers must not block");
+                if self.nodes[n].procs[j].take_permit(key) {
                     Some(SimResp::Bool(true))
                 } else {
                     let deadline = self.nodes[n].free_at.max(self.queue.now()) + timeout;
@@ -1319,8 +1275,6 @@ impl Machine {
                 }
                 Some(SimResp::Ok)
             }
-
-            SimCall::FaultsActive => Some(SimResp::Bool(self.faults.is_active())),
 
             SimCall::PollExtract => Some(SimResp::Extract(self.poll_take(n, j, false))),
 
@@ -1370,7 +1324,7 @@ impl Machine {
             }
 
             SimCall::PollDispatch => {
-                assert_eq!(which, Which::Main, "handler context cannot poll-dispatch");
+                assert_eq!(which, CtxKind::Main, "handler context cannot poll-dispatch");
                 let Some(env) = self.poll_take(n, j, true) else {
                     return Some(SimResp::Bool(false));
                 };
@@ -1378,12 +1332,12 @@ impl Machine {
                 // handler may complete synchronously inside this call, and
                 // its completion is what re-readies the main thread.
                 self.nodes[n].procs[j].main.state = TState::WaitingPoll;
-                self.run_burst(n, j, Which::Handler, SimResp::Upcall(env));
+                self.run_burst(n, j, CtxKind::Handler, SimResp::Upcall(env));
                 None
             }
 
             SimCall::AwaitUpcall => {
-                assert_eq!(which, Which::Handler);
+                assert_eq!(which, CtxKind::Handler);
                 // Completion of the previous dispatch.
                 self.on_handler_complete(n, j);
                 self.nodes[n].procs[j].handler.state = TState::AwaitUpcall;
@@ -1426,7 +1380,7 @@ impl Machine {
             });
         // The sender has paid the full launch cost by this point; the fault
         // injector decides what the *network* does with the message.
-        match self.faults.on_send(n, dst) {
+        match self.faults.on_send() {
             NetFault::Deliver => {
                 let arrival = self.net.inject(self.nodes[n].free_at, &stamped);
                 self.queue.schedule(
@@ -1518,7 +1472,7 @@ impl Machine {
         let (kind, start, uid) = {
             let proc = &mut self.nodes[n].procs[j];
             if !proc.in_upcall {
-                return; // initial AwaitUpcall at startup
+                return; // `run` parking the handler: nothing to complete
             }
             proc.in_upcall = false;
             (proc.upcall_kind, proc.upcall_start, proc.upcall_uid)
@@ -1630,10 +1584,10 @@ fn envelope(msg: &Message) -> Envelope {
     }
 }
 
-fn slot_mut(proc: &mut Proc, which: Which) -> &mut ThreadSlot {
+fn slot_mut(proc: &mut Proc, which: CtxKind) -> &mut ThreadSlot {
     match which {
-        Which::Main => &mut proc.main,
-        Which::Handler => &mut proc.handler,
+        CtxKind::Main => &mut proc.main,
+        CtxKind::Handler => &mut proc.handler,
     }
 }
 

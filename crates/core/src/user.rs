@@ -13,8 +13,6 @@
 //! software buffer in virtual memory (buffered case). The machine switches
 //! between the two cases freely; user code cannot tell, except by timing.
 
-use std::sync::Arc;
-
 use fugu_net::{HandlerId, NodeId, Payload};
 use fugu_sim::coro::CoCtx;
 use fugu_sim::rng::DetRng;
@@ -37,11 +35,10 @@ pub struct Envelope {
     pub payload: Payload,
 }
 
-/// Requests a sim-thread can make of the machine. Application code never
-/// sees this type directly — [`UserCtx`] wraps it — but it is public so the
-/// machine and tests can speak the same protocol.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimCall {
+/// Requests a sim-thread makes of the machine: the protocol between
+/// [`UserCtx`] and the machine, private to this crate.
+#[derive(Debug)]
+pub(crate) enum SimCall {
     /// Consume `0` CPU cycles of computation (preemptible by interrupts).
     Compute(Cycles),
     /// Blocking `inject`: describe + launch a message.
@@ -90,10 +87,6 @@ pub enum SimCall {
     },
     /// Wake the main thread if blocked on the key (otherwise bank a permit).
     Wake(u32),
-    /// Ask whether the machine is running with an active fault-injection
-    /// plan. Programs use this to gate retry/timeout machinery so that
-    /// fault-free runs take exactly the pre-fault-injection code path.
-    FaultsActive,
     /// Read the current simulated time.
     Now,
     /// Handler context only: report completion of the previous handler and
@@ -102,8 +95,8 @@ pub enum SimCall {
 }
 
 /// Responses paired with [`SimCall`]s.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimResp {
+#[derive(Debug)]
+pub(crate) enum SimResp {
     /// Generic acknowledgement.
     Ok,
     /// Boolean result (`TrySend`, `PollDispatch`).
@@ -165,6 +158,7 @@ pub struct UserCtx<'a> {
     nodes: usize,
     job: usize,
     kind: CtxKind,
+    faults_active: bool,
     rng: DetRng,
 }
 
@@ -180,15 +174,14 @@ impl std::fmt::Debug for UserCtx<'_> {
 }
 
 impl<'a> UserCtx<'a> {
-    /// Used by the machine when spawning program threads. Not part of the
-    /// stable user API.
-    #[doc(hidden)]
-    pub fn new(
+    /// Used by the machine when spawning program threads.
+    pub(crate) fn new(
         co: &'a mut CoCtx<SimCall, SimResp>,
         node: NodeId,
         nodes: usize,
         job: usize,
         kind: CtxKind,
+        faults_active: bool,
         seed: u64,
     ) -> Self {
         UserCtx {
@@ -197,7 +190,32 @@ impl<'a> UserCtx<'a> {
             nodes,
             job,
             kind,
+            faults_active,
             rng: DetRng::new(seed),
+        }
+    }
+
+    /// Issues a call whose response is an acknowledgement.
+    fn call_ok(&mut self, call: SimCall) {
+        match self.co.call(call) {
+            SimResp::Ok => {}
+            other => unreachable!("bad response {other:?}"),
+        }
+    }
+
+    /// Issues a call whose response is a boolean.
+    fn call_bool(&mut self, call: SimCall) -> bool {
+        match self.co.call(call) {
+            SimResp::Bool(b) => b,
+            other => unreachable!("bad response {other:?}"),
+        }
+    }
+
+    /// Issues a call whose response is an optional message.
+    fn call_extract(&mut self, call: SimCall) -> Option<Envelope> {
+        match self.co.call(call) {
+            SimResp::Extract(e) => e,
+            other => unreachable!("bad response {other:?}"),
         }
     }
 
@@ -230,7 +248,7 @@ impl<'a> UserCtx<'a> {
     pub fn now(&mut self) -> Cycles {
         match self.co.call(SimCall::Now) {
             SimResp::Time(t) => t,
-            other => unreachable!("bad response to Now: {other:?}"),
+            other => unreachable!("bad response {other:?}"),
         }
     }
 
@@ -240,10 +258,7 @@ impl<'a> UserCtx<'a> {
         if cycles == 0 {
             return;
         }
-        match self.co.call(SimCall::Compute(cycles)) {
-            SimResp::Ok => {}
-            other => unreachable!("bad response to Compute: {other:?}"),
-        }
+        self.call_ok(SimCall::Compute(cycles));
     }
 
     /// `inject`: sends a message (Table 4: 7 cycles + 3 per payload word).
@@ -253,27 +268,21 @@ impl<'a> UserCtx<'a> {
     /// Panics if `payload` exceeds 14 words (the 16-word send buffer) or
     /// `dst` is not a valid node.
     pub fn send(&mut self, dst: NodeId, handler: u32, payload: &[u32]) {
-        match self.co.call(SimCall::Send {
+        self.call_ok(SimCall::Send {
             dst,
             handler: HandlerId(handler),
             payload: Payload::from(payload),
-        }) {
-            SimResp::Ok => {}
-            other => unreachable!("bad response to Send: {other:?}"),
-        }
+        });
     }
 
     /// `injectc`: conditional send; returns `false` if the network refused
     /// the message (never blocks).
     pub fn try_send(&mut self, dst: NodeId, handler: u32, payload: &[u32]) -> bool {
-        match self.co.call(SimCall::TrySend {
+        self.call_bool(SimCall::TrySend {
             dst,
             handler: HandlerId(handler),
             payload: Payload::from(payload),
-        }) {
-            SimResp::Bool(b) => b,
-            other => unreachable!("bad response to TrySend: {other:?}"),
-        }
+        })
     }
 
     /// Polls for a message and, if one is pending, runs its handler to
@@ -296,10 +305,7 @@ impl<'a> UserCtx<'a> {
             CtxKind::Main,
             "poll() dispatches to the handler context; handlers must use poll_extract()"
         );
-        match self.co.call(SimCall::PollDispatch) {
-            SimResp::Bool(b) => b,
-            other => unreachable!("bad response to PollDispatch: {other:?}"),
-        }
+        self.call_bool(SimCall::PollDispatch)
     }
 
     /// Polls for a message and extracts it raw, without running a handler.
@@ -307,20 +313,14 @@ impl<'a> UserCtx<'a> {
     /// own receive loops; also the only receive primitive legal inside a
     /// handler (for draining bursts).
     pub fn poll_extract(&mut self) -> Option<Envelope> {
-        match self.co.call(SimCall::PollExtract) {
-            SimResp::Extract(e) => e,
-            other => unreachable!("bad response to PollExtract: {other:?}"),
-        }
+        self.call_extract(SimCall::PollExtract)
     }
 
     /// `peek` (§3): examines the next pending message without dequeuing it.
     /// Like every receive primitive this is transparent — in buffered mode
     /// it peeks the software buffer instead of the hardware queue.
     pub fn peek(&mut self) -> Option<Envelope> {
-        match self.co.call(SimCall::Peek) {
-            SimResp::Extract(e) => e,
-            other => unreachable!("bad response to Peek: {other:?}"),
-        }
+        self.call_extract(SimCall::Peek)
     }
 
     /// Touches page `page` of this process's demand-zero heap (Glaze
@@ -330,10 +330,7 @@ impl<'a> UserCtx<'a> {
     /// the network is not blocked while the fault is serviced (§4.3's
     /// first mode-transition cause).
     pub fn touch_page(&mut self, page: u32) {
-        match self.co.call(SimCall::TouchPage(page)) {
-            SimResp::Ok => {}
-            other => unreachable!("bad response to TouchPage: {other:?}"),
-        }
+        self.call_ok(SimCall::TouchPage(page));
     }
 
     /// Enters an atomic section: message interrupts are deferred; the
@@ -341,18 +338,12 @@ impl<'a> UserCtx<'a> {
     /// atomicity too long with a message waiting and the OS switches the
     /// process to buffered mode (§4.1 "Revocable Interrupt Disable").
     pub fn begin_atomic(&mut self) {
-        match self.co.call(SimCall::BeginAtomic) {
-            SimResp::Ok => {}
-            other => unreachable!("bad response to BeginAtomic: {other:?}"),
-        }
+        self.call_ok(SimCall::BeginAtomic);
     }
 
     /// Leaves an atomic section; deferred messages are then delivered.
     pub fn end_atomic(&mut self) {
-        match self.co.call(SimCall::EndAtomic) {
-            SimResp::Ok => {}
-            other => unreachable!("bad response to EndAtomic: {other:?}"),
-        }
+        self.call_ok(SimCall::EndAtomic);
     }
 
     /// Blocks the main thread until a handler calls [`UserCtx::wake`] with
@@ -365,10 +356,7 @@ impl<'a> UserCtx<'a> {
     /// and must not block, per the UDM model).
     pub fn block(&mut self, key: u32) {
         assert_eq!(self.kind, CtxKind::Main, "handlers must not block");
-        match self.co.call(SimCall::Block(key)) {
-            SimResp::Ok => {}
-            other => unreachable!("bad response to Block: {other:?}"),
-        }
+        self.call_ok(SimCall::Block(key));
     }
 
     /// Like [`UserCtx::block`] but gives up after `timeout` cycles. Returns
@@ -385,41 +373,29 @@ impl<'a> UserCtx<'a> {
     /// Panics when called from a handler (handlers must not block).
     pub fn block_timeout(&mut self, key: u32, timeout: Cycles) -> bool {
         assert_eq!(self.kind, CtxKind::Main, "handlers must not block");
-        match self.co.call(SimCall::BlockTimeout { key, timeout }) {
-            SimResp::Bool(b) => b,
-            other => unreachable!("bad response to BlockTimeout: {other:?}"),
-        }
+        self.call_bool(SimCall::BlockTimeout { key, timeout })
     }
 
     /// Whether the machine is running with an active fault-injection plan.
     /// Programs gate their retry/timeout machinery on this so that
     /// fault-free runs are byte-identical to builds predating fault
-    /// injection.
-    pub fn faults_active(&mut self) -> bool {
-        match self.co.call(SimCall::FaultsActive) {
-            SimResp::Bool(b) => b,
-            other => unreachable!("bad response to FaultsActive: {other:?}"),
-        }
+    /// injection. The plan is fixed when the machine is built, so this
+    /// reads a field and costs no simulated cycles.
+    pub fn faults_active(&self) -> bool {
+        self.faults_active
     }
 
     /// Wakes the main thread blocked on `key` (or banks a permit).
     pub fn wake(&mut self, key: u32) {
-        match self.co.call(SimCall::Wake(key)) {
-            SimResp::Ok => {}
-            other => unreachable!("bad response to Wake: {other:?}"),
-        }
+        self.call_ok(SimCall::Wake(key));
     }
 
-    /// Handler context's dispatch loop; used by the machine's handler-thread
-    /// shim. Not part of the stable user API.
-    #[doc(hidden)]
-    pub fn await_upcall(&mut self) -> Envelope {
+    /// Handler context's dispatch loop: reports completion of the previous
+    /// handler and waits for the next message.
+    pub(crate) fn await_upcall(&mut self) -> Envelope {
         match self.co.call(SimCall::AwaitUpcall) {
             SimResp::Upcall(e) => e,
-            other => unreachable!("bad response to AwaitUpcall: {other:?}"),
+            other => unreachable!("bad response {other:?}"),
         }
     }
 }
-
-/// Convenience alias used throughout the workload crates.
-pub type SharedProgram = Arc<dyn Program>;

@@ -4,8 +4,10 @@
 
 use std::sync::{Arc, Mutex};
 
+use fugu_sim::fault::FaultPlan;
 use udm::{
-    CostModel, Envelope, JobSpec, Machine, MachineConfig, NicConfig, Program, RunReport, UserCtx,
+    CostModel, CtxKind, Envelope, JobSpec, Machine, MachineConfig, NicConfig, Program, RunReport,
+    UserCtx,
 };
 
 /// Convenience: a machine with `nodes` nodes and otherwise default config.
@@ -838,6 +840,105 @@ fn injectc_refuses_when_fabric_congested() {
         64,
         "refusals must not lose messages"
     );
+}
+
+#[test]
+fn try_send_window_counts_fabric_held_messages_once() {
+    // The receiver sits in an atomic section, so its one NIC slot fills
+    // and later arrivals wait in the fabric. Those are in flight toward it
+    // and count once against the window: the sender gets the window's 4
+    // plus the one message the NIC admitted before the first refusal.
+    struct Prober {
+        accepted: Mutex<u32>,
+    }
+    impl Program for Prober {
+        fn main(&self, ctx: &mut UserCtx<'_>) {
+            if ctx.node() == 0 {
+                let mut accepted = 0;
+                while accepted < 64 && ctx.try_send(1, 0, &[]) {
+                    accepted += 1;
+                    ctx.compute(100);
+                }
+                *self.accepted.lock().unwrap() = accepted;
+            } else {
+                ctx.begin_atomic();
+                ctx.compute(5_000);
+                ctx.end_atomic();
+            }
+        }
+        fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {}
+    }
+    let p = Arc::new(Prober {
+        accepted: Mutex::new(0),
+    });
+    let mut m = Machine::new(MachineConfig {
+        nodes: 2,
+        inject_window: 4,
+        nic: NicConfig {
+            input_queue_msgs: 1,
+        },
+        ..Default::default()
+    });
+    m.add_job(JobSpec::new("probe", Arc::clone(&p) as Arc<dyn Program>));
+    m.run();
+    assert_eq!(*p.accepted.lock().unwrap(), 5);
+}
+
+#[test]
+fn faults_active_reads_the_plan_from_both_contexts() {
+    // Node 0 pings node 1; each context records what `faults_active`
+    // reports, keyed by (node, context).
+    struct Reader {
+        seen: Mutex<Vec<(usize, CtxKind, bool)>>,
+    }
+    impl Program for Reader {
+        fn main(&self, ctx: &mut UserCtx<'_>) {
+            let active = ctx.faults_active();
+            self.seen
+                .lock()
+                .unwrap()
+                .push((ctx.node(), ctx.kind(), active));
+            if ctx.node() == 0 {
+                ctx.send(1, 0, &[]);
+            } else {
+                ctx.block(0);
+            }
+        }
+        fn handler(&self, ctx: &mut UserCtx<'_>, _env: &Envelope) {
+            let active = ctx.faults_active();
+            self.seen
+                .lock()
+                .unwrap()
+                .push((ctx.node(), ctx.kind(), active));
+            ctx.wake(0);
+        }
+    }
+    for (faults, expect) in [
+        (FaultPlan::default(), false),
+        (FaultPlan::parse("dup=0.05").unwrap(), true),
+    ] {
+        let p = Arc::new(Reader {
+            seen: Mutex::new(Vec::new()),
+        });
+        let mut m = Machine::new(MachineConfig {
+            nodes: 2,
+            faults,
+            ..Default::default()
+        });
+        m.add_job(JobSpec::new("reader", Arc::clone(&p) as Arc<dyn Program>));
+        m.run();
+        let mut seen = p.seen.lock().unwrap().clone();
+        seen.sort_by_key(|&(node, kind, _)| (node, kind == CtxKind::Handler));
+        seen.dedup();
+        assert_eq!(
+            seen,
+            [
+                (0, CtxKind::Main, expect),
+                (1, CtxKind::Main, expect),
+                (1, CtxKind::Handler, expect),
+            ]
+        );
+    }
 }
 
 #[test]

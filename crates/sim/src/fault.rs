@@ -38,12 +38,12 @@
 //! let plan = FaultPlan::parse("drop=1.0").unwrap();
 //! let inj = FaultInjector::new(plan, 42, 4);
 //! assert!(inj.is_active());
-//! assert_eq!(inj.on_send(0, 1), NetFault::Drop);
+//! assert_eq!(inj.on_send(), NetFault::Drop);
 //! assert_eq!(inj.counts().dropped, 1);
 //!
 //! let off = FaultInjector::disabled();
 //! assert!(!off.is_active());
-//! assert_eq!(off.on_send(0, 1), NetFault::Deliver);
+//! assert_eq!(off.on_send(), NetFault::Deliver);
 //! ```
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -384,12 +384,12 @@ impl FaultInjector {
         self.inner.active.load(Ordering::Relaxed)
     }
 
-    /// Verdict for a message launched from `src` toward `dst`.
+    /// Verdict for the next message launched onto the main network.
     ///
     /// Drop wins over duplicate wins over delay; each decision consumes
     /// the network stream in a fixed order so the sequence is a pure
     /// function of the seed and the launch order.
-    pub fn on_send(&self, _src: usize, _dst: usize) -> NetFault {
+    pub fn on_send(&self) -> NetFault {
         if !self.is_active() {
             return NetFault::Deliver;
         }
@@ -472,16 +472,15 @@ impl FaultInjector {
         }
     }
 
-    /// Consulted before an interrupt-driven delivery at `node`: `true`
-    /// forces the handler to take a page fault, pushing the delivery onto
-    /// the buffered path.
-    pub fn handler_fault(&self, node: usize) -> bool {
+    /// Consulted before an interrupt-driven delivery: `true` forces the
+    /// handler to take a page fault, pushing the delivery onto the
+    /// buffered path.
+    pub fn handler_fault(&self) -> bool {
         if !self.is_active() {
             return false;
         }
         let mut st = self.inner.state.lock().unwrap();
         let p = st.plan.handler_fault;
-        let _ = node;
         if p > 0.0 && st.handler.chance(p) {
             st.counts.handler_faults += 1;
             true
@@ -490,15 +489,14 @@ impl FaultInjector {
         }
     }
 
-    /// Extra cycles of jitter for `node`'s next quantum switch, uniform in
+    /// Extra cycles of jitter for a node's next quantum switch, uniform in
     /// `[0, plan.quantum_jitter]`.
-    pub fn quantum_jitter(&self, node: usize) -> Cycles {
+    pub fn quantum_jitter(&self) -> Cycles {
         if !self.is_active() {
             return 0;
         }
         let mut st = self.inner.state.lock().unwrap();
         let j = st.plan.quantum_jitter;
-        let _ = node;
         if j == 0 {
             0
         } else {
@@ -521,12 +519,12 @@ mod tests {
         assert!(!FaultPlan::default().is_active());
         let inj = FaultInjector::disabled();
         assert!(!inj.is_active());
-        assert_eq!(inj.on_send(0, 1), NetFault::Deliver);
+        assert_eq!(inj.on_send(), NetFault::Deliver);
         assert_eq!(inj.second_net_delay(), 0);
         assert_eq!(inj.nic_stall(0, 100), None);
         assert!(!inj.frame_fail(0));
-        assert!(!inj.handler_fault(0));
-        assert_eq!(inj.quantum_jitter(0), 0);
+        assert!(!inj.handler_fault());
+        assert_eq!(inj.quantum_jitter(), 0);
         assert_eq!(inj.counts(), FaultCounts::default());
     }
 
@@ -579,7 +577,7 @@ mod tests {
         let a = FaultInjector::new(plan.clone(), 7, 2);
         let b = FaultInjector::new(plan, 7, 2);
         for _ in 0..200 {
-            assert_eq!(a.on_send(0, 1), b.on_send(0, 1));
+            assert_eq!(a.on_send(), b.on_send());
         }
         assert_eq!(a.counts(), b.counts());
     }
@@ -589,7 +587,7 @@ mod tests {
         let plan = FaultPlan::parse("drop=0.25,dup=0.25").unwrap();
         let inj = FaultInjector::new(plan, 3, 2);
         for _ in 0..4_000 {
-            inj.on_send(0, 1);
+            inj.on_send();
         }
         let c = inj.counts();
         assert!((800..1200).contains(&c.dropped), "dropped {}", c.dropped);
@@ -629,7 +627,7 @@ mod tests {
         let plan = FaultPlan::parse("jitter=50").unwrap();
         let inj = FaultInjector::new(plan, 9, 4);
         for _ in 0..500 {
-            assert!(inj.quantum_jitter(0) <= 50);
+            assert!(inj.quantum_jitter() <= 50);
         }
     }
 
@@ -642,11 +640,11 @@ mod tests {
         // `a` interleaves handler queries; `b` does not.
         let seq_a: Vec<NetFault> = (0..50)
             .map(|_| {
-                a.handler_fault(0);
-                a.on_send(0, 1)
+                a.handler_fault();
+                a.on_send()
             })
             .collect();
-        let seq_b: Vec<NetFault> = (0..50).map(|_| b.on_send(0, 1)).collect();
+        let seq_b: Vec<NetFault> = (0..50).map(|_| b.on_send()).collect();
         assert_eq!(seq_a, seq_b);
     }
 }

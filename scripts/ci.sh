@@ -69,14 +69,17 @@ cmp results/explore_corpus.json "$tmpdir/explore_a.json" \
   || { echo "ci: results/explore_corpus.json drifted from regenerated output" >&2; exit 1; }
 # Behavioral-drift gates: engine/perf work must never change simulated
 # results. Regenerate, with the committed flags, table4 (fast-path send,
-# interrupt and poll costs), table5 (buffered-path extract costs) and
-# table6 (all five apps) — seconds each — and demand byte-identical output.
+# interrupt and poll costs), table5 (buffered-path extract costs), table6
+# (all five apps) — seconds each — and ablate (~15 s at --jobs 2; the only
+# committed result that runs the polling-watchdog dispatch and 1–16-deep
+# NIC queues), and demand byte-identical output.
 cargo run --offline --release -p fugu-bench --bin table4 -- --json "$tmpdir/table4.json" >/dev/null
 cargo run --offline --release -p fugu-bench --bin table5 -- --json "$tmpdir/table5.json" >/dev/null
 cargo run --offline --release -p fugu-bench --bin table6 -- --jobs 4 --json "$tmpdir/table6.json" >/dev/null
-for table in table4 table5 table6; do
-  cmp "results/$table.json" "$tmpdir/$table.json" \
-    || { echo "ci: results/$table.json drifted from regenerated output" >&2; exit 1; }
+cargo run --offline --release -p fugu-bench --bin ablate -- --jobs 4 --json "$tmpdir/ablate.json" >/dev/null
+for result in table4 table5 table6 ablate; do
+  cmp "results/$result.json" "$tmpdir/$result.json" \
+    || { echo "ci: results/$result.json drifted from regenerated output" >&2; exit 1; }
 done
 # Profile drift gate: the full-size span profile must reproduce the
 # committed BENCH_PROFILE.json byte for byte, so oracle and trace changes
