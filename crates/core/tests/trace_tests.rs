@@ -252,3 +252,57 @@ fn run_report_json_is_pinned_under_faults_and_past_node_nine() {
         "RunReport::to_json changed: {text}"
     );
 }
+
+/// A run built to reach every event the NIC, overflow control and frame
+/// allocator sites emit: a two-slot NIC queue (arrivals backlog in the
+/// fabric and refill), input-stall and frame-failure faults, a tiny frame
+/// pool with small pages (so overflow control both advises and suspends),
+/// and a skewed schedule that flips the NIC's divert register.
+fn component_event_run() -> Vec<TraceRecord> {
+    let mut cfg = MachineConfig {
+        nodes: 3,
+        skew: 0.3,
+        seed: 5,
+        overflow_advise: 4,
+        overflow_suspend: 2,
+        faults: FaultPlan::parse("stall=0.05,stall-cycles=300,frame-fail=0.1,frame-burst=2")
+            .unwrap(),
+        ..Default::default()
+    };
+    cfg.nic.input_queue_msgs = 2;
+    cfg.costs.timeslice = 40_000;
+    cfg.costs.page_size_bytes = 64;
+    cfg.costs.frames_per_node = 8;
+    let tracer = Tracer::recorder(usize::MAX, CategoryMask::ALL);
+    let mut m = Machine::new(cfg);
+    m.set_tracer(tracer.clone());
+    m.add_job(JobSpec::new("chatter", Arc::new(Chatter)));
+    m.add_job(JobSpec::new("idler", Arc::new(Idler)).background());
+    m.run();
+    tracer.take_records()
+}
+
+#[test]
+fn component_event_stream_is_pinned() {
+    let records = component_event_run();
+    let has = |f: &dyn Fn(&TraceEvent) -> bool| records.iter().any(|r| f(&r.event));
+    assert!(has(&|e| matches!(e, TraceEvent::MsgArrive { .. })));
+    assert!(has(&|e| matches!(e, TraceEvent::NicDivert { .. })));
+    assert!(has(&|e| matches!(e, TraceEvent::FaultNicStall { .. })));
+    assert!(has(&|e| matches!(e, TraceEvent::OverflowAdvise { .. })));
+    assert!(has(&|e| matches!(e, TraceEvent::OverflowSuspend { .. })));
+    assert!(has(&|e| matches!(e, TraceEvent::PageAlloc { .. })));
+    assert!(has(&|e| matches!(e, TraceEvent::PageRelease { .. })));
+    assert!(has(&|e| matches!(e, TraceEvent::FaultFrameFail { .. })));
+    let mut text = String::new();
+    for r in &records {
+        text.push_str(&r.to_string());
+        text.push('\n');
+    }
+    assert_eq!(
+        format!("{:016x}", fnv1a64(text.as_bytes())),
+        "a7b3d223e62a0783",
+        "trace stream changed ({} records)",
+        records.len()
+    );
+}
