@@ -94,8 +94,18 @@ struct ThreadSlot {
     state: TState,
 }
 
-/// How the currently executing handler was entered, which determines the
-/// completion charge.
+/// A handler dispatch in flight on a process.
+#[derive(Debug, Clone, Copy)]
+struct Upcall {
+    /// How the handler was entered, which determines the completion charge.
+    kind: UpcallKind,
+    start: Cycles,
+    /// Uid of the message being serviced (profiler bookkeeping only; echoed
+    /// in [`TraceEvent::HandlerDone`]).
+    uid: u64,
+}
+
+/// How a handler was entered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum UpcallKind {
     /// Message-available user interrupt (Table 4 pre/post costs).
@@ -125,13 +135,7 @@ struct Proc {
     /// User-level atomicity intent (persists across descheduling; mirrored
     /// into the NIC's interrupt-disable bit while scheduled).
     atomic: bool,
-    /// A handler dispatch is in flight on this process.
-    in_upcall: bool,
-    upcall_kind: UpcallKind,
-    upcall_start: Cycles,
-    /// Uid of the message the in-flight handler dispatch is servicing
-    /// (profiler bookkeeping only; echoed in [`TraceEvent::HandlerDone`]).
-    upcall_uid: u64,
+    upcall: Option<Upcall>,
     wake_permits: HashMap<u32, u32>,
     /// Demand-zero heap pages already faulted in.
     heap_pages: std::collections::HashSet<u32>,
@@ -166,7 +170,6 @@ struct NodeState {
     active: Option<(usize, CtxKind)>,
     procs: Vec<Proc>,
     frames: FrameAllocator,
-    overflow: OverflowControl,
     report: NodeReport,
 }
 
@@ -224,6 +227,8 @@ pub struct Machine {
     jobs: Vec<JobState>,
     nodes: Vec<NodeState>,
     foreground_remaining: usize,
+    /// The free-frame watermark policy every node applies at buffer insert.
+    overflow: OverflowControl,
     tracer: Tracer,
     faults: FaultInjector,
     /// Machine-wide message-uid counter; every launch stamps the next one.
@@ -253,6 +258,7 @@ impl Machine {
     pub fn new(cfg: MachineConfig) -> Self {
         assert!(cfg.nodes > 0, "machine needs at least one node");
         let swap_cost = cfg.page_swap_cost();
+        let overflow = OverflowControl::new(cfg.overflow_advise, cfg.overflow_suspend);
         let tracer = Tracer::from_env();
         let faults = FaultInjector::new(cfg.faults.clone(), mix_seed(cfg.seed, 0, 0, 2), cfg.nodes);
         let nodes = (0..cfg.nodes)
@@ -267,13 +273,9 @@ impl Machine {
                     active: None,
                     procs: Vec::new(),
                     frames: FrameAllocator::new(cfg.costs.frames_per_node),
-                    overflow: OverflowControl::new(cfg.overflow_advise, cfg.overflow_suspend),
                     report: NodeReport::default(),
                 };
-                node.nic.attach_tracer(tracer.clone(), n);
                 node.frames.attach_tracer(tracer.clone(), n);
-                node.overflow.attach_tracer(tracer.clone(), n);
-                node.nic.attach_faults(faults.clone());
                 node.frames.attach_faults(faults.clone());
                 node
             })
@@ -288,6 +290,7 @@ impl Machine {
             jobs: Vec::new(),
             nodes,
             foreground_remaining: 0,
+            overflow,
             tracer,
             faults,
             next_uid: 0,
@@ -297,20 +300,19 @@ impl Machine {
 
     /// Replaces the machine's [`Tracer`] (by default built from the
     /// `FUGU_TRACE` environment, see [`Tracer::from_env`]) and re-attaches
-    /// it to every node's NIC, frame allocator and overflow controller.
+    /// it to every node's frame allocator, the one component that emits
+    /// its own events.
     /// Call before [`Machine::run`]; typically with
     /// [`Tracer::recorder`](fugu_sim::trace::Tracer::recorder) to capture
     /// the event stream in tests, or with a subscriber installed.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
         for (n, node) in self.nodes.iter_mut().enumerate() {
-            node.nic.attach_tracer(self.tracer.clone(), n);
             node.frames.attach_tracer(self.tracer.clone(), n);
-            node.overflow.attach_tracer(self.tracer.clone(), n);
         }
     }
 
-    /// The machine's trace sink (shared with every node's components).
+    /// The machine's trace sink (shared with every node's frame allocator).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -369,10 +371,7 @@ impl Machine {
                 mode: DeliveryMode::Fast,
                 vbuf: VirtualBuffer::new(self.cfg.costs.page_size_bytes),
                 atomic: false,
-                in_upcall: false,
-                upcall_kind: UpcallKind::Interrupt,
-                upcall_start: 0,
-                upcall_uid: 0,
+                upcall: None,
                 wake_permits: HashMap::new(),
                 heap_pages: std::collections::HashSet::new(),
             });
@@ -497,7 +496,7 @@ impl Machine {
                     ("handler", Json::from(thread_state(&p.handler.state))),
                     ("buffered_msgs", Json::from(p.vbuf.len())),
                     ("atomic", Json::from(p.atomic)),
-                    ("in_upcall", Json::from(p.in_upcall)),
+                    ("in_upcall", Json::from(p.upcall.is_some())),
                 ])
             });
             Json::object([
@@ -524,7 +523,11 @@ impl Machine {
             ("at", Json::from(self.queue.now())),
             (
                 "outstanding_messages",
-                Json::from(self.net.injected() - self.net.delivered()),
+                Json::from(
+                    (0..self.cfg.nodes)
+                        .map(|d| self.net.in_flight(d))
+                        .sum::<u64>(),
+                ),
             ),
             ("jobs", Json::array(jobs)),
             ("nodes", Json::array(nodes)),
@@ -544,22 +547,17 @@ impl Machine {
             self.nodes[n].stall_q.push_back(msg);
             return;
         }
-        if let Some(until) = self.nodes[n].nic.input_stalled(self.queue.now()) {
+        if let Some(until) = self.faults.nic_stall(n, self.queue.now()) {
+            self.tracer
+                .emit_with(CategoryMask::FAULT, || TraceEvent::FaultNicStall {
+                    node: n,
+                    until,
+                });
             self.nodes[n].stall_q.push_back(msg);
             self.queue.schedule(until, Ev::StallEnd { node: n });
             return;
         }
-        // The NIC emits `TraceEvent::MsgArrive` when the message enters its
-        // queue; backlogged messages are traced on admission, not here.
-        let node = &mut self.nodes[n];
-        if node.backlog.is_empty() && !node.nic.queue_full() {
-            node.nic.enqueue(msg).expect("queue_full was checked");
-            self.net.deliver(n);
-        } else {
-            // The interface is full: the message waits in the fabric,
-            // preserving FIFO order behind earlier held messages.
-            node.backlog.push_back(msg);
-        }
+        self.admit(n, [msg]);
         self.schedule_node(n);
     }
 
@@ -567,15 +565,8 @@ impl Machine {
     /// order. Held messages are not re-rolled against the stall plan — the
     /// window already deferred them once.
     fn on_stall_end(&mut self, n: NodeId) {
-        while let Some(msg) = self.nodes[n].stall_q.pop_front() {
-            let node = &mut self.nodes[n];
-            if node.backlog.is_empty() && !node.nic.queue_full() {
-                node.nic.enqueue(msg).expect("queue_full was checked");
-                self.net.deliver(n);
-            } else {
-                node.backlog.push_back(msg);
-            }
-        }
+        let held = std::mem::take(&mut self.nodes[n].stall_q);
+        self.admit(n, held);
         self.schedule_node(n);
     }
 
@@ -611,7 +602,7 @@ impl Machine {
             // to revocation when the handler context is unavailable.
             let can_force = self.nodes[n].nic.message_available()
                 && matches!(self.nodes[n].procs[j].handler.state, TState::AwaitUpcall)
-                && !self.nodes[n].procs[j].in_upcall;
+                && self.nodes[n].procs[j].upcall.is_none();
             if can_force {
                 self.jobs[j].report.watchdog_fires += 1;
                 self.tracer
@@ -663,13 +654,14 @@ impl Machine {
         node.nic.set_gid(self.jobs[new_job].gid);
         let incoming = &node.procs[new_job];
         let divert = incoming.mode == DeliveryMode::Buffered;
-        let disable = incoming.atomic || incoming.in_upcall;
-        node.nic.set_divert(divert);
+        let disable = incoming.atomic || incoming.upcall.is_some();
+        self.set_divert(n, divert);
         // Restore the incoming process's atomicity state into the hardware.
+        let nic = &mut self.nodes[n].nic;
         if disable {
-            node.nic.kernel_set_uac(UacMask::INTERRUPT_DISABLE);
+            nic.kernel_set_uac(UacMask::INTERRUPT_DISABLE);
         } else {
-            node.nic.kernel_clear_uac(UacMask::INTERRUPT_DISABLE);
+            nic.kernel_clear_uac(UacMask::INTERRUPT_DISABLE);
         }
         self.reset_timer(n);
         self.schedule_node(n);
@@ -705,12 +697,12 @@ impl Machine {
             ) {
                 self.preempt_active(n);
                 self.kernel_insert(n);
-                self.refill_nic(n);
+                self.admit(n, []);
                 continue;
             }
             // 2. Admit fabric-held messages once the queue has space.
             if !self.nodes[n].backlog.is_empty() && !self.nodes[n].nic.queue_full() {
-                self.refill_nic(n);
+                self.admit(n, []);
                 continue;
             }
 
@@ -724,7 +716,7 @@ impl Machine {
                 if proc.mode == DeliveryMode::Buffered
                     && !proc.vbuf.is_empty()
                     && !proc.atomic
-                    && !proc.in_upcall
+                    && proc.upcall.is_none()
                     && matches!(proc.handler.state, TState::AwaitUpcall)
                 {
                     self.preempt_active(n);
@@ -740,14 +732,17 @@ impl Machine {
             //    been handled.
             {
                 let proc = &self.nodes[n].procs[j];
-                if proc.mode == DeliveryMode::Buffered && proc.vbuf.is_empty() && !proc.in_upcall {
+                if proc.mode == DeliveryMode::Buffered
+                    && proc.vbuf.is_empty()
+                    && proc.upcall.is_none()
+                {
                     self.tracer
                         .emit_with(CategoryMask::MODE, || TraceEvent::ModeExit {
                             node: n,
                             job: j,
                         });
                     self.nodes[n].procs[j].mode = DeliveryMode::Fast;
-                    self.nodes[n].nic.set_divert(false);
+                    self.set_divert(n, false);
                     continue;
                 }
             }
@@ -756,7 +751,7 @@ impl Machine {
                 self.nodes[n].nic.head_disposition(),
                 Some(HeadDisposition::UserInterrupt)
             ) && matches!(self.nodes[n].procs[j].handler.state, TState::AwaitUpcall)
-                && !self.nodes[n].procs[j].in_upcall
+                && self.nodes[n].procs[j].upcall.is_none()
             {
                 // Injected handler page fault: the upcall would fault on
                 // entry, so the OS charges the fault and switches the
@@ -907,7 +902,6 @@ impl Machine {
             };
             node.report.vbuf_inserts += 1;
             node.free_at = t + cost + self.cfg.costs.extra_buffer_cost;
-            node.report.peak_frames = node.report.peak_frames.max(node.frames.peak_used());
         }
         if swapped {
             self.jobs[j].report.swapped += 1;
@@ -925,12 +919,24 @@ impl Machine {
             });
         self.enter_buffered(n, j);
         // Overflow control watches the free-frame count at every insert.
-        let free = self.nodes[n].frames.free();
-        match self.nodes[n].overflow.check(free) {
+        let free_frames = self.nodes[n].frames.free();
+        match self.overflow.check(free_frames) {
             Some(OverflowAction::AdviseGangSchedule) => {
+                let free_frames = free_frames as usize;
+                self.tracer
+                    .emit_with(CategoryMask::OVERFLOW, || TraceEvent::OverflowAdvise {
+                        node: n,
+                        free_frames,
+                    });
                 self.nodes[n].report.overflow_advises += 1;
             }
             Some(OverflowAction::SuspendGlobally) => {
+                let free_frames = free_frames as usize;
+                self.tracer
+                    .emit_with(CategoryMask::OVERFLOW, || TraceEvent::OverflowSuspend {
+                        node: n,
+                        free_frames,
+                    });
                 self.nodes[n].report.overflow_suspends += 1;
                 if !self.jobs[j].suspended {
                     self.jobs[j].suspended = true;
@@ -956,13 +962,39 @@ impl Machine {
         }
     }
 
-    /// Moves fabric-held messages into freed NIC queue slots.
-    fn refill_nic(&mut self, n: NodeId) {
+    /// Hands `arrivals` to node `n`'s interface: they join the fabric
+    /// backlog behind any held messages, and the NIC takes held messages in
+    /// arrival order while its queue has room. This is the one place a
+    /// message enters a NIC, so the one place `MsgArrive` is emitted;
+    /// messages still held are traced when they are admitted.
+    fn admit(&mut self, n: NodeId, arrivals: impl IntoIterator<Item = Message>) {
         let node = &mut self.nodes[n];
-        while !node.backlog.is_empty() && !node.nic.queue_full() {
-            let msg = node.backlog.pop_front().expect("nonempty");
+        node.backlog.extend(arrivals);
+        while !node.nic.queue_full() {
+            let Some(msg) = node.backlog.pop_front() else {
+                break;
+            };
+            let uid = msg.uid();
             node.nic.enqueue(msg).expect("space was checked");
             self.net.deliver(n);
+            let qlen = node.nic.queue_len();
+            self.tracer
+                .emit_with(CategoryMask::MSG, || TraceEvent::MsgArrive {
+                    node: n,
+                    qlen,
+                    uid,
+                });
+        }
+    }
+
+    /// Sets node `n`'s *divert-mode* register, emitting `NicDivert` only
+    /// when the register changes.
+    fn set_divert(&mut self, n: NodeId, on: bool) {
+        let nic = &mut self.nodes[n].nic;
+        if nic.divert_mode() != on {
+            self.tracer
+                .emit_with(CategoryMask::MODE, || TraceEvent::NicDivert { node: n, on });
+            nic.set_divert(on);
         }
     }
 
@@ -1065,11 +1097,7 @@ impl Machine {
 
     /// Marks a handler dispatch of message `uid` in flight from `start`.
     fn begin_upcall(&mut self, n: NodeId, j: usize, kind: UpcallKind, start: Cycles, uid: u64) {
-        let proc = &mut self.nodes[n].procs[j];
-        proc.in_upcall = true;
-        proc.upcall_kind = kind;
-        proc.upcall_start = start;
-        proc.upcall_uid = uid;
+        self.nodes[n].procs[j].upcall = Some(Upcall { kind, start, uid });
     }
 
     /// Switches a process to buffered mode (the uniform response to all
@@ -1085,7 +1113,7 @@ impl Machine {
         }
         node.procs[j].mode = DeliveryMode::Buffered;
         if node.cur_job == j {
-            node.nic.set_divert(true);
+            self.set_divert(n, true);
         }
     }
 
@@ -1217,7 +1245,7 @@ impl Machine {
                 let node = &mut self.nodes[n];
                 node.free_at += 1;
                 node.procs[j].atomic = false;
-                if node.cur_job == j && !node.procs[j].in_upcall {
+                if node.cur_job == j && node.procs[j].upcall.is_none() {
                     node.nic.kernel_clear_uac(UacMask::INTERRUPT_DISABLE);
                 }
                 self.reconcile_timer(n);
@@ -1314,9 +1342,8 @@ impl Machine {
                         // second network first.
                         node.free_at += self.swap_cost + self.faults.second_net_delay();
                     }
-                    node.report.peak_frames = node.report.peak_frames.max(node.frames.peak_used());
                     node.procs[j].heap_pages.insert(page);
-                    if self.nodes[n].procs[j].in_upcall {
+                    if self.nodes[n].procs[j].upcall.is_some() {
                         self.enter_buffered(n, j);
                     }
                 }
@@ -1469,13 +1496,8 @@ impl Machine {
     }
 
     fn on_handler_complete(&mut self, n: NodeId, j: usize) {
-        let (kind, start, uid) = {
-            let proc = &mut self.nodes[n].procs[j];
-            if !proc.in_upcall {
-                return; // `run` parking the handler: nothing to complete
-            }
-            proc.in_upcall = false;
-            (proc.upcall_kind, proc.upcall_start, proc.upcall_uid)
+        let Some(Upcall { kind, start, uid }) = self.nodes[n].procs[j].upcall.take() else {
+            return; // `run` parking the handler: nothing to complete
         };
         if kind == UpcallKind::Interrupt {
             self.nodes[n].free_at += self.cfg.costs.rx_interrupt.post();
@@ -1566,7 +1588,7 @@ impl Machine {
             self.nodes
                 .into_iter()
                 .map(|n| NodeReport {
-                    peak_frames: n.report.peak_frames.max(n.frames.peak_used()),
+                    peak_frames: n.frames.peak_used(),
                     ..n.report
                 })
                 .collect(),

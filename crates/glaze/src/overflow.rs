@@ -11,14 +11,12 @@
 //! application."
 //!
 //! [`OverflowControl`] watches the free-frame count at every buffer-insert
-//! and emits the corresponding actions. The simulated machine applies
-//! them; the experiment harnesses count how often each fires (in the
-//! paper's workloads: essentially never, because buffer demand stays low).
+//! and returns the corresponding action. The simulated machine applies it,
+//! emits the `OverflowAdvise`/`OverflowSuspend` trace event and counts how
+//! often each fires (in the paper's workloads: essentially never, because
+//! buffer demand stays low). The policy itself is just its two watermarks.
 
-use fugu_sim::stats::Counter;
-use fugu_sim::trace::{CategoryMask, TraceEvent, Tracer};
-
-/// Policy decision emitted by [`OverflowControl::check`].
+/// Policy decision returned by [`OverflowControl::check`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverflowAction {
     /// Buffer demand is creeping up: advise the system scheduler to gang
@@ -43,14 +41,10 @@ pub enum OverflowAction {
 /// assert_eq!(oc.check(7), Some(OverflowAction::AdviseGangSchedule));
 /// assert_eq!(oc.check(1), Some(OverflowAction::SuspendGlobally));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct OverflowControl {
     advise_below: u64,
     suspend_below: u64,
-    advises: Counter,
-    suspends: Counter,
-    tracer: Tracer,
-    node: usize,
 }
 
 impl OverflowControl {
@@ -69,52 +63,18 @@ impl OverflowControl {
         OverflowControl {
             advise_below,
             suspend_below,
-            advises: Counter::new(),
-            suspends: Counter::new(),
-            tracer: Tracer::disabled(),
-            node: 0,
         }
-    }
-
-    /// Attaches a trace sink; advise/suspend decisions are emitted as
-    /// [`fugu_sim::trace::TraceEvent::OverflowAdvise`] and
-    /// [`fugu_sim::trace::TraceEvent::OverflowSuspend`] tagged with `node`.
-    pub fn attach_tracer(&mut self, tracer: Tracer, node: usize) {
-        self.tracer = tracer;
-        self.node = node;
     }
 
     /// Evaluates the policy against the current free-frame count.
     pub fn check(&mut self, free_frames: u64) -> Option<OverflowAction> {
         if free_frames < self.suspend_below {
-            self.suspends.inc();
-            self.tracer
-                .emit_with(CategoryMask::OVERFLOW, || TraceEvent::OverflowSuspend {
-                    node: self.node,
-                    free_frames: free_frames as usize,
-                });
             Some(OverflowAction::SuspendGlobally)
         } else if free_frames < self.advise_below {
-            self.advises.inc();
-            self.tracer
-                .emit_with(CategoryMask::OVERFLOW, || TraceEvent::OverflowAdvise {
-                    node: self.node,
-                    free_frames: free_frames as usize,
-                });
             Some(OverflowAction::AdviseGangSchedule)
         } else {
             None
         }
-    }
-
-    /// How many times gang scheduling has been advised.
-    pub fn advises(&self) -> u64 {
-        self.advises.get()
-    }
-
-    /// How many times a global suspension has been ordered.
-    pub fn suspends(&self) -> u64 {
-        self.suspends.get()
     }
 }
 
@@ -135,8 +95,6 @@ mod tests {
         for free in [100, 9, 8] {
             assert_eq!(oc.check(free), None);
         }
-        assert_eq!(oc.advises(), 0);
-        assert_eq!(oc.suspends(), 0);
     }
 
     #[test]
@@ -147,8 +105,6 @@ mod tests {
         assert_eq!(oc.check(2), Some(OverflowAction::AdviseGangSchedule));
         assert_eq!(oc.check(1), Some(OverflowAction::SuspendGlobally));
         assert_eq!(oc.check(0), Some(OverflowAction::SuspendGlobally));
-        assert_eq!(oc.advises(), 2);
-        assert_eq!(oc.suspends(), 2);
     }
 
     #[test]
@@ -165,8 +121,6 @@ mod tests {
         assert_eq!(oc.check(4), None);
         assert_eq!(oc.check(3), Some(OverflowAction::SuspendGlobally));
         assert_eq!(oc.check(0), Some(OverflowAction::SuspendGlobally));
-        assert_eq!(oc.advises(), 0);
-        assert_eq!(oc.suspends(), 2);
     }
 
     #[test]
@@ -185,52 +139,5 @@ mod tests {
             };
             assert_eq!(oc.check(free), want, "free = {free}");
         }
-        assert_eq!(oc.advises(), 12);
-        assert_eq!(oc.suspends(), 4);
-    }
-
-    #[test]
-    fn decisions_are_emitted_to_the_tracer() {
-        let tracer = Tracer::recorder(64, CategoryMask::OVERFLOW);
-        tracer.set_time(777);
-        let mut oc = OverflowControl::new(8, 2);
-        oc.attach_tracer(tracer.clone(), 3);
-
-        assert_eq!(oc.check(100), None); // healthy: no event
-        oc.check(5); // advise
-        oc.check(1); // suspend
-
-        let records = tracer.take_records();
-        assert_eq!(records.len(), 2, "one event per decision, none when idle");
-        assert_eq!(records[0].at, 777);
-        assert_eq!(
-            records[0].event,
-            TraceEvent::OverflowAdvise {
-                node: 3,
-                free_frames: 5
-            }
-        );
-        assert_eq!(
-            records[1].event,
-            TraceEvent::OverflowSuspend {
-                node: 3,
-                free_frames: 1
-            }
-        );
-    }
-
-    #[test]
-    fn masked_out_tracer_suppresses_events_but_not_counters() {
-        // A recorder that only listens for scheduler events must see no
-        // overflow traffic, while the policy's own counters keep counting
-        // (the harnesses rely on them even in untraced runs).
-        let tracer = Tracer::recorder(64, CategoryMask::SCHED);
-        let mut oc = OverflowControl::new(8, 2);
-        oc.attach_tracer(tracer.clone(), 0);
-        oc.check(5);
-        oc.check(1);
-        assert!(tracer.take_records().is_empty());
-        assert_eq!(oc.advises(), 1);
-        assert_eq!(oc.suspends(), 1);
     }
 }

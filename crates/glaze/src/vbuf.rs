@@ -49,8 +49,6 @@ pub struct VirtualBuffer {
     /// `[backed_from_page, backed_to_page)`.
     backed_from_page: u64,
     backed_to_page: u64,
-    total_inserted: u64,
-    total_swapped: u64,
 }
 
 /// One buffered message: either resident at `[.., end_addr)` in the backed
@@ -76,8 +74,6 @@ impl VirtualBuffer {
             tail_addr: 0,
             backed_from_page: 0,
             backed_to_page: 0,
-            total_inserted: 0,
-            total_swapped: 0,
         }
     }
 
@@ -131,7 +127,6 @@ impl VirtualBuffer {
             msg,
             end_addr: new_tail,
         });
-        self.total_inserted += 1;
         Ok(InsertOutcome {
             allocated_page: allocated,
         })
@@ -143,8 +138,6 @@ impl VirtualBuffer {
     /// later reports `was_swapped = true` so the swap-in can be charged.
     pub fn insert_swapped(&mut self, msg: Message) {
         self.queue.push_back(Entry::Swapped { msg });
-        self.total_inserted += 1;
-        self.total_swapped += 1;
     }
 
     /// Consumes the oldest message, releasing any pages that the head has
@@ -240,18 +233,7 @@ impl VirtualBuffer {
         self.tail_addr = aligned;
         self.backed_from_page = aligned / page;
         self.backed_to_page = self.backed_from_page;
-        self.total_swapped += converted;
         (released, converted)
-    }
-
-    /// Total messages ever inserted.
-    pub fn total_inserted(&self) -> u64 {
-        self.total_inserted
-    }
-
-    /// Total messages that ever went to backing store.
-    pub fn total_swapped(&self) -> u64 {
-        self.total_swapped
     }
 }
 
@@ -292,7 +274,6 @@ mod tests {
         assert_eq!((m.payload().len(), sw), (2, true));
         let (m, sw) = vb.pop(&mut fa).unwrap();
         assert_eq!((m.payload().len(), sw), (3, false));
-        assert_eq!(vb.total_swapped(), 1);
         assert_eq!(fa.used(), 0);
     }
 
@@ -424,16 +405,7 @@ mod tests {
         vb.insert_swapped(msg(1));
         let (pages, msgs) = vb.page_out_all(&mut fa);
         assert_eq!((pages, msgs), (1, 1));
-        assert_eq!(vb.total_swapped(), 2);
-    }
-
-    #[test]
-    fn counts_inserted_messages() {
-        let (mut vb, mut fa) = setup(4096, 4);
-        for _ in 0..5 {
-            vb.insert(msg(0), &mut fa).unwrap();
-        }
-        vb.pop(&mut fa);
-        assert_eq!(vb.total_inserted(), 5);
+        assert!(vb.pop(&mut fa).unwrap().1, "paged-out entry not swapped");
+        assert!(vb.pop(&mut fa).unwrap().1, "swapped entry lost its flag");
     }
 }

@@ -26,6 +26,12 @@ impl std::error::Error for OutOfFrames {}
 
 /// Per-node physical page-frame pool.
 ///
+/// Unlike the NIC and overflow control, the pool keeps its own trace sink
+/// and fault hook. Its `PageAlloc`, `PageRelease` and `FaultFrameFail`
+/// events fire inside [`VirtualBuffer::insert`](crate::VirtualBuffer::insert)'s
+/// all-or-nothing allocate-and-roll-back (a roll-back may release zero
+/// pages), in calls the machine never sees.
+///
 /// # Example
 ///
 /// ```

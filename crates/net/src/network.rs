@@ -8,7 +8,6 @@
 
 use std::collections::HashMap;
 
-use fugu_sim::stats::Counter;
 use fugu_sim::Cycles;
 
 use crate::msg::{Message, NodeId};
@@ -77,8 +76,6 @@ pub struct Network {
     last_arrival: HashMap<(NodeId, NodeId), Cycles>,
     /// Messages currently between injection and delivery, per destination.
     in_flight: HashMap<NodeId, u64>,
-    injected: Counter,
-    delivered: Counter,
 }
 
 impl Network {
@@ -88,8 +85,6 @@ impl Network {
             config,
             last_arrival: HashMap::new(),
             in_flight: HashMap::new(),
-            injected: Counter::new(),
-            delivered: Counter::new(),
         }
     }
 
@@ -117,7 +112,6 @@ impl Network {
         let arrival = (now + transit + extra).max(fifo_floor);
         self.last_arrival.insert(channel, arrival);
         *self.in_flight.entry(msg.dst()).or_insert(0) += 1;
-        self.injected.inc();
         arrival
     }
 
@@ -134,22 +128,11 @@ impl Network {
             .expect("deliver without matching inject");
         assert!(*n > 0, "deliver without matching inject");
         *n -= 1;
-        self.delivered.inc();
     }
 
     /// Messages currently in flight toward `dst`.
     pub fn in_flight(&self, dst: NodeId) -> u64 {
         self.in_flight.get(&dst).copied().unwrap_or(0)
-    }
-
-    /// Total messages ever injected.
-    pub fn injected(&self) -> u64 {
-        self.injected.get()
-    }
-
-    /// Total messages ever delivered.
-    pub fn delivered(&self) -> u64 {
-        self.delivered.get()
     }
 }
 
@@ -207,8 +190,7 @@ mod tests {
         assert_eq!(net.in_flight(2), 1);
         net.deliver(1);
         assert_eq!(net.in_flight(1), 1);
-        assert_eq!(net.injected(), 3);
-        assert_eq!(net.delivered(), 1);
+        assert_eq!(net.in_flight(2), 1);
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! That split keeps every hardware protection rule unit-testable in
 //! isolation.
 //!
+//! It also holds no trace sink or fault injector. The machine observes the
+//! interface from outside: it emits `MsgArrive` when it enqueues an
+//! arrival, `NicDivert` when it flips *divert-mode*, and `FaultNicStall`
+//! when the fault injector it consults opens an input-stall window.
+//!
 //! # Example: the common-case receive path
 //!
 //! ```
@@ -39,9 +44,6 @@ pub use uac::{Uac, UacMask};
 use std::collections::VecDeque;
 
 use fugu_net::{Gid, Message, MAX_MESSAGE_WORDS};
-use fugu_sim::fault::FaultInjector;
-use fugu_sim::trace::{CategoryMask, TraceEvent, Tracer};
-use fugu_sim::Cycles;
 
 /// Privilege level of the code executing a NIC operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,12 +142,6 @@ pub struct Nic {
     divert_mode: bool,
     /// User Atomicity Control register (Table 3).
     uac: Uac,
-    /// Trace sink for arrival and divert events.
-    tracer: Tracer,
-    /// Fault injector consulted for input-port stall windows.
-    faults: FaultInjector,
-    /// The node this interface belongs to, used to tag trace events.
-    node: usize,
 }
 
 impl Nic {
@@ -158,39 +154,7 @@ impl Nic {
             gid: Gid::KERNEL,
             divert_mode: false,
             uac: Uac::new(),
-            tracer: Tracer::disabled(),
-            faults: FaultInjector::disabled(),
-            node: 0,
         }
-    }
-
-    /// Attaches a trace sink; arrivals emit
-    /// [`fugu_sim::trace::TraceEvent::MsgArrive`] and divert-register flips
-    /// emit [`fugu_sim::trace::TraceEvent::NicDivert`], tagged with `node`.
-    pub fn attach_tracer(&mut self, tracer: Tracer, node: usize) {
-        self.tracer = tracer;
-        self.node = node;
-    }
-
-    /// Attaches a fault injector; [`Nic::input_stalled`] then consults it
-    /// for injected input-port stall windows.
-    pub fn attach_faults(&mut self, faults: FaultInjector) {
-        self.faults = faults;
-    }
-
-    /// Asks whether the input port is stalled at time `now` (a fault
-    /// injector may open stall windows during which the interface refuses
-    /// arrivals, modeling a wedged receive port). Returns the window's end:
-    /// the machine defers the arrival event to that time instead of
-    /// enqueuing. One relaxed atomic load when fault injection is off.
-    pub fn input_stalled(&self, now: Cycles) -> Option<Cycles> {
-        let until = self.faults.nic_stall(self.node, now)?;
-        self.tracer
-            .emit_with(CategoryMask::FAULT, || TraceEvent::FaultNicStall {
-                node: self.node,
-                until,
-            });
-        Some(until)
     }
 
     // ------------------------------------------------------------------
@@ -267,14 +231,7 @@ impl Nic {
         if self.in_queue.len() >= self.config.input_queue_msgs {
             return Err(QueueFull(msg));
         }
-        let uid = msg.uid();
         self.in_queue.push_back(msg);
-        self.tracer
-            .emit_with(CategoryMask::MSG, || TraceEvent::MsgArrive {
-                node: self.node,
-                qlen: self.in_queue.len(),
-                uid,
-            });
         Ok(())
     }
 
@@ -433,13 +390,6 @@ impl Nic {
     /// Sets or clears *divert-mode* (kernel register; §4.2 buffered-mode
     /// steady state).
     pub fn set_divert(&mut self, divert: bool) {
-        if self.divert_mode != divert {
-            self.tracer
-                .emit_with(CategoryMask::MODE, || TraceEvent::NicDivert {
-                    node: self.node,
-                    on: divert,
-                });
-        }
         self.divert_mode = divert;
     }
 
@@ -681,18 +631,6 @@ mod tests {
     }
 
     // --- input queue capacity ---------------------------------------------
-
-    #[test]
-    fn input_stall_windows_come_from_the_injector() {
-        use fugu_sim::fault::{FaultInjector, FaultPlan};
-
-        let mut n = nic_for(1);
-        assert_eq!(n.input_stalled(100), None, "no injector: never stalled");
-        let plan = FaultPlan::parse("stall=1.0,stall-cycles=50").unwrap();
-        n.attach_faults(FaultInjector::new(plan, 3, 1));
-        assert_eq!(n.input_stalled(100), Some(150));
-        assert_eq!(n.input_stalled(120), Some(150), "window persists");
-    }
 
     #[test]
     fn queue_refuses_when_full() {

@@ -3,7 +3,7 @@
 //! This crate is the machine-independent substrate under the simulated FUGU
 //! multicomputer of the HPCA 1998 paper *"Exploiting Two-Case Delivery for
 //! Fast Protected Messaging"*. It knows nothing about networks, network
-//! interfaces or operating systems; it provides four things:
+//! interfaces or operating systems. It provides:
 //!
 //! * [`event::EventQueue`] — a cancellable, strictly ordered future-event
 //!   list keyed by simulated [`Cycles`];
@@ -15,8 +15,8 @@
 //!   not depend on external crate versions;
 //! * [`fault`] — a seeded, deterministic fault-injection plan consulted by
 //!   the machine layers, zero-cost when inert;
-//! * [`stats`] — counters, accumulators, histograms and high-water marks
-//!   for run reports and the experiment harnesses;
+//! * [`stats`] — accumulators, histograms and high-water marks for run
+//!   reports and the experiment harnesses;
 //! * [`trace`] — typed [`trace::TraceEvent`]s with a ring-buffer recorder
 //!   and subscriber callbacks, zero-cost when disabled;
 //! * [`ledger`] — the per-message lifecycle record, folded from the trace

@@ -2,59 +2,15 @@
 //!
 //! The paper reports counts (total messages), means (`T_betw`, `T_hand`),
 //! fractions (percentage of messages buffered) and maxima (peak physical
-//! pages used for buffering). [`Counter`], [`Accum`], [`Histogram`] and
-//! [`HighWater`] cover those needs without pulling in an external
-//! statistics crate. Run reports hold them as typed fields, one record per
-//! measurement (see `udm::RunReport`), and flatten those fields once into a
-//! [`MetricsRegistry`] for rendering.
+//! pages used for buffering). Counts are plain `u64` report fields;
+//! [`Accum`], [`Histogram`] and [`HighWater`] cover the rest without
+//! pulling in an external statistics crate. Run reports hold them as typed
+//! fields, one record per measurement (see `udm::RunReport`), and flatten
+//! those fields once into a [`MetricsRegistry`] for rendering.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use crate::json::Json;
-
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use fugu_sim::stats::Counter;
-///
-/// let mut sent = Counter::new();
-/// sent.add(3);
-/// sent.inc();
-/// assert_eq!(sent.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n` to the count.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one to the count.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current count.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Running sum/min/max/mean accumulator over `f64` samples.
 ///
@@ -330,15 +286,6 @@ pub type MetricsRegistry = BTreeMap<String, Json>;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 11);
-        assert_eq!(c.to_string(), "11");
-    }
 
     #[test]
     fn accum_tracks_moments() {
