@@ -33,8 +33,8 @@
 //! `--jobs` only changes host-side wall-clock: every data point runs its
 //! own deterministic simulation, results are reassembled in sweep order,
 //! and the JSON output is byte-identical whatever `J` is (neither `--jobs`
-//! nor `--json` is echoed into the report). Unknown options print usage
-//! and exit with status 2. Data-set scaling versus the paper is recorded
+//! nor `--json` is echoed into the report). Unknown options, and a zero
+//! `--nodes` or `--trials`, print usage and exit with status 2. Data-set scaling versus the paper is recorded
 //! in EXPERIMENTS.md; the JSON schema is documented in
 //! docs/OBSERVABILITY.md.
 
@@ -85,7 +85,8 @@ options:
 impl Opts {
     /// Parses the flag set from explicit arguments (everything after
     /// `argv[0]`). Returns an error message naming the offending flag on
-    /// unknown options, missing values, or unparsable numbers.
+    /// unknown options, missing values, unparsable numbers, or a zero
+    /// `--nodes` or `--trials`.
     ///
     /// # Example
     ///
@@ -98,6 +99,7 @@ impl Opts {
     /// assert_eq!(opts.nodes, 4);
     /// assert_eq!(opts.jobs, 2);
     /// assert!(Opts::try_parse(8, ["--bogus".to_string()]).is_err());
+    /// assert!(Opts::try_parse(8, ["--trials".to_string(), "0".to_string()]).is_err());
     /// ```
     pub fn try_parse(
         default_nodes: usize,
@@ -134,6 +136,12 @@ impl Opts {
                 "--help" => return Err("help".to_string()),
                 other => return Err(format!("unknown option {other}")),
             }
+        }
+        if opts.nodes == 0 {
+            return Err("--nodes must be at least 1".to_string());
+        }
+        if opts.trials == 0 {
+            return Err("--trials must be at least 1".to_string());
         }
         Ok(opts)
     }

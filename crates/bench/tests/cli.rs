@@ -63,6 +63,42 @@ fn missing_value_exits_2() {
 }
 
 #[test]
+fn zero_trials_exits_2_with_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig9"))
+        .args(["--quick", "--trials", "0"])
+        .output()
+        .expect("fig9 runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--trials must be at least 1"));
+    assert!(stderr.contains("--jobs"), "usage must list the flags");
+    assert!(out.stdout.is_empty(), "no table of NaN rows");
+}
+
+#[test]
+fn zero_nodes_exits_2_with_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_table6"))
+        .args(["--quick", "--nodes", "0"])
+        .output()
+        .expect("table6 runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--nodes must be at least 1"));
+    assert!(!stderr.contains("panicked"));
+}
+
+#[test]
+fn replay_of_an_unrunnable_spec_exits_2() {
+    for spec in ["skew=150", "timeslice=0", "faults=frame-burst=4294967296"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_explore"))
+            .args(["--replay", spec])
+            .output()
+            .expect("explore runs");
+        assert_eq!(out.status.code(), Some(2), "spec {spec}");
+    }
+}
+
+#[test]
 fn help_exits_0() {
     let out = fig7().arg("--help").output().expect("fig7 runs");
     assert_eq!(out.status.code(), Some(0));

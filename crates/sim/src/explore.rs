@@ -166,13 +166,29 @@ impl ScenarioSpec {
                     }
                     spec.nodes = n as usize;
                 }
-                "timeslice" => spec.timeslice = int(value)?,
-                "skew" => spec.skew_pct = int(value)?,
+                "timeslice" => {
+                    spec.timeslice = int(value)?;
+                    if spec.timeslice == 0 {
+                        return Err("scenario `timeslice` must be positive".into());
+                    }
+                }
+                "skew" => {
+                    spec.skew_pct = int(value)?;
+                    if spec.skew_pct >= 100 {
+                        return Err(format!(
+                            "scenario `skew` is a percentage of the timeslice below 100, got `{value}`"
+                        ));
+                    }
+                }
                 "frames" => spec.frames = int(value)?,
                 "atimeout" => spec.atom_timeout = int(value)?,
                 "watchdog" => spec.watchdog = flag(value)?,
                 "workload" => spec.workload = value.to_string(),
-                "scale" => spec.scale = int(value)? as u32,
+                "scale" => {
+                    spec.scale = u32::try_from(int(value)?).map_err(|_| {
+                        format!("scenario `scale` must fit in 32 bits, got `{value}`")
+                    })?;
+                }
                 "bg" => spec.bg_null = flag(value)?,
                 "faults" => spec.faults = FaultPlan::parse(value)?,
                 _ => return Err(format!("unknown scenario key `{key}`")),
@@ -671,6 +687,23 @@ mod tests {
         assert!(ScenarioSpec::parse("bogus=1").is_err());
         assert!(ScenarioSpec::parse("watchdog=maybe").is_err());
         assert!(ScenarioSpec::parse("faults=bogus=1").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_values_the_machine_cannot_run() {
+        // The gang scheduler needs a skew below one timeslice and a
+        // nonzero timeslice; these used to panic inside the replay.
+        assert!(ScenarioSpec::parse("skew=150").is_err());
+        assert!(ScenarioSpec::parse("skew=100").is_err());
+        assert_eq!(ScenarioSpec::parse("skew=99").unwrap().skew_pct, 99);
+        assert!(ScenarioSpec::parse("timeslice=0").is_err());
+        // Out-of-range integers are errors, not silent truncation.
+        assert!(ScenarioSpec::parse("scale=4294967296").is_err());
+        assert_eq!(
+            ScenarioSpec::parse("scale=4294967295").unwrap().scale,
+            u32::MAX
+        );
+        assert!(ScenarioSpec::parse("faults=frame-burst=4294967296").is_err());
     }
 
     #[test]

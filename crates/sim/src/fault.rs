@@ -197,7 +197,11 @@ impl FaultPlan {
                 "stall" => plan.nic_stall = prob(value)?,
                 "stall-cycles" => plan.nic_stall_cycles = int(value)?,
                 "frame-fail" => plan.frame_fail = prob(value)?,
-                "frame-burst" => plan.frame_fail_burst = int(value)? as u32,
+                "frame-burst" => {
+                    plan.frame_fail_burst = u32::try_from(int(value)?).map_err(|_| {
+                        format!("fault plan `frame-burst` must fit in 32 bits, got `{value}`")
+                    })?;
+                }
                 "handler-fault" => plan.handler_fault = prob(value)?,
                 "jitter" => plan.quantum_jitter = int(value)?,
                 _ => return Err(format!("unknown fault plan key `{key}`")),
@@ -569,6 +573,14 @@ mod tests {
         assert!(FaultPlan::parse("drop=x").is_err());
         assert!(FaultPlan::parse("jitter=-3").is_err());
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
+    }
+
+    #[test]
+    fn frame_burst_past_32_bits_is_an_error_not_a_truncation() {
+        let err = FaultPlan::parse("frame-fail=0.1,frame-burst=4294967296").unwrap_err();
+        assert!(err.contains("frame-burst"), "{err}");
+        let max = FaultPlan::parse("frame-burst=4294967295").unwrap();
+        assert_eq!(max.frame_fail_burst, u32::MAX);
     }
 
     #[test]
