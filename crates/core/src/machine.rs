@@ -919,23 +919,21 @@ impl Machine {
             });
         self.enter_buffered(n, j);
         // Overflow control watches the free-frame count at every insert.
-        let free_frames = self.nodes[n].frames.free();
-        match self.overflow.check(free_frames) {
+        let free = self.nodes[n].frames.free();
+        match self.overflow.check(free) {
             Some(OverflowAction::AdviseGangSchedule) => {
-                let free_frames = free_frames as usize;
                 self.tracer
                     .emit_with(CategoryMask::OVERFLOW, || TraceEvent::OverflowAdvise {
                         node: n,
-                        free_frames,
+                        free_frames: free as usize,
                     });
                 self.nodes[n].report.overflow_advises += 1;
             }
             Some(OverflowAction::SuspendGlobally) => {
-                let free_frames = free_frames as usize;
                 self.tracer
                     .emit_with(CategoryMask::OVERFLOW, || TraceEvent::OverflowSuspend {
                         node: n,
-                        free_frames,
+                        free_frames: free as usize,
                     });
                 self.nodes[n].report.overflow_suspends += 1;
                 if !self.jobs[j].suspended {

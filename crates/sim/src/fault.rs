@@ -23,7 +23,7 @@
 //! * message drop / duplicate / extra delay on the main network, and extra
 //!   delay on the second (redelivery) network (`fugu-net` via the machine);
 //! * NIC input-queue stall windows — arrivals during a window are deferred
-//!   to its end (`fugu-nic` via the machine);
+//!   to its end (the machine, in front of `fugu-nic`'s input queue);
 //! * frame-allocation failure bursts (`fugu-glaze`'s `FrameAllocator`);
 //! * forced handler page faults, pushing a delivery onto the buffered path
 //!   (`fugu-glaze` paging, applied by the machine's dispatch);

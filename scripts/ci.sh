@@ -31,9 +31,10 @@ cargo test --offline -q -p fugu-sim --test event_differential
 # Host-time benchmark smoke: perfbench is a separate package, so build it
 # here too or a crate API change that breaks it would pass. Every
 # invocation first checks the RunReport digests in perfbench/golden.json at
-# two seeds and replays its oracles (exits nonzero on any mismatch); the
-# one-second runs only keep the timing phase short.
-for workload in lu_skew barrier_oracle; do
+# two seeds and replays its oracles (exits nonzero on any mismatch), so
+# this loop runs all three golden-digest gates; the one-second runs only
+# keep the timing phase short.
+for workload in lu_skew barrier_oracle enum_fast; do
   cargo run --offline --release --manifest-path perfbench/Cargo.toml -- \
     --workload "$workload" --seconds 1 >/dev/null
 done
