@@ -519,16 +519,10 @@ impl Machine {
                 ("delivered", Json::from(j.report.delivered())),
             ])
         });
+        let outstanding: u64 = (0..self.cfg.nodes).map(|d| self.net.in_flight(d)).sum();
         Json::object([
             ("at", Json::from(self.queue.now())),
-            (
-                "outstanding_messages",
-                Json::from(
-                    (0..self.cfg.nodes)
-                        .map(|d| self.net.in_flight(d))
-                        .sum::<u64>(),
-                ),
-            ),
+            ("outstanding_messages", Json::from(outstanding)),
             ("jobs", Json::array(jobs)),
             ("nodes", Json::array(nodes)),
         ])

@@ -14,7 +14,7 @@
 //! and returns the corresponding action. The simulated machine applies it,
 //! emits the `OverflowAdvise`/`OverflowSuspend` trace event and counts how
 //! often each fires (in the paper's workloads: essentially never, because
-//! buffer demand stays low). The policy itself is just its two watermarks.
+//! buffer demand stays low).
 
 /// Policy decision returned by [`OverflowControl::check`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +41,7 @@ pub enum OverflowAction {
 /// assert_eq!(oc.check(7), Some(OverflowAction::AdviseGangSchedule));
 /// assert_eq!(oc.check(1), Some(OverflowAction::SuspendGlobally));
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct OverflowControl {
     advise_below: u64,
     suspend_below: u64,
