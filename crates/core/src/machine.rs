@@ -1030,7 +1030,7 @@ impl Machine {
         if let Some(kind) = upcall {
             // Handlers begin in an atomic section.
             node.nic.kernel_set_uac(UacMask::INTERRUPT_DISABLE);
-            self.begin_upcall(n, j, kind, start, uid);
+            node.procs[j].upcall = Some(Upcall { kind, start, uid });
         }
         self.jobs[j].report.delivered_fast += 1;
         let (node, job) = (n, j);
@@ -1073,7 +1073,8 @@ impl Machine {
             node.free_at += self.swap_cost + self.faults.second_net_delay();
         }
         if upcall {
-            self.begin_upcall(n, j, UpcallKind::Buffered, start, uid);
+            let kind = UpcallKind::Buffered;
+            node.procs[j].upcall = Some(Upcall { kind, start, uid });
         }
         self.tracer
             .emit_with(CategoryMask::BUFFER, || TraceEvent::BufferExtract {
@@ -1085,11 +1086,6 @@ impl Machine {
             });
         self.maybe_unsuspend(n, j);
         Some(envelope(&msg))
-    }
-
-    /// Marks a handler dispatch of message `uid` in flight from `start`.
-    fn begin_upcall(&mut self, n: NodeId, j: usize, kind: UpcallKind, start: Cycles, uid: u64) {
-        self.nodes[n].procs[j].upcall = Some(Upcall { kind, start, uid });
     }
 
     /// Switches a process to buffered mode (the uniform response to all
