@@ -23,8 +23,10 @@
 use std::path::PathBuf;
 
 use fugu_apps::NullApp;
-use fugu_bench::{machine, multiprogram_costs, pct, write_report, AppKind, Json, Opts, Table};
-use fugu_sim::span::{ProfileReport, Profiler};
+use fugu_bench::{
+    machine, multiprogram_costs, parallel_map, pct, write_report, AppKind, Json, Opts, Table,
+};
+use fugu_sim::span::{PathProfile, ProfileReport, Profiler};
 use fugu_sim::trace::Tracer;
 use fugu_sim::trace_export::chrome_trace;
 use udm::{CostModel, Machine};
@@ -33,51 +35,70 @@ use udm::{CostModel, Machine};
 /// reviewable; the profile JSON still aggregates every span).
 const EXPORT_SPAN_CAP: usize = 4_000;
 
-/// One profiled scenario: a name and the machine to run.
-struct Scenario {
-    name: &'static str,
-    machine: Machine,
+/// One profiled scenario: a Table 6 application standalone, or the
+/// multiprogrammed barrier-vs-null mix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scenario {
+    Standalone(AppKind),
+    BarrierVsNull,
 }
 
-fn scenarios(opts: &Opts) -> Vec<Scenario> {
-    let mut out = Vec::new();
-    // Table 6 conditions: each application standalone, zero skew.
-    for kind in AppKind::ALL {
-        let mut m = machine(opts.nodes, 0.0, opts.seed, CostModel::hard_atomicity());
-        m.add_job(kind.job(opts.nodes, opts.quick));
-        out.push(Scenario {
-            name: kind.name(),
-            machine: m,
-        });
+impl Scenario {
+    /// Every scenario, in report order.
+    fn all() -> Vec<Scenario> {
+        AppKind::ALL
+            .into_iter()
+            .map(Scenario::Standalone)
+            .chain([Scenario::BarrierVsNull])
+            .collect()
     }
-    // Multiprogrammed: barrier against null at 10% skew (Fig. 7/8
-    // conditions), so a healthy share of messages takes the second case
-    // and the buffered-path columns are populated.
-    let mut m = machine(opts.nodes, 0.1, opts.seed, multiprogram_costs());
-    m.add_job(AppKind::Barrier.job(opts.nodes, opts.quick));
-    m.add_job(NullApp::spec());
-    out.push(Scenario {
-        name: "barrier-vs-null",
-        machine: m,
-    });
-    out
+
+    fn name(self) -> &'static str {
+        match self {
+            Scenario::Standalone(kind) => kind.name(),
+            Scenario::BarrierVsNull => "barrier-vs-null",
+        }
+    }
+
+    fn machine(self, opts: &Opts) -> Machine {
+        match self {
+            // Table 6 conditions: the application standalone, zero skew.
+            Scenario::Standalone(kind) => {
+                let mut m = machine(opts.nodes, 0.0, opts.seed, CostModel::hard_atomicity());
+                m.add_job(kind.job(opts.nodes, opts.quick));
+                m
+            }
+            // Fig. 7/8 conditions: barrier against null at 10% skew, so a
+            // healthy share of messages takes the second case and the
+            // buffered-path columns are populated.
+            Scenario::BarrierVsNull => {
+                let mut m = machine(opts.nodes, 0.1, opts.seed, multiprogram_costs());
+                m.add_job(AppKind::Barrier.job(opts.nodes, opts.quick));
+                m.add_job(NullApp::spec());
+                m
+            }
+        }
+    }
 }
 
-/// Runs one scenario under the profiler and enforces the acceptance
-/// checks: clean stitching, 100% stitch rate, exact attribution sums.
-fn profile(mut scenario: Scenario) -> (u64, ProfileReport) {
+/// Builds and runs one scenario under the profiler and enforces the
+/// acceptance checks: clean stitching, 100% stitch rate, exact attribution
+/// sums. Building the machine here, inside the `--jobs` worker, keeps at
+/// most `--jobs` machines and their sim-threads alive at once.
+fn profile(scenario: Scenario, opts: &Opts) -> (u64, ProfileReport) {
+    let name = scenario.name();
+    let mut machine = scenario.machine(opts);
     let tracer = Tracer::disabled();
     let profiler = Profiler::new();
     profiler.attach(&tracer);
-    scenario.machine.set_tracer(tracer);
-    let report = scenario.machine.run();
+    machine.set_tracer(tracer);
+    let report = machine.run();
     let profile = profiler.finish();
     profile.assert_clean();
     assert_eq!(
         profile.stitch_rate(),
         1.0,
-        "{}: fault-free runs must stitch every delivered span",
-        scenario.name
+        "{name}: fault-free runs must stitch every delivered span"
     );
     for span in &profile.spans {
         if let Some(attr) = span.attribution() {
@@ -85,8 +106,7 @@ fn profile(mut scenario: Scenario) -> (u64, ProfileReport) {
             assert_eq!(
                 attr.total(),
                 end - span.launch,
-                "{}: attribution must sum to end-to-end latency (uid {})",
-                scenario.name,
+                "{name}: attribution must sum to end-to-end latency (uid {})",
                 span.uid
             );
         }
@@ -94,8 +114,8 @@ fn profile(mut scenario: Scenario) -> (u64, ProfileReport) {
     (report.end_time, profile)
 }
 
-fn fmt_q(profile: &fugu_sim::span::PathProfile, q: f64) -> String {
-    profile
+fn fmt_q(path: &PathProfile, q: f64) -> String {
+    path.hist
         .percentile(q)
         .map_or("-".to_string(), |c| c.to_string())
 }
@@ -120,16 +140,17 @@ fn main() {
     ]);
     let mut points = Vec::new();
     let mut export: Option<ProfileReport> = None;
-    for scenario in scenarios(&opts) {
-        let name = scenario.name;
-        let (end_time, profile) = profile(scenario);
+    let scenarios = Scenario::all();
+    let results = parallel_map(opts.jobs, &scenarios, |&s| profile(s, &opts));
+    for (&scenario, (end_time, profile)) in scenarios.iter().zip(results) {
+        let name = scenario.name();
         table.row(vec![
             name.to_string(),
             profile.delivered.to_string(),
-            profile.fast.count.to_string(),
+            profile.fast.hist.total().to_string(),
             fmt_q(&profile.fast, 0.50),
             fmt_q(&profile.fast, 0.99),
-            profile.buffered.count.to_string(),
+            profile.buffered.hist.total().to_string(),
             fmt_q(&profile.buffered, 0.50),
             fmt_q(&profile.buffered, 0.99),
             pct(profile.stitch_rate()),
@@ -139,7 +160,7 @@ fn main() {
             ("end_time", Json::from(end_time)),
             ("profile", profile.to_json()),
         ]));
-        if name == "barrier-vs-null" {
+        if scenario == Scenario::BarrierVsNull {
             export = Some(profile);
         }
     }

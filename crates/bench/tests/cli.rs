@@ -2,7 +2,7 @@
 //! results, `--json` writes schema-versioned reports, and bad flags fail
 //! with a usage message and exit status 2.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn fig7() -> Command {
@@ -15,35 +15,60 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
+/// Reads a file the test wrote, then deletes it.
+fn take(path: &Path) -> Vec<u8> {
+    let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+    let _ = std::fs::remove_file(path);
+    bytes
+}
+
 #[test]
 fn jobs_flag_does_not_change_json_output() {
-    let a = tmp("jobs1.json");
-    let b = tmp("jobs4.json");
-    for (jobs, path) in [("1", &a), ("4", &b)] {
-        let status = fig7()
-            .args(["--quick", "--nodes", "2", "--jobs", jobs, "--json"])
-            .arg(path)
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .status()
-            .expect("fig7 runs");
-        assert!(status.success());
+    let runs: [(&str, &str, &[&str]); 2] = [
+        (
+            "fig7",
+            env!("CARGO_BIN_EXE_fig7"),
+            &["--quick", "--nodes", "2"],
+        ),
+        ("profile", env!("CARGO_BIN_EXE_profile"), &["--quick"]),
+    ];
+    for (bin, exe, args) in runs {
+        let a = tmp(&format!("{bin}-jobs1.json"));
+        let b = tmp(&format!("{bin}-jobs4.json"));
+        for (jobs, path) in [("1", &a), ("4", &b)] {
+            let status = Command::new(exe)
+                .args(args)
+                .args(["--jobs", jobs, "--json"])
+                .arg(path)
+                .stdout(std::process::Stdio::null())
+                .stderr(std::process::Stdio::null())
+                .status()
+                .unwrap_or_else(|e| panic!("{bin} runs: {e}"));
+            assert!(status.success(), "{bin} --jobs {jobs} failed");
+        }
+        // `profile` also writes a Perfetto trace next to its report.
+        if bin == "profile" {
+            let ta = take(&a.with_extension("trace.json"));
+            let tb = take(&b.with_extension("trace.json"));
+            assert!(
+                ta == tb,
+                "{bin}: --jobs 1 and --jobs 4 traces must be byte-identical"
+            );
+        }
+        let ja = take(&a);
+        let jb = take(&b);
+        assert!(
+            ja == jb,
+            "{bin}: --jobs 1 and --jobs 4 reports must be byte-identical"
+        );
+        let text = String::from_utf8(ja).expect("reports are UTF-8");
+        assert!(text.contains("\"schema\": \"fugu-bench/v1\""));
+        assert!(text.contains(&format!("\"binary\": \"{bin}\"")));
+        assert!(
+            !text.contains("jobs"),
+            "{bin}: --jobs must not leak into the report"
+        );
     }
-    let ja = std::fs::read(&a).expect("report written");
-    let jb = std::fs::read(&b).expect("report written");
-    let _ = std::fs::remove_file(&a);
-    let _ = std::fs::remove_file(&b);
-    assert_eq!(
-        ja, jb,
-        "--jobs 1 and --jobs 4 reports must be byte-identical"
-    );
-    let text = String::from_utf8(ja).expect("reports are UTF-8");
-    assert!(text.contains("\"schema\": \"fugu-bench/v1\""));
-    assert!(text.contains("\"binary\": \"fig7\""));
-    assert!(
-        !text.contains("jobs"),
-        "--jobs must not leak into the report"
-    );
 }
 
 #[test]

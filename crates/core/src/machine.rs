@@ -1491,9 +1491,7 @@ impl Machine {
             self.nodes[n].free_at += self.cfg.costs.rx_interrupt.post();
         }
         let elapsed = self.nodes[n].free_at.saturating_sub(start);
-        let report = &mut self.jobs[j].report;
-        report.handler_cycles.push(elapsed as f64);
-        report.handler_hist.record(elapsed);
+        self.jobs[j].report.handler_cycles.record(elapsed);
         // The handler retires at `free_at`, which can run ahead of the
         // trace clock at this emission (the completion is processed inside
         // the same event that charged the handler's cycles), so the event

@@ -3,7 +3,7 @@
 
 use fugu_sim::fault::FaultCounts;
 use fugu_sim::json::Json;
-use fugu_sim::stats::{Accum, Histogram, MetricsRegistry};
+use fugu_sim::stats::{Histogram, MetricsRegistry};
 use fugu_sim::Cycles;
 
 /// Schema identifier stamped into every [`RunReport::to_json`] document.
@@ -53,19 +53,19 @@ impl RunReport {
             for (name, value) in j.message_counters().into_iter().chain(j.event_counters()) {
                 metrics.insert(format!("{pre}.{name}"), Json::from(value));
             }
-            let a = &j.handler_cycles;
-            let accum = Json::object([
-                ("count", Json::from(a.count())),
-                ("sum", Json::from(a.sum())),
-                ("mean", Json::from(a.mean())),
-                ("min", Json::from(a.min())),
-                ("max", Json::from(a.max())),
+            // The moments render as floats, the shape every committed
+            // report and golden digest pins.
+            let h = &j.handler_cycles;
+            let float = |x: Option<u64>| Json::from(x.map(|x| x as f64));
+            let moments = Json::object([
+                ("count", Json::from(h.total())),
+                ("sum", Json::from(h.sum() as f64)),
+                ("mean", Json::from(h.mean())),
+                ("min", float(h.min())),
+                ("max", float(h.max())),
             ]);
-            metrics.insert(format!("{pre}.handler_cycles"), accum);
-            metrics.insert(
-                format!("{pre}.handler_cycles_hist"),
-                j.handler_hist.to_json(),
-            );
+            metrics.insert(format!("{pre}.handler_cycles"), moments);
+            metrics.insert(format!("{pre}.handler_cycles_hist"), h.to_json());
         }
         for (n, node) in nodes.iter().enumerate() {
             for (name, value) in node.counters() {
@@ -142,11 +142,9 @@ pub struct JobReport {
     /// store over the second network.
     pub swapped: u64,
     /// Handler execution cycles (dispatch to completion, including
-    /// delivery overhead), for the paper's `T_hand`.
-    pub handler_cycles: Accum,
-    /// The same handler cycles bucketed at powers of two
-    /// ([`Histogram::exponential`]`(24)`).
-    pub handler_hist: Histogram,
+    /// delivery overhead), for the paper's `T_hand`: exact moments plus
+    /// power-of-two buckets ([`Histogram::exponential`]`(24)`).
+    pub handler_cycles: Histogram,
     /// Atomicity-timeout revocations suffered by the job.
     pub atomicity_timeouts: u64,
     /// Interrupts forced through by the polling watchdog (only nonzero
@@ -168,8 +166,7 @@ impl JobReport {
             delivered_fast: 0,
             delivered_buffered: 0,
             swapped: 0,
-            handler_cycles: Accum::new(),
-            handler_hist: Histogram::exponential(24),
+            handler_cycles: Histogram::exponential(24),
             atomicity_timeouts: 0,
             watchdog_fires: 0,
             page_faults: 0,

@@ -88,7 +88,7 @@ fn table4_interrupt_cost_is_emergent() {
         ));
         let r = m.run();
         let j = r.job("oneshot");
-        assert_eq!(j.handler_cycles.count(), 1);
+        assert_eq!(j.handler_cycles.total(), 1);
         assert_eq!(
             j.handler_cycles.mean(),
             expect,
@@ -195,7 +195,7 @@ fn raw_extract_bypasses_handler() {
     m.add_job(JobSpec::new("raw", Arc::new(RawExtract)));
     let r = m.run();
     assert_eq!(r.job("raw").delivered_fast, 1);
-    assert_eq!(r.job("raw").handler_cycles.count(), 0);
+    assert_eq!(r.job("raw").handler_cycles.total(), 0);
 }
 
 // ======================================================================

@@ -161,9 +161,9 @@ fn profiler_stitches_every_delivered_message_on_a_fault_free_run() {
     // fast-path deliveries, so compare against the summed counters).
     let fast: u64 = report.jobs.iter().map(|j| j.delivered_fast).sum();
     let buffered: u64 = report.jobs.iter().map(|j| j.delivered_buffered).sum();
-    assert_eq!(profile.fast.count, fast);
-    assert_eq!(profile.buffered.count, buffered);
-    assert!(profile.buffered.count > 0, "workload should buffer");
+    assert_eq!(profile.fast.hist.total(), fast);
+    assert_eq!(profile.buffered.hist.total(), buffered);
+    assert!(profile.buffered.hist.total() > 0, "workload should buffer");
     assert_eq!(profile.launched, profile.delivered + profile.in_flight);
 
     // Attribution partitions end-to-end latency exactly (±0) on every span.

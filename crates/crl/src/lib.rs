@@ -73,39 +73,25 @@ pub mod handlers {
 /// 4-word chunk header.
 const CHUNK_WORDS: usize = 10;
 
-/// Software costs of the region library itself, charged on top of the
-/// machine's messaging costs. Approximate the CRL paper's "all-software"
-/// overheads; see DESIGN.md.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrlCosts {
-    /// A `start_*` that hits in the local cache state.
-    pub hit: Cycles,
-    /// Software overhead of a `start_*` miss (request construction,
-    /// continuation bookkeeping), excluding messaging.
-    pub miss: Cycles,
-    /// Protocol processing per handler invocation at home or owner.
-    pub protocol: Cycles,
-    /// An `end_*` with no deferred work.
-    pub end: Cycles,
-    /// Initial retry timeout for a `start_*` miss when fault injection is
-    /// active: if the grant has not arrived after this many cycles the
-    /// request is re-sent (same sequence number — idempotent), with
-    /// exponential backoff capped at 64× this value. Never consulted when
-    /// the machine's fault plan is inert.
-    pub retry_timeout: Cycles,
-}
+// Software costs of the region library itself, charged on top of the
+// machine's messaging costs. They approximate the CRL paper's
+// "all-software" overheads; see DESIGN.md.
 
-impl Default for CrlCosts {
-    fn default() -> Self {
-        CrlCosts {
-            hit: 20,
-            miss: 80,
-            protocol: 90,
-            end: 12,
-            retry_timeout: 50_000,
-        }
-    }
-}
+/// A `start_*` that hits in the local cache state.
+const HIT_COST: Cycles = 20;
+/// Software overhead of a `start_*` miss (request construction,
+/// continuation bookkeeping), excluding messaging.
+const MISS_COST: Cycles = 80;
+/// Protocol processing per handler invocation at home or owner.
+const PROTOCOL_COST: Cycles = 90;
+/// An `end_*` with no deferred work.
+const END_COST: Cycles = 12;
+/// Initial retry timeout for a `start_*` miss when fault injection is
+/// active: if the grant has not arrived after this many cycles the request
+/// is re-sent (same sequence number — idempotent), with exponential backoff
+/// capped at 64× this value. Never consulted when the machine's fault plan
+/// is inert.
+const RETRY_TIMEOUT: Cycles = 50_000;
 
 /// Local (cached) state of a region on one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,8 +191,6 @@ struct CrlNode {
     /// node's first quantum begins earlier than ours and its requests are
     /// buffered ahead of our initialization.
     early_reqs: HashMap<Rid, Vec<DirReq>>,
-    /// Protocol statistics: messages handled.
-    proto_msgs: u64,
     /// Request retries fired by this node's timeout protocol.
     retries: u64,
 }
@@ -219,21 +203,14 @@ struct CrlNode {
 #[derive(Debug)]
 pub struct Crl {
     nnodes: usize,
-    costs: CrlCosts,
     nodes: Vec<Mutex<CrlNode>>,
 }
 
 impl Crl {
     /// Creates the DSM layer for a job spanning `nnodes` nodes.
     pub fn new(nnodes: usize) -> Self {
-        Crl::with_costs(nnodes, CrlCosts::default())
-    }
-
-    /// Creates the DSM layer with explicit software costs.
-    pub fn with_costs(nnodes: usize, costs: CrlCosts) -> Self {
         Crl {
             nnodes,
-            costs,
             nodes: (0..nnodes)
                 .map(|_| Mutex::new(CrlNode::default()))
                 .collect(),
@@ -354,7 +331,7 @@ impl Crl {
                     region.fill = 0;
                     region.got.clear();
                     drop(st);
-                    ctx.compute(self.costs.hit);
+                    ctx.compute(HIT_COST);
                     return;
                 }
                 region.fill = 0;
@@ -364,14 +341,14 @@ impl Crl {
                 seq = region.req_seq;
             }
             // Miss: ask the home node and sleep until the grant lands.
-            ctx.compute(self.costs.miss);
+            ctx.compute(MISS_COST);
             let req = [rid, write as u32 | (seq << 1)];
             ctx.send(self.home(rid), handlers::REQ, &req);
             if ctx.faults_active() {
                 // Chaos mode: the request or its grant may be dropped. Sleep
                 // with a timeout and re-send the same request (same sequence
                 // number — the directory dedups) with exponential backoff.
-                let mut timeout = self.costs.retry_timeout.max(1);
+                let mut timeout = RETRY_TIMEOUT;
                 let cap = timeout.saturating_mul(64);
                 while !ctx.block_timeout(Self::key(rid), timeout) {
                     self.node(me).retries += 1;
@@ -446,7 +423,7 @@ impl Crl {
             region.hold = None;
             deferred = region.deferred.take();
         }
-        ctx.compute(self.costs.end);
+        ctx.compute(END_COST);
         match deferred {
             None => {}
             Some(Deferred::Inv) => self.do_invalidate(ctx, rid),
@@ -484,12 +461,6 @@ impl Crl {
         f(&mut region.data)
     }
 
-    /// Total protocol messages this node has handled (for workload
-    /// characterization).
-    pub fn protocol_messages(&self, node: NodeId) -> u64 {
-        self.node(node).proto_msgs
-    }
-
     /// Total request retries fired by the timeout protocol, summed over all
     /// nodes. Always zero when fault injection is inert.
     pub fn retries(&self) -> u64 {
@@ -512,8 +483,7 @@ impl Crl {
             handlers::FLUSH => self.on_flush(ctx, env),
             _ => return false,
         }
-        self.node(ctx.node()).proto_msgs += 1;
-        ctx.compute(self.costs.protocol);
+        ctx.compute(PROTOCOL_COST);
         true
     }
 
@@ -1092,7 +1062,7 @@ mod tests {
     /// message reaches the user intact.
     #[test]
     fn poisoned_node_lock_is_recovered() {
-        let crl = Crl::with_costs(2, CrlCosts::default());
+        let crl = Crl::new(2);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut st = crl.nodes[0].lock().unwrap();
             st.retries = 7;
@@ -1102,6 +1072,5 @@ mod tests {
         assert!(crl.nodes[0].is_poisoned());
         // Every public accessor goes through the recovering helper.
         assert_eq!(crl.retries(), 7);
-        assert_eq!(crl.protocol_messages(0), 0);
     }
 }

@@ -8,7 +8,6 @@
 //! the overflow-control policy watches its free count.
 
 use fugu_sim::fault::FaultInjector;
-use fugu_sim::stats::HighWater;
 use fugu_sim::trace::{CategoryMask, TraceEvent, Tracer};
 
 /// Error returned when a node has no free page frames; without the second
@@ -48,7 +47,8 @@ impl std::error::Error for OutOfFrames {}
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
     total: u64,
-    used: HighWater,
+    used: u64,
+    peak: u64,
     tracer: Tracer,
     faults: FaultInjector,
     node: usize,
@@ -59,7 +59,8 @@ impl FrameAllocator {
     pub fn new(total: u64) -> Self {
         FrameAllocator {
             total,
-            used: HighWater::new(),
+            used: 0,
+            peak: 0,
             tracer: Tracer::disabled(),
             faults: FaultInjector::disabled(),
             node: 0,
@@ -88,18 +89,18 @@ impl FrameAllocator {
 
     /// Frames currently free.
     pub fn free(&self) -> u64 {
-        self.total - self.used.current()
+        self.total - self.used
     }
 
     /// Frames currently allocated.
     pub fn used(&self) -> u64 {
-        self.used.current()
+        self.used
     }
 
     /// Highest simultaneous allocation ever reached — the paper's
     /// "maximum number of physical pages required during any run".
     pub fn peak_used(&self) -> u64 {
-        self.used.peak()
+        self.peak
     }
 
     /// Allocates one frame.
@@ -120,11 +121,12 @@ impl FrameAllocator {
         if self.free() == 0 {
             return Err(OutOfFrames);
         }
-        self.used.adjust(1);
+        self.used += 1;
+        self.peak = self.peak.max(self.used);
         self.tracer
             .emit_with(CategoryMask::VM, || TraceEvent::PageAlloc {
                 node: self.node,
-                in_use: self.used.current() as usize,
+                in_use: self.used as usize,
             });
         Ok(())
     }
@@ -136,16 +138,15 @@ impl FrameAllocator {
     /// Panics if more frames are released than are allocated.
     pub fn release(&mut self, n: u64) {
         assert!(
-            n <= self.used.current(),
-            "released {} frames with only {} allocated",
-            n,
-            self.used.current()
+            n <= self.used,
+            "released {n} frames with only {} allocated",
+            self.used
         );
-        self.used.adjust(-(n as i64));
+        self.used -= n;
         self.tracer
             .emit_with(CategoryMask::VM, || TraceEvent::PageRelease {
                 node: self.node,
-                in_use: self.used.current() as usize,
+                in_use: self.used as usize,
             });
     }
 }

@@ -62,7 +62,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
 use crate::ledger::{MessageLedger, Observed};
-use crate::stats::{Accum, Histogram};
+use crate::stats::Histogram;
 use crate::trace::{TraceEvent, Tracer};
 use crate::Cycles;
 
@@ -163,12 +163,9 @@ const LATENCY_HIST_MAX_EXP: u32 = 32;
 /// Latency statistics for one delivery case.
 #[derive(Debug, Clone)]
 pub struct PathProfile {
-    /// Spans folded into this profile.
-    pub count: u64,
-    /// End-to-end latency moments (count/mean/min/max).
-    pub latency: Accum,
-    /// Log-bucketed end-to-end latency distribution (power-of-two bounds),
-    /// the source of the report's percentiles.
+    /// End-to-end latency of every span folded into this profile: the
+    /// span count, mean and max, and the log-bucketed distribution
+    /// (power-of-two bounds) behind the report's percentiles.
     pub hist: Histogram,
     /// Cycle-attribution totals across all folded spans.
     pub attribution: Attribution,
@@ -177,8 +174,6 @@ pub struct PathProfile {
 impl Default for PathProfile {
     fn default() -> Self {
         PathProfile {
-            count: 0,
-            latency: Accum::new(),
             hist: Histogram::exponential(LATENCY_HIST_MAX_EXP),
             attribution: Attribution::default(),
         }
@@ -187,16 +182,8 @@ impl Default for PathProfile {
 
 impl PathProfile {
     fn record(&mut self, attr: &Attribution) {
-        self.count += 1;
-        self.latency.push(attr.total() as f64);
         self.hist.record(attr.total());
         self.attribution.add(attr);
-    }
-
-    /// Latency percentile from the log-bucketed histogram (interpolated;
-    /// `None` if no span took this path).
-    pub fn percentile(&self, q: f64) -> Option<u64> {
-        self.hist.percentile(q)
     }
 
     /// Serializes the profile: span count, latency summary (mean, p50,
@@ -204,15 +191,15 @@ impl PathProfile {
     /// histogram.
     pub fn to_json(&self) -> Json {
         Json::object([
-            ("count", Json::from(self.count)),
+            ("count", Json::from(self.hist.total())),
             (
                 "latency_cycles",
                 Json::object([
-                    ("mean", Json::from(self.latency.mean())),
-                    ("p50", self.percentile(0.50).into()),
-                    ("p90", self.percentile(0.90).into()),
-                    ("p99", self.percentile(0.99).into()),
-                    ("max", Json::from(self.latency.max().map(|m| m as u64))),
+                    ("mean", Json::from(self.hist.mean())),
+                    ("p50", self.hist.percentile(0.50).into()),
+                    ("p90", self.hist.percentile(0.90).into()),
+                    ("p99", self.hist.percentile(0.99).into()),
+                    ("max", Json::from(self.hist.max())),
                 ]),
             ),
             ("attribution", self.attribution.to_json()),
@@ -480,8 +467,8 @@ mod tests {
         assert_eq!(report.launched, 1);
         assert_eq!(report.stitched, 1);
         assert_eq!(report.stitch_rate(), 1.0);
-        assert_eq!(report.fast.count, 1);
-        assert_eq!(report.buffered.count, 0);
+        assert_eq!(report.fast.hist.total(), 1);
+        assert_eq!(report.buffered.hist.total(), 0);
         let attr = report.spans[0].attribution().unwrap();
         assert_eq!(
             attr,
@@ -539,7 +526,7 @@ mod tests {
         });
         let report = p.finish();
         report.assert_clean();
-        assert_eq!(report.buffered.count, 1);
+        assert_eq!(report.buffered.hist.total(), 1);
         let attr = report.spans[0].attribution().unwrap();
         assert_eq!(
             attr,

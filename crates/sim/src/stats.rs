@@ -2,184 +2,130 @@
 //!
 //! The paper reports counts (total messages), means (`T_betw`, `T_hand`),
 //! fractions (percentage of messages buffered) and maxima (peak physical
-//! pages used for buffering). Counts are plain `u64` report fields;
-//! [`Accum`], [`Histogram`] and [`HighWater`] cover the rest without
-//! pulling in an external statistics crate. Run reports hold them as typed
-//! fields, one record per measurement (see `udm::RunReport`), and flatten
-//! those fields once into a [`MetricsRegistry`] for rendering.
+//! pages used for buffering). Counts and peaks are plain `u64` fields;
+//! every sample stream (handler cycles, per-path span latency) is one
+//! [`Histogram`], which keeps exact moments beside its buckets. Run
+//! reports hold them as typed fields, one record per measurement (see
+//! `udm::RunReport`), and flatten those fields once into a
+//! [`MetricsRegistry`] for rendering.
 
 use std::collections::BTreeMap;
 
 use crate::json::Json;
 
-/// Running sum/min/max/mean accumulator over `f64` samples.
+/// Power-of-two histogram over `u64` samples, with exact moments.
 ///
-/// # Example
-///
-/// ```
-/// use fugu_sim::stats::Accum;
-///
-/// let mut a = Accum::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     a.push(x);
-/// }
-/// assert_eq!(a.mean(), 2.0);
-/// assert_eq!(a.min(), Some(1.0));
-/// assert_eq!(a.max(), Some(3.0));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Accum {
-    n: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Accum {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Accum {
-            n: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records a sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean, or 0.0 if no samples were recorded.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
-
-    /// Smallest sample, if any.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest sample, if any.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-}
-
-impl Default for Accum {
-    fn default() -> Self {
-        Accum::new()
-    }
-}
-
-/// Fixed-boundary histogram over `u64` samples.
-///
-/// Bucket `i` counts samples `x` with `bounds[i-1] <= x < bounds[i]`; an
-/// implicit final bucket catches everything at or above the last bound.
+/// [`Histogram::exponential`]`(k)` has bounds `1, 2, 4, … 2^k`. Bucket 0
+/// holds the zero samples, bucket `i` (for `1 <= i <= k`) holds the
+/// samples of bit length `i` (`2^(i-1) <= x < 2^i`), and a final overflow
+/// bucket holds everything at or above `2^k`. Beside the buckets it keeps
+/// the exact count, sum, minimum and maximum of the samples.
 ///
 /// # Example
 ///
 /// ```
 /// use fugu_sim::stats::Histogram;
 ///
-/// let mut h = Histogram::new(&[10, 100]);
-/// h.record(5);
-/// h.record(50);
-/// h.record(500);
-/// assert_eq!(h.buckets(), &[1, 1, 1]);
+/// let mut h = Histogram::exponential(3);
+/// for x in [0, 1, 5, 100] {
+///     h.record(x);
+/// }
+/// assert_eq!(h.buckets(), &[1, 1, 0, 1, 1]);
+/// assert_eq!((h.total(), h.sum(), h.min(), h.max()), (4, 106, Some(0), Some(100)));
+/// assert_eq!(h.mean(), 26.5);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    bounds: Vec<u64>,
+    k: u32,
     buckets: Vec<u64>,
     total: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
 }
 
 impl Histogram {
-    /// Creates a histogram with the given strictly increasing bucket
-    /// boundaries.
+    /// Creates an empty histogram with power-of-two bounds `1, 2, 4, … 2^k`.
     ///
     /// # Panics
     ///
-    /// Panics if `bounds` is not strictly increasing.
-    pub fn new(bounds: &[u64]) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            buckets: vec![0; bounds.len() + 1],
-            total: 0,
-        }
-    }
-
-    /// Creates a histogram with power-of-two boundaries `1, 2, 4, ... 2^k`.
+    /// Panics if `k >= 64`, whose top bound would not fit in a `u64`.
     pub fn exponential(k: u32) -> Self {
-        let bounds: Vec<u64> = (0..=k).map(|i| 1u64 << i).collect();
-        Histogram::new(&bounds)
+        assert!(k < u64::BITS, "histogram bound 2^{k} does not fit in a u64");
+        Histogram {
+            k,
+            buckets: vec![0; k as usize + 2],
+            total: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
     }
 
     /// Records a sample.
     pub fn record(&mut self, x: u64) {
-        let idx = self.bounds.partition_point(|&b| b <= x);
-        self.buckets[idx] += 1;
+        let bits = u64::BITS - x.leading_zeros();
+        self.buckets[bits.min(self.k + 1) as usize] += 1;
         self.total += 1;
+        self.sum = self.sum.saturating_add(x);
+        self.min = self.min.min(x);
+        self.max = self.max.max(x);
     }
 
-    /// Per-bucket counts, including the implicit overflow bucket.
+    /// Per-bucket counts, including the overflow bucket.
     pub fn buckets(&self) -> &[u64] {
         &self.buckets
     }
 
-    /// Bucket boundaries as passed to the constructor.
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
-    /// Total number of samples recorded.
+    /// Number of samples recorded.
     pub fn total(&self) -> u64 {
         self.total
+    }
+
+    /// Sum of all samples (saturating at `u64::MAX`).
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// Arithmetic mean, or 0.0 if no samples were recorded.
+    pub fn mean(&self) -> f64 {
+        if self.total == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.total as f64
+        }
+    }
+
+    /// Smallest sample, if any.
+    pub fn min(&self) -> Option<u64> {
+        (self.total > 0).then_some(self.min)
+    }
+
+    /// Largest sample, if any.
+    pub fn max(&self) -> Option<u64> {
+        (self.total > 0).then_some(self.max)
     }
 
     /// Estimated value at quantile `q` (clamped to `0.0..=1.0`) assuming
     /// samples spread uniformly within their bucket: the containing bucket
     /// is found by cumulative rank and the estimate interpolates linearly
     /// between its edges. Returns `None` when the histogram is empty.
-    /// Samples in the implicit overflow bucket have no upper edge to
-    /// interpolate toward, so quantiles landing there saturate at the last
-    /// bound (record with wide enough bounds if the tail matters).
+    /// Samples in the overflow bucket have no upper edge to interpolate
+    /// toward, so quantiles landing there saturate at the top bound `2^k`
+    /// (pick a larger `k` if the tail matters).
     ///
     /// # Example
     ///
     /// ```
     /// use fugu_sim::stats::Histogram;
     ///
-    /// let mut h = Histogram::new(&[100]);
+    /// let mut h = Histogram::exponential(7);
     /// for _ in 0..4 {
-    ///     h.record(10);
+    ///     h.record(100); // bucket [64, 128)
     /// }
-    /// assert_eq!(h.percentile(0.5), Some(50));
-    /// assert_eq!(h.percentile(1.0), Some(100));
-    /// assert_eq!(Histogram::new(&[100]).percentile(0.5), None);
+    /// assert_eq!(h.percentile(0.5), Some(96));
+    /// assert_eq!(h.percentile(1.0), Some(128));
+    /// assert_eq!(Histogram::exponential(7).percentile(0.5), None);
     /// ```
     pub fn percentile(&self, q: f64) -> Option<u64> {
         if self.total == 0 {
@@ -193,15 +139,15 @@ impl Histogram {
             if c == 0 || (seen as f64) < target {
                 continue;
             }
-            if i >= self.bounds.len() {
-                break; // overflow bucket: saturate at the last bound
+            if i > self.k as usize {
+                break; // overflow bucket: saturate at the top bound
             }
-            let lo = if i == 0 { 0 } else { self.bounds[i - 1] };
-            let hi = self.bounds[i];
+            let lo = if i == 0 { 0 } else { 1 << (i - 1) };
+            let hi = 1u64 << i;
             let frac = ((target - below) / c as f64).clamp(0.0, 1.0);
             return Some(lo + ((hi - lo) as f64 * frac) as u64);
         }
-        Some(self.bounds.last().copied().unwrap_or(0))
+        Some(1 << self.k)
     }
 
     /// Serializes the histogram as a `{bounds, buckets, total}` object —
@@ -210,7 +156,7 @@ impl Histogram {
         Json::object([
             (
                 "bounds",
-                Json::array(self.bounds.iter().map(|&b| Json::UInt(b))),
+                Json::array((0..=self.k).map(|i| Json::UInt(1 << i))),
             ),
             (
                 "buckets",
@@ -218,61 +164,6 @@ impl Histogram {
             ),
             ("total", Json::UInt(self.total)),
         ])
-    }
-}
-
-/// Tracks the running maximum of a quantity that rises and falls, e.g. the
-/// number of physical pages backing a virtual buffer.
-///
-/// # Example
-///
-/// ```
-/// use fugu_sim::stats::HighWater;
-///
-/// let mut hw = HighWater::new();
-/// hw.set(3);
-/// hw.set(7);
-/// hw.set(2);
-/// assert_eq!(hw.peak(), 7);
-/// assert_eq!(hw.current(), 2);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HighWater {
-    current: u64,
-    peak: u64,
-}
-
-impl HighWater {
-    /// Creates a tracker at zero.
-    pub fn new() -> Self {
-        HighWater::default()
-    }
-
-    /// Sets the current level, updating the peak.
-    pub fn set(&mut self, level: u64) {
-        self.current = level;
-        self.peak = self.peak.max(level);
-    }
-
-    /// Adjusts the current level by a signed delta.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the level would go negative.
-    pub fn adjust(&mut self, delta: i64) {
-        let next = self.current as i64 + delta;
-        debug_assert!(next >= 0, "high-water level went negative");
-        self.set(next.max(0) as u64);
-    }
-
-    /// Current level.
-    pub fn current(&self) -> u64 {
-        self.current
-    }
-
-    /// Highest level ever set.
-    pub fn peak(&self) -> u64 {
-        self.peak
     }
 }
 
@@ -288,45 +179,62 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accum_tracks_moments() {
-        let mut a = Accum::new();
-        assert_eq!(a.mean(), 0.0);
-        assert_eq!(a.min(), None);
-        for x in [4.0, -2.0, 10.0] {
-            a.push(x);
+    fn buckets_by_bit_length() {
+        let mut h = Histogram::exponential(3);
+        h.record(0); // zero bucket
+        h.record(1); // [1, 2)
+        h.record(2); // [2, 4)
+        h.record(3); // [2, 4)
+        h.record(7); // [4, 8)
+        h.record(8); // overflow: at the top bound 2^3
+        h.record(u64::MAX); // overflow
+        assert_eq!(h.buckets(), &[1, 1, 2, 1, 2]);
+        assert_eq!(h.total(), 7);
+    }
+
+    #[test]
+    fn widest_histogram_keeps_u64_max_in_range() {
+        let mut h = Histogram::exponential(63);
+        h.record(1 << 62);
+        h.record(u64::MAX);
+        assert_eq!(h.buckets().len(), 65);
+        assert_eq!(h.buckets()[63], 1, "2^62 has bit length 63");
+        assert_eq!(h.buckets()[64], 1, "u64::MAX is at or above 2^63");
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn oversized_exponent_panics() {
+        Histogram::exponential(64);
+    }
+
+    #[test]
+    fn moments_are_exact() {
+        let mut h = Histogram::exponential(24);
+        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.min(), None);
+        assert_eq!(h.max(), None);
+        assert_eq!(h.sum(), 0);
+        for x in [4, 0, 10] {
+            h.record(x);
         }
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 12.0);
-        assert_eq!(a.mean(), 4.0);
-        assert_eq!(a.min(), Some(-2.0));
-        assert_eq!(a.max(), Some(10.0));
-    }
-
-    #[test]
-    fn accum_default_is_empty() {
-        let mut a = Accum::default();
-        assert_eq!(a, Accum::new());
-        a.push(5.0);
-        assert_eq!(a.min(), Some(5.0));
-        let mut b = Accum::default();
-        b.push(-3.0);
-        assert_eq!(b.max(), Some(-3.0));
-    }
-
-    #[test]
-    fn histogram_buckets_boundaries() {
-        let mut h = Histogram::new(&[10, 20]);
-        h.record(9); // bucket 0
-        h.record(10); // bucket 1 (bounds are inclusive lower ends)
-        h.record(19); // bucket 1
-        h.record(20); // overflow bucket
-        assert_eq!(h.buckets(), &[1, 2, 1]);
-        assert_eq!(h.total(), 4);
+        assert_eq!(h.total(), 3);
+        assert_eq!(h.sum(), 14);
+        assert_eq!(h.mean(), 14.0 / 3.0);
+        assert_eq!(h.min(), Some(0));
+        assert_eq!(h.max(), Some(10));
+        // Moments are exact even where the buckets saturate.
+        let mut h = Histogram::exponential(2);
+        h.record(1000);
+        assert_eq!(
+            (h.min(), h.max(), h.mean()),
+            (Some(1000), Some(1000), 1000.0)
+        );
     }
 
     #[test]
     fn percentile_empty_is_none() {
-        let h = Histogram::new(&[10, 100]);
+        let h = Histogram::exponential(7);
         assert_eq!(h.percentile(0.0), None);
         assert_eq!(h.percentile(0.5), None);
         assert_eq!(h.percentile(1.0), None);
@@ -334,90 +242,76 @@ mod tests {
 
     #[test]
     fn percentile_interpolates_within_single_bucket() {
-        // All mass in the [0, 100) bucket: quantiles walk its width.
-        let mut h = Histogram::new(&[100]);
+        // All mass in the [64, 128) bucket: quantiles walk its width.
+        let mut h = Histogram::exponential(7);
         for _ in 0..10 {
-            h.record(7);
+            h.record(100);
         }
-        assert_eq!(h.percentile(0.0), Some(0));
-        assert_eq!(h.percentile(0.5), Some(50));
-        assert_eq!(h.percentile(0.9), Some(90));
-        assert_eq!(h.percentile(1.0), Some(100));
+        assert_eq!(h.percentile(0.0), Some(64));
+        assert_eq!(h.percentile(0.5), Some(96));
+        assert_eq!(h.percentile(0.75), Some(112));
+        assert_eq!(h.percentile(1.0), Some(128));
         // Out-of-range quantiles clamp instead of panicking.
-        assert_eq!(h.percentile(-1.0), Some(0));
-        assert_eq!(h.percentile(2.0), Some(100));
+        assert_eq!(h.percentile(-1.0), Some(64));
+        assert_eq!(h.percentile(2.0), Some(128));
+        // The zero bucket interpolates over [0, 1).
+        let mut h = Histogram::exponential(7);
+        h.record(0);
+        assert_eq!(h.percentile(1.0), Some(1));
     }
 
     #[test]
     fn percentile_spans_buckets_by_rank() {
-        let mut h = Histogram::new(&[10, 100, 1000]);
+        let mut h = Histogram::exponential(10);
         for _ in 0..90 {
-            h.record(5); // bucket [0, 10)
+            h.record(5); // bucket [4, 8)
         }
         for _ in 0..10 {
-            h.record(500); // bucket [100, 1000)
+            h.record(500); // bucket [256, 512)
         }
         let p50 = h.percentile(0.5).unwrap();
-        assert!(p50 < 10, "median lies in the dense low bucket, got {p50}");
+        assert!(
+            (4..8).contains(&p50),
+            "median lies in the dense low bucket, got {p50}"
+        );
         let p95 = h.percentile(0.95).unwrap();
         assert!(
-            (100..1000).contains(&p95),
+            (256..512).contains(&p95),
             "p95 lies in the tail bucket, got {p95}"
         );
-        assert_eq!(h.percentile(1.0), Some(1000));
+        assert_eq!(h.percentile(1.0), Some(512));
     }
 
     #[test]
     fn percentile_saturates_in_overflow_bucket() {
-        // u64::MAX lands in the implicit overflow bucket; quantiles there
-        // saturate at the last explicit bound rather than inventing an edge.
-        let mut h = Histogram::new(&[10, 100]);
+        // u64::MAX lands in the overflow bucket; quantiles there saturate
+        // at the top bound rather than inventing an edge.
+        let mut h = Histogram::exponential(6);
         h.record(u64::MAX);
         h.record(u64::MAX);
-        assert_eq!(h.buckets(), &[0, 0, 2]);
-        assert_eq!(h.percentile(0.5), Some(100));
-        assert_eq!(h.percentile(1.0), Some(100));
-        // A histogram with no explicit bounds at all degenerates to zero.
-        let mut h = Histogram::new(&[]);
+        assert_eq!(h.buckets()[7], 2);
+        assert_eq!(h.percentile(0.5), Some(64));
+        assert_eq!(h.percentile(1.0), Some(64));
+        assert_eq!(h.sum(), u64::MAX, "the sum saturates");
+        // With k = 0 the only bound is 1: any positive sample overflows.
+        let mut h = Histogram::exponential(0);
         h.record(42);
-        assert_eq!(h.percentile(0.5), Some(0));
+        assert_eq!(h.buckets(), &[0, 1]);
+        assert_eq!(h.percentile(0.5), Some(1));
     }
 
     #[test]
     fn histogram_to_json_shape() {
-        let mut h = Histogram::new(&[10, 100]);
-        h.record(5);
+        let mut h = Histogram::exponential(2);
+        h.record(3);
         h.record(u64::MAX);
         assert_eq!(
             h.to_json().render(),
-            r#"{"bounds":[10,100],"buckets":[1,0,1],"total":2}"#
+            r#"{"bounds":[1,2,4],"buckets":[0,0,1,1],"total":2}"#
         );
         assert_eq!(
-            Histogram::new(&[]).to_json().render(),
-            r#"{"bounds":[],"buckets":[0],"total":0}"#
+            Histogram::exponential(0).to_json().render(),
+            r#"{"bounds":[1],"buckets":[0,0],"total":0}"#
         );
-    }
-
-    #[test]
-    fn exponential_histogram_shape() {
-        let h = Histogram::exponential(3);
-        assert_eq!(h.bounds(), &[1, 2, 4, 8]);
-        assert_eq!(h.buckets().len(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn bad_bounds_panic() {
-        Histogram::new(&[5, 5]);
-    }
-
-    #[test]
-    fn high_water_peaks() {
-        let mut hw = HighWater::new();
-        hw.adjust(5);
-        hw.adjust(-3);
-        hw.adjust(1);
-        assert_eq!(hw.current(), 3);
-        assert_eq!(hw.peak(), 5);
     }
 }

@@ -71,14 +71,17 @@ cmp results/explore_corpus.json "$tmpdir/explore_a.json" \
 # Behavioral-drift gates: engine/perf work must never change simulated
 # results. Regenerate, with the committed flags, table4 (fast-path send,
 # interrupt and poll costs), table5 (buffered-path extract costs), table6
-# (all five apps) — seconds each — and ablate (~15 s at --jobs 2; the only
+# (all five apps) — seconds each — ablate (~15 s at --jobs 2; the only
 # committed result that runs the polling-watchdog dispatch and 1–16-deep
-# NIC queues), and demand byte-identical output.
+# NIC queues) and the full-size Figure 9 and 10 sweeps (~30 s each at
+# --jobs 2), and demand byte-identical output.
 cargo run --offline --release -p fugu-bench --bin table4 -- --json "$tmpdir/table4.json" >/dev/null
 cargo run --offline --release -p fugu-bench --bin table5 -- --json "$tmpdir/table5.json" >/dev/null
-cargo run --offline --release -p fugu-bench --bin table6 -- --jobs 4 --json "$tmpdir/table6.json" >/dev/null
-cargo run --offline --release -p fugu-bench --bin ablate -- --jobs 4 --json "$tmpdir/ablate.json" >/dev/null
-for result in table4 table5 table6 ablate; do
+for result in table6 ablate fig9 fig10; do
+  cargo run --offline --release -p fugu-bench --bin "$result" -- \
+    --jobs 4 --json "$tmpdir/$result.json" >/dev/null
+done
+for result in table4 table5 table6 ablate fig9 fig10; do
   cmp "results/$result.json" "$tmpdir/$result.json" \
     || { echo "ci: results/$result.json drifted from regenerated output" >&2; exit 1; }
 done
