@@ -1,14 +1,21 @@
 //! Chaos harness: sweeps deterministic fault injection over every paper
 //! application and asserts the delivery guarantees hold.
 //!
-//! For each application × fault-rate cell the harness runs a fresh machine
-//! with a scaled [`FaultPlan`] (drops, duplicates, transit delays, NIC
-//! stalls, frame-allocation failures, forced handler faults, quantum
-//! jitter), attaches an [`InvariantChecker`] to the machine's tracer, and
-//! checks:
+//! Every application × fault-rate × trial cell is a [`ScenarioSpec`]
+//! ([`chaos_spec`]) run by the same library runner as `explore`
+//! ([`run_scenario`]): the application at the explorer's data-set tier 1
+//! with `--quick` and tier 2 otherwise, on the explorer's default machine,
+//! under one fault knob scaled into a plan that exercises every injection
+//! site at once (drops, duplicates, transit delays, NIC stalls,
+//! frame-allocation failures, forced handler faults, quantum jitter). The
+//! harness checks:
 //!
-//! - **zero invariant violations** (conservation, per-channel FIFO, drain
-//!   progress, buffering accounting) at every fault rate;
+//! - **a clean oracle verdict** at every fault rate: zero invariant
+//!   violations (conservation, per-channel FIFO, drain progress, buffering
+//!   accounting, frame budget), plus at rate 0 a fully stitched span
+//!   profile and report counters that match the trace;
+//! - **completion** — a cell whose run deadlocks, trips `max_cycles` or
+//!   panics is reported under its classified status, and the sweep goes on;
 //! - **result integrity** — the CRL applications (barnes, water, lu) must
 //!   produce *bit-identical* results under faults, because the CRL
 //!   retry/timeout protocol is transparent; enum must terminate with a
@@ -16,155 +23,27 @@
 //! - **the retry protocol actually fires** — at the highest fault rate the
 //!   CRL applications must have re-sent at least one request.
 //!
-//! The run is deterministic: the same `--seed` produces byte-identical
-//! output (and `--json` report) on every invocation.
+//! A failing cell prints its first failing trial as a one-line
+//! `explore --replay` repro. The run is deterministic: the same `--seed`
+//! produces byte-identical output (and `--json` report) on every
+//! invocation.
 
-use std::sync::Arc;
-
-use fugu_apps::{
-    BarnesApp, BarnesParams, BarrierApp, BarrierParams, EnumApp, EnumParams, LuApp, LuParams,
-    WaterApp, WaterParams,
-};
+use fugu_bench::scenario::{chaos_spec, run_scenario};
 use fugu_bench::{mcycles, parallel_map, pct, write_report, Json, Opts, Table};
-use fugu_sim::fault::FaultPlan;
-use udm::{InvariantChecker, JobSpec, Machine, MachineConfig};
+use fugu_sim::explore::RunStatus;
 
 /// The applications swept, in reporting order.
 const APPS: [&str; 5] = ["barnes", "water", "lu", "barrier", "enum"];
 
-/// Scales one knob `rate` into a full chaos plan exercising every
-/// injection site at once.
-fn plan(rate: f64) -> FaultPlan {
-    if rate == 0.0 {
-        return FaultPlan::default();
-    }
-    FaultPlan {
-        drop: rate,
-        duplicate: rate / 2.0,
-        delay: rate,
-        second_net_delay: rate,
-        nic_stall: rate / 2.0,
-        frame_fail: rate / 2.0,
-        handler_fault: rate,
-        quantum_jitter: 2_000,
-        ..FaultPlan::default()
-    }
-}
-
-/// Keeps the app `Arc` alive so results can be validated after the run.
-enum Handle {
-    Barnes(Arc<BarnesApp>),
-    Water(Arc<WaterApp>),
-    Lu(Arc<LuApp>),
-    Barrier,
-    Enum(Arc<EnumApp>),
-}
-
-impl Handle {
-    /// The application's summary result: checksum (barnes/water), residual
-    /// bits (lu) or solution count (enum); barrier has none.
-    fn value(&self) -> Option<u64> {
-        match self {
-            Handle::Barnes(a) => Some(a.checksum().expect("barnes did not finish")),
-            Handle::Water(a) => Some(a.checksum().expect("water did not finish")),
-            Handle::Lu(a) => Some(a.residual().expect("lu did not finish").to_bits() as u64),
-            Handle::Barrier => None,
-            Handle::Enum(a) => Some(a.solutions().expect("enum did not finish")),
-        }
-    }
-
-    /// CRL request retries fired by the timeout protocol.
-    fn retries(&self) -> u64 {
-        match self {
-            Handle::Barnes(a) => a.crl_retries(),
-            Handle::Water(a) => a.crl_retries(),
-            Handle::Lu(a) => a.crl_retries(),
-            Handle::Barrier | Handle::Enum(_) => 0,
-        }
-    }
-
-    /// Whether the result must be bit-identical at every fault rate
-    /// (the CRL retry protocol is transparent).
-    fn exact(&self) -> bool {
-        matches!(self, Handle::Barnes(_) | Handle::Water(_) | Handle::Lu(_))
-    }
-}
-
-/// Builds one application job with the same data sets the other harnesses
-/// use (`AppKind::job` sizes), keeping the `Arc` for validation.
-fn build(app: &str, nodes: usize, quick: bool) -> (JobSpec, Handle) {
-    match app {
-        "barnes" => {
-            let a = BarnesApp::spec(
-                nodes,
-                BarnesParams {
-                    bodies: if quick { 64 } else { 256 },
-                    iters: 3,
-                    interact_cost: 120,
-                    build_cost: 120,
-                    ..Default::default()
-                },
-            );
-            (BarnesApp::job(&a), Handle::Barnes(a))
-        }
-        "water" => {
-            let a = WaterApp::spec(
-                nodes,
-                WaterParams {
-                    molecules: if quick { 32 } else { 128 },
-                    iters: 3,
-                    pair_check_cost: 30,
-                    interact_cost: 800,
-                    ..Default::default()
-                },
-            );
-            (WaterApp::job(&a), Handle::Water(a))
-        }
-        "lu" => {
-            let a = LuApp::spec(
-                nodes,
-                LuParams {
-                    n: if quick { 48 } else { 96 },
-                    block: 12,
-                    flop_cost: 32,
-                },
-            );
-            (LuApp::job(&a), Handle::Lu(a))
-        }
-        "barrier" => {
-            let spec = BarrierApp::spec(
-                nodes,
-                BarrierParams {
-                    barriers: if quick { 100 } else { 400 },
-                    work: 0,
-                },
-            );
-            (spec, Handle::Barrier)
-        }
-        "enum" => {
-            let a = EnumApp::spec(
-                nodes,
-                EnumParams {
-                    side: 4,
-                    empty: 1,
-                    spray_depth: 4,
-                    spray_percent: 25,
-                    steal_batch: 2,
-                    expand_cost: 150,
-                },
-            );
-            (EnumApp::job(&a), Handle::Enum(a))
-        }
-        other => panic!("unknown app {other:?}"),
-    }
-}
-
 /// One application × fault-rate sweep cell, aggregated over trials.
+#[derive(Default)]
 struct Cell {
     app: &'static str,
     rate: f64,
-    /// Per-trial application results (see [`Handle::value`]).
+    /// Per-trial application results (see `ScenarioRun::result`).
     values: Vec<Option<u64>>,
+    /// Whether the app runs over CRL, so its result must be bit-identical
+    /// at every fault rate.
     exact: bool,
     retries: u64,
     end_time: u64,
@@ -174,55 +53,56 @@ struct Cell {
     dropped: u64,
     duplicated: u64,
     peak_pages: u64,
-    violations: Vec<String>,
+    violations: u64,
+    /// How the first trial that did not complete ended.
+    ended: Option<RunStatus>,
+    /// Oracle violations and panic messages, one line each.
+    problems: Vec<String>,
+    /// The first trial the oracle stack failed.
+    failed_trial: Option<u32>,
 }
 
 fn run_cell(app: &'static str, rate: f64, opts: &Opts) -> Cell {
     let mut cell = Cell {
         app,
         rate,
-        values: Vec::new(),
-        exact: false,
-        retries: 0,
-        end_time: 0,
-        buffered: 0.0,
-        launched: 0,
-        delivered: 0,
-        dropped: 0,
-        duplicated: 0,
-        peak_pages: 0,
-        violations: Vec::new(),
+        ..Cell::default()
     };
     for trial in 0..opts.trials {
-        let mut m = Machine::new(MachineConfig {
-            nodes: opts.nodes,
-            seed: opts.seed + trial as u64,
-            faults: plan(rate),
-            ..Default::default()
-        });
-        let checker = InvariantChecker::new();
-        checker.attach(m.tracer());
-        let (job, handle) = build(app, opts.nodes, opts.quick);
-        m.add_job(job);
-        let r = m.run();
-        let j = r.job(app);
-        let stats = checker.stats();
-        let faults = |key| match r.metrics.get(key) {
-            Some(&Json::UInt(n)) => n,
-            _ => 0,
-        };
-        cell.values.push(handle.value());
-        cell.exact = handle.exact();
-        cell.retries += handle.retries();
-        cell.end_time = cell.end_time.max(r.end_time);
-        cell.buffered += j.buffered_fraction() / opts.trials as f64;
-        cell.launched += stats.launched;
-        cell.delivered += stats.delivered;
-        cell.dropped += faults("faults.dropped");
-        cell.duplicated += faults("faults.duplicated");
-        cell.peak_pages = cell.peak_pages.max(stats.peak_pages);
-        cell.violations
-            .extend(checker.violations().iter().map(|v| v.to_string()));
+        let run = run_scenario(&chaos_spec(app, rate, trial, opts))
+            .expect("every chaos app is a known workload");
+        let o = &run.outcome;
+        if let Some(r) = &run.report {
+            let faults = |key| match r.metrics.get(key) {
+                Some(&Json::UInt(n)) => n,
+                _ => 0,
+            };
+            cell.buffered += r.job(app).buffered_fraction() / opts.trials as f64;
+            cell.dropped += faults("faults.dropped");
+            cell.duplicated += faults("faults.duplicated");
+        }
+        cell.values.push(run.result);
+        cell.exact |= run.crl_retries.is_some();
+        cell.retries += run.crl_retries.unwrap_or(0);
+        cell.end_time = cell.end_time.max(o.cycles);
+        cell.launched += o.launched;
+        cell.delivered += o.delivered;
+        cell.peak_pages = cell.peak_pages.max(o.peak_pages);
+        cell.violations += o.violations.len() as u64;
+        cell.problems.extend(
+            o.violations
+                .iter()
+                .map(|(kind, detail)| format!("{kind}: {detail}")),
+        );
+        if o.status != RunStatus::Completed {
+            cell.ended.get_or_insert(o.status);
+            let detail = o.detail.as_deref().unwrap_or("");
+            cell.problems
+                .push(format!("{}: {detail}", o.status.as_str()));
+        }
+        if o.failed() {
+            cell.failed_trial.get_or_insert(trial);
+        }
     }
     cell
 }
@@ -247,7 +127,13 @@ fn main() {
         opts.nodes,
         opts.seed
     );
+    // A panicking cell is caught, classified and reported below with its
+    // repro line, whose replay prints the whole panic; until then the
+    // default hook's backtraces are noise.
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
     let results = parallel_map(opts.jobs, &cells, |&(app, rate)| run_cell(app, rate, &opts));
+    std::panic::set_hook(hook);
 
     let mut failures: Vec<String> = Vec::new();
     let mut points = Vec::new();
@@ -270,24 +156,33 @@ fn main() {
             .find(|c| c.app == cell.app && c.rate == 0.0)
             .expect("rate 0.0 is always swept");
         let mut verdict = Vec::new();
-        if !cell.violations.is_empty() {
-            verdict.push("INVARIANT");
-            failures.extend(
-                cell.violations
-                    .iter()
-                    .map(|v| format!("{} @ rate {}: {}", cell.app, cell.rate, v)),
-            );
+        if cell.violations > 0 {
+            verdict.push("INVARIANT".to_string());
         }
-        if cell.exact {
-            // Transparent recovery: every trial at every rate must
-            // reproduce the fault-free result bit for bit.
-            if cell.values.iter().any(|v| *v != baseline.values[0]) {
-                verdict.push("RESULT");
-                failures.push(format!(
-                    "{} @ rate {}: result {:?} != fault-free {:?}",
-                    cell.app, cell.rate, cell.values, baseline.values[0]
-                ));
-            }
+        if let Some(status) = cell.ended {
+            verdict.push(status.as_str().to_uppercase());
+        }
+        failures.extend(
+            cell.problems
+                .iter()
+                .map(|p| format!("{} @ rate {}: {p}", cell.app, cell.rate)),
+        );
+        let mut repro_trial = cell.failed_trial;
+        // Transparent recovery: every trial of a CRL app at every rate
+        // must reproduce the fault-free result bit for bit.
+        let mismatch = cell.values.iter().position(|v| *v != baseline.values[0]);
+        if let (true, Some(trial)) = (cell.exact, mismatch) {
+            verdict.push("RESULT".to_string());
+            failures.push(format!(
+                "{} @ rate {}: result {:?} != fault-free {:?}",
+                cell.app, cell.rate, cell.values, baseline.values[0]
+            ));
+            repro_trial.get_or_insert(trial as u32);
+        }
+        if let Some(trial) = repro_trial {
+            let spec = chaos_spec(cell.app, cell.rate, trial, &opts);
+            let last = failures.last_mut().expect("a failing cell reported why");
+            last.push_str(&format!("\n    repro: explore --replay '{spec}'"));
         }
         let ok = verdict.is_empty();
         t.row(vec![
@@ -321,7 +216,7 @@ fn main() {
             ("duplicated", Json::from(cell.duplicated)),
             ("peak_pages", Json::from(cell.peak_pages)),
             ("result", Json::from(cell.values[0])),
-            ("violations", Json::from(cell.violations.len() as u64)),
+            ("violations", Json::from(cell.violations)),
             ("ok", Json::from(ok)),
         ]));
     }

@@ -23,7 +23,7 @@
 //! | flag | default | effect |
 //! |------|---------|--------|
 //! | `--quick` | off | reduced data sets for smoke runs |
-//! | `--nodes N` | per-binary (8 for apps, 4 for synth, 2 for tables) | machine size |
+//! | `--nodes N` | per-binary (8 for apps, 4 for synth, 2 for tables) | machine size, at most 64 |
 //! | `--seed S` | `0xF00D` | base seed; trial `t` runs with seed `S + t` |
 //! | `--trials K` | 1 | trials averaged per data point (paper: 3) |
 //! | `--jobs J` | 1 | host threads sweeping data points in parallel |
@@ -33,21 +33,24 @@
 //! `--jobs` only changes host-side wall-clock: every data point runs its
 //! own deterministic simulation, results are reassembled in sweep order,
 //! and the JSON output is byte-identical whatever `J` is (neither `--jobs`
-//! nor `--json` is echoed into the report). Unknown options, and a zero
-//! `--nodes` or `--trials`, print usage and exit with status 2. Data-set scaling versus the paper is recorded
-//! in EXPERIMENTS.md; the JSON schema is documented in
-//! docs/OBSERVABILITY.md.
+//! nor `--json` is echoed into the report). Unknown options, a zero
+//! `--trials`, and a `--nodes` outside `1..=64` (`MAX_NODES`: every node
+//! of every job is two host threads) print usage and exit with status 2.
+//! Data-set scaling versus the paper is recorded in EXPERIMENTS.md; the
+//! JSON schema is documented in docs/OBSERVABILITY.md.
+
+pub mod scenario;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use fugu_apps::{
     BarnesApp, BarnesParams, BarrierApp, BarrierParams, EnumApp, EnumParams, LuApp, LuParams,
     NullApp, SynthApp, SynthParams, WaterApp, WaterParams,
 };
+use fugu_sim::explore::MAX_NODES;
 pub use fugu_sim::json::Json;
-use udm::{CostModel, Cycles, JobSpec, Machine, MachineConfig, Program, RunReport};
+use udm::{CostModel, Cycles, JobSpec, Machine, MachineConfig, RunReport};
 
 /// Schema identifier stamped into every `--json` report.
 pub const BENCH_SCHEMA: &str = "fugu-bench/v1";
@@ -75,7 +78,7 @@ pub struct Opts {
 pub const USAGE: &str = "\
 options:
   --quick        reduced data sets for smoke runs
-  --nodes N      machine size (default varies per binary)
+  --nodes N      machine size, 1..=64 (default varies per binary)
   --seed S       base seed (default 0xF00D = 61453)
   --trials K     trials averaged per data point (default 1)
   --jobs J       host threads sweeping data points in parallel (default 1)
@@ -85,8 +88,8 @@ options:
 impl Opts {
     /// Parses the flag set from explicit arguments (everything after
     /// `argv[0]`). Returns an error message naming the offending flag on
-    /// unknown options, missing values, unparsable numbers, or a zero
-    /// `--nodes` or `--trials`.
+    /// unknown options, missing values, unparsable numbers, a zero
+    /// `--trials`, or a `--nodes` outside `1..=`[`MAX_NODES`].
     ///
     /// # Example
     ///
@@ -139,6 +142,9 @@ impl Opts {
         }
         if opts.nodes == 0 {
             return Err("--nodes must be at least 1".to_string());
+        }
+        if opts.nodes > MAX_NODES {
+            return Err(format!("--nodes must be at most {MAX_NODES}"));
         }
         if opts.trials == 0 {
             return Err("--trials must be at least 1".to_string());
@@ -279,42 +285,15 @@ impl AppKind {
     /// the paper's data sets).
     pub fn job(self, nodes: usize, quick: bool) -> JobSpec {
         match self {
-            AppKind::Barnes => {
-                let params = BarnesParams {
-                    bodies: if quick { 64 } else { 256 },
-                    iters: 3,
-                    interact_cost: 120,
-                    build_cost: 120,
-                    ..Default::default()
-                };
-                JobSpec::new("barnes", BarnesApp::spec(nodes, params) as Arc<dyn Program>)
-            }
-            AppKind::Water => {
-                let params = WaterParams {
-                    molecules: if quick { 32 } else { 128 },
-                    iters: 3,
-                    pair_check_cost: 30,
-                    interact_cost: 800,
-                    ..Default::default()
-                };
-                JobSpec::new("water", WaterApp::spec(nodes, params) as Arc<dyn Program>)
-            }
-            AppKind::Lu => {
-                let params = if quick {
-                    LuParams {
-                        n: 48,
-                        block: 12,
-                        flop_cost: 32,
-                    }
-                } else {
-                    LuParams {
-                        n: 96,
-                        block: 12,
-                        flop_cost: 32,
-                    }
-                };
-                JobSpec::new("lu", LuApp::spec(nodes, params) as Arc<dyn Program>)
-            }
+            AppKind::Barnes => BarnesApp::job(&BarnesApp::spec(
+                nodes,
+                barnes_params(if quick { 64 } else { 256 }),
+            )),
+            AppKind::Water => WaterApp::job(&WaterApp::spec(
+                nodes,
+                water_params(if quick { 32 } else { 128 }),
+            )),
+            AppKind::Lu => LuApp::job(&LuApp::spec(nodes, lu_params(if quick { 48 } else { 96 }))),
             AppKind::Barrier => {
                 let params = BarrierParams {
                     barriers: if quick { 200 } else { 1_000 },
@@ -331,9 +310,40 @@ impl AppKind {
                     steal_batch: 2,
                     expand_cost: 150,
                 };
-                JobSpec::new("enum", EnumApp::spec(nodes, params) as Arc<dyn Program>)
+                EnumApp::job(&EnumApp::spec(nodes, params))
             }
         }
+    }
+}
+
+/// Barnes-Hut at `bodies` bodies, the harnesses' cost calibration.
+fn barnes_params(bodies: usize) -> BarnesParams {
+    BarnesParams {
+        bodies,
+        iters: 3,
+        interact_cost: 120,
+        build_cost: 120,
+        ..Default::default()
+    }
+}
+
+/// Water at `molecules` molecules, the harnesses' cost calibration.
+fn water_params(molecules: usize) -> WaterParams {
+    WaterParams {
+        molecules,
+        iters: 3,
+        pair_check_cost: 30,
+        interact_cost: 800,
+        ..Default::default()
+    }
+}
+
+/// Blocked LU of an `n`×`n` matrix in 12×12 blocks.
+fn lu_params(n: usize) -> LuParams {
+    LuParams {
+        n,
+        block: 12,
+        flop_cost: 32,
     }
 }
 
@@ -481,4 +491,23 @@ pub fn pct(x: f64) -> String {
 /// Formats a cycle count in engineering style.
 pub fn mcycles(c: Cycles) -> String {
     format!("{:.1}M", c as f64 / 1e6)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Opts, String> {
+        Opts::try_parse(8, args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn nodes_are_bounded() {
+        assert_eq!(parse(&["--nodes", "64"]).unwrap().nodes, MAX_NODES);
+        for n in ["65", "5000", "100000"] {
+            let err = parse(&["--nodes", n]).unwrap_err();
+            assert_eq!(err, "--nodes must be at most 64", "--nodes {n}");
+        }
+        assert!(parse(&["--nodes", "0"]).is_err());
+    }
 }

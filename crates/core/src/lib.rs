@@ -86,7 +86,7 @@ pub use user::{CtxKind, Envelope, Program, UserCtx};
 
 // Re-export the substrate types that appear in this crate's public API so
 // downstream users need only depend on `udm`.
-pub use fugu_glaze::{AtomicityImpl, CostModel, RxInterruptCosts};
+pub use fugu_glaze::{CostModel, RxInterruptCosts};
 pub use fugu_net::{Gid, HandlerId, NetworkConfig, NodeId};
 pub use fugu_nic::NicConfig;
 pub use fugu_sim::Cycles;

@@ -70,10 +70,10 @@ fn interrupt_delivery_reaches_handler() {
 /// the machine, not asserted from the constants.
 #[test]
 fn table4_interrupt_cost_is_emergent() {
-    for (costs, expect) in [
-        (CostModel::kernel(), 54.0),
-        (CostModel::hard_atomicity(), 87.0),
-        (CostModel::soft_atomicity(), 115.0),
+    for (column, costs, expect) in [
+        ("kernel mode", CostModel::kernel(), 54.0),
+        ("hard atomicity", CostModel::hard_atomicity(), 87.0),
+        ("soft atomicity", CostModel::soft_atomicity(), 115.0),
     ] {
         let mut m = Machine::new(MachineConfig {
             nodes: 2,
@@ -92,8 +92,7 @@ fn table4_interrupt_cost_is_emergent() {
         assert_eq!(
             j.handler_cycles.mean(),
             expect,
-            "interrupt total for {:?}",
-            costs.atomicity
+            "interrupt total for {column}"
         );
     }
 }

@@ -8,30 +8,6 @@
 
 use fugu_sim::Cycles;
 
-/// Which atomicity implementation the receive path uses — the three columns
-/// of Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AtomicityImpl {
-    /// Unprotected kernel-to-kernel messaging: no GID check, no timer, no
-    /// upcall (54-cycle interrupt receive in the paper).
-    KernelOnly,
-    /// The revocable-interrupt-disable hardware of §4.1 (87 cycles).
-    HardAtomicity,
-    /// Atomicity emulated in software, as on first-silicon CMMU (115
-    /// cycles).
-    SoftAtomicity,
-}
-
-impl std::fmt::Display for AtomicityImpl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            AtomicityImpl::KernelOnly => "kernel mode",
-            AtomicityImpl::HardAtomicity => "hard atomicity",
-            AtomicityImpl::SoftAtomicity => "soft atomicity",
-        })
-    }
-}
-
 /// Itemized interrupt-receive costs: the middle section of Table 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RxInterruptCosts {
@@ -98,9 +74,6 @@ impl RxInterruptCosts {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    /// Which Table 4 column this model represents.
-    pub atomicity: AtomicityImpl,
-
     // ---- send (Table 4 top) ----
     /// Descriptor construction for a null message.
     pub send_descriptor: Cycles,
@@ -166,7 +139,6 @@ impl CostModel {
     /// messaging (the baseline the protected path is compared against).
     pub fn kernel() -> Self {
         CostModel {
-            atomicity: AtomicityImpl::KernelOnly,
             rx_interrupt: RxInterruptCosts {
                 interrupt_overhead: 6,
                 register_save: 16,
@@ -186,7 +158,6 @@ impl CostModel {
     /// with the revocable interrupt disable implemented in hardware.
     pub fn hard_atomicity() -> Self {
         CostModel {
-            atomicity: AtomicityImpl::HardAtomicity,
             send_descriptor: 6,
             send_launch: 1,
             send_per_word: 3,
@@ -224,7 +195,6 @@ impl CostModel {
     /// emulated in software (first-silicon CMMU / the paper's simulator).
     pub fn soft_atomicity() -> Self {
         CostModel {
-            atomicity: AtomicityImpl::SoftAtomicity,
             rx_interrupt: RxInterruptCosts {
                 interrupt_overhead: 6,
                 register_save: 16,
@@ -344,12 +314,5 @@ mod tests {
         let m = CostModel::hard_atomicity();
         assert_eq!(m.rx_interrupt_total(2), 87 + 4);
         assert_eq!(m.poll_total(2), 9 + 4);
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(AtomicityImpl::KernelOnly.to_string(), "kernel mode");
-        assert_eq!(AtomicityImpl::HardAtomicity.to_string(), "hard atomicity");
-        assert_eq!(AtomicityImpl::SoftAtomicity.to_string(), "soft atomicity");
     }
 }

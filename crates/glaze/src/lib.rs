@@ -27,7 +27,7 @@ pub mod sched;
 pub mod vbuf;
 pub mod vm;
 
-pub use costs::{AtomicityImpl, CostModel, RxInterruptCosts};
+pub use costs::{CostModel, RxInterruptCosts};
 pub use overflow::{OverflowAction, OverflowControl};
 pub use sched::GangScheduler;
 pub use vbuf::{InsertOutcome, VirtualBuffer};

@@ -32,6 +32,12 @@ use crate::fault::FaultPlan;
 use crate::json::Json;
 use crate::rng::DetRng;
 
+/// Largest machine a scenario (or a harness's `--nodes`) may ask for. The
+/// machine runs every node of every job on two host threads, so an
+/// unbounded node count asks the host for unbounded threads; the largest
+/// machine any committed harness, test or scenario builds has 12 nodes.
+pub const MAX_NODES: usize = 64;
+
 /// One workload the generator may pick, with the property that decides
 /// whether lossy-network faults are safe to combine with it.
 ///
@@ -161,8 +167,10 @@ impl ScenarioSpec {
                 "seed" => spec.seed = int(value)?,
                 "nodes" => {
                     let n = int(value)?;
-                    if n == 0 {
-                        return Err("scenario `nodes` must be positive".into());
+                    if n == 0 || n > MAX_NODES as u64 {
+                        return Err(format!(
+                            "scenario `nodes` must be in 1..={MAX_NODES}, got `{value}`"
+                        ));
                     }
                     spec.nodes = n as usize;
                 }
@@ -704,6 +712,16 @@ mod tests {
             u32::MAX
         );
         assert!(ScenarioSpec::parse("faults=frame-burst=4294967296").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_the_node_count() {
+        // Every node of every job is two host threads.
+        assert_eq!(ScenarioSpec::parse("nodes=64").unwrap().nodes, MAX_NODES);
+        for text in ["nodes=65", "nodes=100000", "nodes=18446744073709551615"] {
+            let err = ScenarioSpec::parse(text).unwrap_err();
+            assert!(err.contains("1..=64"), "{text}: {err}");
+        }
     }
 
     #[test]

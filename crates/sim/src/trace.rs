@@ -70,6 +70,21 @@ impl CategoryMask {
     /// Every category.
     pub const ALL: CategoryMask = CategoryMask(0x3FF);
 
+    /// Every name [`CategoryMask::parse`] accepts, with the mask it selects.
+    pub const NAMES: [(&'static str, CategoryMask); 11] = [
+        ("msg", CategoryMask::MSG),
+        ("upcall", CategoryMask::UPCALL),
+        ("buffer", CategoryMask::BUFFER),
+        ("mode", CategoryMask::MODE),
+        ("atomicity", CategoryMask::ATOMICITY),
+        ("overflow", CategoryMask::OVERFLOW),
+        ("vm", CategoryMask::VM),
+        ("sched", CategoryMask::SCHED),
+        ("fault", CategoryMask::FAULT),
+        ("span", CategoryMask::SPAN),
+        ("all", CategoryMask::ALL),
+    ];
+
     /// Raw bit representation.
     pub fn bits(self) -> u32 {
         self.0
@@ -86,10 +101,10 @@ impl CategoryMask {
     }
 
     /// Parses a comma-separated list of category names (as used by the
-    /// `FUGU_TRACE` environment variable): `msg`, `upcall`, `buffer`,
-    /// `mode`, `atomicity`, `overflow`, `vm`, `sched`, `fault`, `span`, or
-    /// `all`. Unknown names are ignored; use [`CategoryMask::parse_report`]
-    /// to find out which names were not recognised.
+    /// `FUGU_TRACE` environment variable) from [`CategoryMask::NAMES`],
+    /// case-insensitively. Unknown names are ignored; use
+    /// [`CategoryMask::parse_report`] to find out which names were not
+    /// recognised.
     ///
     /// # Example
     ///
@@ -124,25 +139,13 @@ impl CategoryMask {
         let mut unknown = Vec::new();
         for name in names.split(',') {
             let name = name.trim().to_ascii_lowercase();
-            mask = mask
-                | match name.as_str() {
-                    "msg" => CategoryMask::MSG,
-                    "upcall" => CategoryMask::UPCALL,
-                    "buffer" => CategoryMask::BUFFER,
-                    "mode" => CategoryMask::MODE,
-                    "atomicity" => CategoryMask::ATOMICITY,
-                    "overflow" => CategoryMask::OVERFLOW,
-                    "vm" => CategoryMask::VM,
-                    "sched" => CategoryMask::SCHED,
-                    "fault" => CategoryMask::FAULT,
-                    "span" => CategoryMask::SPAN,
-                    "all" => CategoryMask::ALL,
-                    "" => CategoryMask::NONE,
-                    _ => {
-                        unknown.push(name);
-                        CategoryMask::NONE
-                    }
-                };
+            if name.is_empty() {
+                continue;
+            }
+            match CategoryMask::NAMES.iter().find(|(known, _)| *known == name) {
+                Some(&(_, m)) => mask = mask | m,
+                None => unknown.push(name),
+            }
         }
         (mask, unknown)
     }
@@ -735,11 +738,10 @@ impl Tracer {
             static WARN_ONCE: std::sync::Once = std::sync::Once::new();
             WARN_ONCE.call_once(|| {
                 eprintln!(
-                    "warning: FUGU_TRACE: unknown categor{} {}; known names: \
-                     msg, upcall, buffer, mode, atomicity, overflow, vm, sched, \
-                     fault, span, all",
+                    "warning: FUGU_TRACE: unknown categor{} {}; known names: {}",
                     if unknown.len() == 1 { "y" } else { "ies" },
-                    unknown.join(", ")
+                    unknown.join(", "),
+                    CategoryMask::NAMES.map(|(name, _)| name).join(", ")
                 );
             });
         }
@@ -854,6 +856,17 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_listed_name_parses_and_together_they_cover_all() {
+        let mut union = CategoryMask::NONE;
+        for (name, mask) in CategoryMask::NAMES {
+            assert_eq!(CategoryMask::parse_report(name), (mask, Vec::new()));
+            assert_eq!(CategoryMask::parse(&name.to_ascii_uppercase()), mask);
+            union = union | mask;
+        }
+        assert_eq!(union, CategoryMask::ALL);
+    }
 
     #[test]
     fn disabled_tracer_records_nothing() {

@@ -74,16 +74,18 @@ cmp results/explore_corpus.json "$tmpdir/explore_a.json" \
 # (all five apps) — seconds each — ablate (~15 s at --jobs 2; the only
 # committed result that runs the polling-watchdog dispatch and 1–16-deep
 # NIC queues) and the full-size Figure 9 and 10 sweeps (~30 s each at
-# --jobs 2), and demand byte-identical output.
-cargo run --offline --release -p fugu-bench --bin table4 -- --json "$tmpdir/table4.json" >/dev/null
-cargo run --offline --release -p fugu-bench --bin table5 -- --json "$tmpdir/table5.json" >/dev/null
+# --jobs 2), and demand byte-identical JSON reports and stdout tables.
+cargo run --offline --release -p fugu-bench --bin table4 -- --json "$tmpdir/table4.json" >"$tmpdir/table4.txt"
+cargo run --offline --release -p fugu-bench --bin table5 -- --json "$tmpdir/table5.json" >"$tmpdir/table5.txt"
 for result in table6 ablate fig9 fig10; do
   cargo run --offline --release -p fugu-bench --bin "$result" -- \
-    --jobs 4 --json "$tmpdir/$result.json" >/dev/null
+    --jobs 4 --json "$tmpdir/$result.json" >"$tmpdir/$result.txt"
 done
 for result in table4 table5 table6 ablate fig9 fig10; do
-  cmp "results/$result.json" "$tmpdir/$result.json" \
-    || { echo "ci: results/$result.json drifted from regenerated output" >&2; exit 1; }
+  for ext in json txt; do
+    cmp "results/$result.$ext" "$tmpdir/$result.$ext" \
+      || { echo "ci: results/$result.$ext drifted from regenerated output" >&2; exit 1; }
+  done
 done
 # Profile drift gate: the full-size span profile must reproduce the
 # committed BENCH_PROFILE.json byte for byte, so oracle and trace changes
