@@ -1,7 +1,7 @@
 //! Chaos harness: sweeps deterministic fault injection over every paper
 //! application and asserts the delivery guarantees hold.
 //!
-//! Every application × fault-rate × trial cell is a [`ScenarioSpec`]
+//! Every application × fault-rate × trial cell is a [`ScenarioSpec`](fugu_sim::explore::ScenarioSpec)
 //! ([`chaos_spec`]) run by the same library runner as `explore`
 //! ([`run_scenario`]): the application at the explorer's data-set tier 1
 //! with `--quick` and tier 2 otherwise, on the explorer's default machine,

@@ -2,7 +2,8 @@
 //!
 //! Runs the Table 6 application suite standalone plus one multiprogrammed
 //! scenario (barrier vs. null at 10% skew, which forces second-case
-//! delivery) with the [`fugu_sim::span`] profiler attached, and reports the
+//! delivery) under the trace oracle ([`udm::InvariantChecker`]), and
+//! reports from its [`fugu_sim::span`] profile the
 //! inject-to-retirement latency distribution **split by delivery case**:
 //! p50/p90/p99/max end-to-end cycles and the per-subsystem attribution
 //! table (net / nic / sched / vbuf / handler), which sums to end-to-end
@@ -16,9 +17,10 @@
 //!   (`<stem>.trace.json`) — open it at <https://ui.perfetto.dev>; see
 //!   docs/OBSERVABILITY.md § "Profiling a run".
 //!
-//! The binary is also a self-check: it panics if any span fails the
-//! attribution identity, if the stitch rate is below 100% (these runs are
-//! fault-free), or if either output file fails to parse back.
+//! The binary is also a self-check: it panics if any delivery invariant
+//! breaks, if any span fails the attribution identity, if the stitch rate
+//! is below 100% (these runs are fault-free), or if either output file
+//! fails to parse back.
 
 use std::path::PathBuf;
 
@@ -26,10 +28,10 @@ use fugu_apps::NullApp;
 use fugu_bench::{
     machine, multiprogram_costs, parallel_map, pct, write_report, AppKind, Json, Opts, Table,
 };
-use fugu_sim::span::{PathProfile, ProfileReport, Profiler};
+use fugu_sim::span::{PathProfile, ProfileReport};
 use fugu_sim::trace::Tracer;
 use fugu_sim::trace_export::chrome_trace;
-use udm::{CostModel, Machine};
+use udm::{CostModel, InvariantChecker, Machine};
 
 /// Spans exported into the Perfetto trace (a fixed cap keeps the artifact
 /// reviewable; the profile JSON still aggregates every span).
@@ -81,19 +83,20 @@ impl Scenario {
     }
 }
 
-/// Builds and runs one scenario under the profiler and enforces the
-/// acceptance checks: clean stitching, 100% stitch rate, exact attribution
-/// sums. Building the machine here, inside the `--jobs` worker, keeps at
+/// Builds and runs one scenario under the trace oracle and enforces the
+/// acceptance checks: no invariant violation, clean stitching, 100% stitch
+/// rate, exact attribution sums. Building the machine here, inside the `--jobs` worker, keeps at
 /// most `--jobs` machines and their sim-threads alive at once.
 fn profile(scenario: Scenario, opts: &Opts) -> (u64, ProfileReport) {
     let name = scenario.name();
     let mut machine = scenario.machine(opts);
     let tracer = Tracer::disabled();
-    let profiler = Profiler::new();
-    profiler.attach(&tracer);
+    let oracle = InvariantChecker::new();
+    oracle.attach(&tracer);
     machine.set_tracer(tracer);
     let report = machine.run();
-    let profile = profiler.finish();
+    oracle.assert_clean();
+    let profile = oracle.finish();
     profile.assert_clean();
     assert_eq!(
         profile.stitch_rate(),

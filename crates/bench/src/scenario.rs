@@ -2,14 +2,16 @@
 //!
 //! [`run_scenario`] builds a machine from a [`ScenarioSpec`]
 //! ([`MachineConfig::from_scenario`]), instantiates the spec's workload and
-//! runs it under the full oracle stack:
+//! runs it under the full oracle stack, all read from the one trace oracle
+//! ([`InvariantChecker`]) and its message ledger:
 //!
-//! - [`InvariantChecker`]: conservation, per-channel FIFO, drain progress,
+//! - delivery invariants: conservation, per-channel FIFO, drain progress,
 //!   buffering accounting, frame-budget bound;
-//! - [`Profiler`] on fault-free runs: 100% stitch rate and exact
+//! - span checks on fault-free runs: 100% stitch rate and exact
 //!   per-message cycle attribution;
-//! - report/trace cross-check on fault-free runs: the run report's send and
-//!   delivery counters must equal the checker's trace-derived counts.
+//! - report/trace cross-check on fault-free runs: the run report's send,
+//!   fast-delivery and buffered-delivery counters must equal the same
+//!   counts summed over the ledger, per delivery case.
 //!
 //! A panic inside the run (a deadlock, a `max_cycles` trip, an application
 //! precondition) is caught and classified with [`RunStatus::classify`]
@@ -25,7 +27,7 @@ use fugu_apps::{
 };
 use fugu_sim::explore::{Outcome, RunStatus, ScenarioSpec, WorkloadInfo};
 use fugu_sim::fault::FaultPlan;
-use fugu_sim::span::Profiler;
+use fugu_sim::ledger::Tally;
 use udm::{InvariantChecker, Machine, MachineConfig, RunReport};
 
 use crate::{barnes_params, lu_params, water_params, Opts};
@@ -78,6 +80,18 @@ pub struct ScenarioRun {
     pub crl_retries: Option<u64>,
 }
 
+/// The `enum` workload's search at data-set tier `scale`.
+fn enum_params(scale: usize) -> EnumParams {
+    EnumParams {
+        side: 4,
+        empty: [1, 1, 2][scale],
+        spray_depth: 4,
+        spray_percent: 25,
+        steal_batch: 2,
+        expand_cost: 150,
+    }
+}
+
 /// Reads the application's result and CRL retries once its run is over.
 type Probe = Box<dyn FnOnce() -> (Option<u64>, Option<u64>)>;
 
@@ -98,19 +112,7 @@ fn add_workload(m: &mut Machine, spec: &ScenarioSpec) -> Result<Probe, String> {
             },
         )
     };
-    let enumerate = |scale: usize| {
-        EnumApp::spec(
-            nodes,
-            EnumParams {
-                side: 4,
-                empty: [1, 1, 2][scale],
-                spray_depth: 4,
-                spray_percent: 25,
-                steal_batch: 2,
-                expand_cost: 150,
-            },
-        )
-    };
+    let enumerate = |scale: usize| EnumApp::spec(nodes, enum_params(scale));
     let no_result: Probe = Box::new(|| (None, None));
     let probe: Probe = match spec.workload.as_str() {
         "synth" => {
@@ -176,10 +178,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
     // legitimately slow ones (observed end times are tens of Mcycles).
     cfg.max_cycles = 1 << 33;
     let mut m = Machine::new(cfg);
-    let checker = InvariantChecker::new().with_page_bound(spec.frames);
-    checker.attach(m.tracer());
-    let profiler = Profiler::new();
-    profiler.attach(m.tracer());
+    let oracle = InvariantChecker::new().with_page_bound(spec.frames);
+    oracle.attach(m.tracer());
 
     // Job construction runs inside the catch too: a hand-written replay
     // spec can violate an application precondition (e.g. the barrier's
@@ -190,8 +190,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
         Ok::<_, String>((report, probe()))
     }));
 
-    let stats = checker.stats();
-    let mut violations: Vec<(String, String)> = checker
+    let trace = oracle.tally();
+    let mut violations: Vec<(String, String)> = oracle
         .violations()
         .iter()
         .map(|v| (v.kind.to_string(), format!("[{}] {}", v.at, v.detail)))
@@ -202,12 +202,12 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
             status: RunStatus::Completed,
             detail: None,
             cycles: 0,
-            launched: stats.launched,
-            delivered: stats.delivered,
+            launched: trace.launched,
+            delivered: trace.delivered,
             fast: 0,
             buffered: 0,
             revocations: 0,
-            peak_pages: stats.peak_pages,
+            peak_pages: oracle.peak_pages(),
             suspensions: 0,
             violations: Vec::new(),
         },
@@ -232,19 +232,16 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
                 // Fault-free runs: the report's counters and the trace
                 // oracle's must agree exactly, and every delivered span
                 // must stitch with an exact cycle attribution.
-                if sent != stats.launched || outcome.fast + outcome.buffered != stats.delivered {
-                    violations.push((
-                        "report-trace-divergence".to_string(),
-                        format!(
-                            "report sent {sent} / delivered {} vs trace launched {} / \
-                             delivered {}",
-                            outcome.fast + outcome.buffered,
-                            stats.launched,
-                            stats.delivered
-                        ),
-                    ));
+                let counted = Tally {
+                    launched: sent,
+                    delivered: outcome.fast + outcome.buffered,
+                    fast: outcome.fast,
+                    buffered: outcome.buffered,
+                };
+                if let Some(detail) = report_trace_divergence(&counted, &trace) {
+                    violations.push(("report-trace-divergence".to_string(), detail));
                 }
-                let profile = profiler.finish();
+                let profile = oracle.finish();
                 for err in &profile.errors {
                     violations.push(("span-profile".to_string(), err.clone()));
                 }
@@ -281,6 +278,28 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
     }
     out.outcome.violations = violations;
     Ok(out)
+}
+
+/// Compares what the run report counted against the same counts summed
+/// over the trace oracle's ledger, per delivery case: sends against
+/// launches, fast deliveries against upcalls and polls, buffered
+/// deliveries (Fig. 7's numerator) against buffer inserts, and all
+/// deliveries against delivery events. Returns the mismatch, if any.
+fn report_trace_divergence(report: &Tally, trace: &Tally) -> Option<String> {
+    (report != trace).then(|| {
+        format!(
+            "report sent {} / fast {} / buffered {} / delivered {} vs trace \
+             launched {} / fast {} / buffered {} / delivered {}",
+            report.launched,
+            report.fast,
+            report.buffered,
+            report.delivered,
+            trace.launched,
+            trace.fast,
+            trace.buffered,
+            trace.delivered
+        )
+    })
 }
 
 /// Runs a scenario and, when `check_replay` (or when it fails), runs it a
@@ -331,5 +350,91 @@ pub fn chaos_spec(app: &str, rate: f64, trial: u32, opts: &Opts) -> ScenarioSpec
         scale: if opts.quick { 1 } else { 2 },
         faults,
         ..ScenarioSpec::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cross_check_compares_each_delivery_case() {
+        let report = Tally {
+            launched: 10,
+            delivered: 10,
+            fast: 7,
+            buffered: 3,
+        };
+        assert_eq!(report_trace_divergence(&report, &report), None);
+        // The same totals with the fast/buffered split swapped: a sum-only
+        // comparison would pass this.
+        let swapped = Tally {
+            fast: 3,
+            buffered: 7,
+            ..report
+        };
+        let detail = report_trace_divergence(&report, &swapped).unwrap();
+        assert!(detail.contains("fast 7 / buffered 3"), "{detail}");
+        assert!(detail.contains("fast 3 / buffered 7"), "{detail}");
+    }
+
+    /// Every fault class that loses and copies nothing leaves enum's
+    /// solution count exact, alone and gang-scheduled against `null` at
+    /// 20% skew. Drops and duplicates do not: enum's work messages are
+    /// unacknowledged (docs/ROBUSTNESS.md).
+    #[test]
+    fn enum_counts_exactly_under_every_non_lossy_fault_class() {
+        let classes = [
+            FaultPlan {
+                delay: 0.2,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                delay: 0.2,
+                delay_cycles: 50_000,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                nic_stall: 0.2,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                frame_fail: 0.2,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                handler_fault: 0.2,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                quantum_jitter: 2_000,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                second_net_delay: 0.2,
+                ..FaultPlan::default()
+            },
+        ];
+        let expected = EnumApp::reference_count(enum_params(1));
+        for faults in classes {
+            for seed in 0..2 {
+                for bg_null in [false, true] {
+                    let spec = ScenarioSpec {
+                        seed,
+                        workload: "enum".to_string(),
+                        scale: 1,
+                        bg_null,
+                        timeslice: 50_000,
+                        skew_pct: if bg_null { 20 } else { 0 },
+                        faults: faults.clone(),
+                        ..ScenarioSpec::default()
+                    };
+                    let run = run_scenario(&spec).unwrap();
+                    let repro = spec.render();
+                    assert!(!run.outcome.failed(), "{repro}: {:?}", run.outcome);
+                    assert_eq!(run.result, Some(expected), "{repro}");
+                }
+            }
+        }
     }
 }

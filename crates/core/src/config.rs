@@ -74,7 +74,8 @@ impl Default for MachineConfig {
 }
 
 impl MachineConfig {
-    /// Builds a configuration from an explorer [`ScenarioSpec`].
+    /// Builds a configuration from an explorer
+    /// [`ScenarioSpec`](fugu_sim::explore::ScenarioSpec).
     ///
     /// The spec's knobs override the paper's defaults: machine shape
     /// (`nodes`, `frames`), scheduler timing (`timeslice`, `skew`,

@@ -73,16 +73,18 @@
 //! ```
 
 pub mod config;
-pub mod invariant;
 pub mod machine;
 pub mod report;
 pub mod user;
 
 pub use config::{JobSpec, MachineConfig};
-pub use invariant::InvariantChecker;
 pub use machine::Machine;
 pub use report::{JobReport, NodeReport, RunReport};
 pub use user::{CtxKind, Envelope, Program, UserCtx};
+
+// The trace oracle lives next to its message ledger in `fugu_sim`;
+// re-exported so a checked run needs only `udm`.
+pub use fugu_sim::invariant::{InvariantChecker, Violation};
 
 // Re-export the substrate types that appear in this crate's public API so
 // downstream users need only depend on `udm`.

@@ -1,5 +1,5 @@
-//! Oracle mutation tests: the delivery-invariant checker and the span
-//! profiler must pass a trace recorded from a real run, and must fail in
+//! Oracle mutation tests: the trace oracle's delivery invariants and span
+//! checks must pass a trace recorded from a real run, and must fail in
 //! exactly the expected way once one event of that trace is dropped,
 //! duplicated, reordered or retimed.
 //!
@@ -8,14 +8,14 @@
 //! skew (buffered traffic: inserts, extracts, mode flips and page
 //! allocations) and `barrier` under a drop/duplicate fault plan (the
 //! `FaultDrop` and `FaultDuplicate` events). Each test corrupts a copy of a
-//! recorded trace and replays it through `Tracer::emit` into fresh oracles.
+//! recorded trace and replays it through `Tracer::emit` into a fresh oracle.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use fugu_apps::{BarrierApp, BarrierParams, LuApp, LuParams, NullApp};
 use fugu_sim::fault::FaultPlan;
-use fugu_sim::span::{ProfileReport, Profiler};
+use fugu_sim::span::ProfileReport;
 use fugu_sim::trace::{CategoryMask, TraceEvent, TraceRecord, Tracer};
 use udm::{CostModel, InvariantChecker, JobSpec, Machine, MachineConfig, Program};
 
@@ -92,7 +92,8 @@ fn faulty_trace() -> &'static [TraceRecord] {
     })
 }
 
-/// What both oracles made of one replayed trace.
+/// What the oracle made of one replayed trace: invariant violations and
+/// the span profile.
 struct Verdict {
     kinds: Vec<&'static str>,
     undelivered: u64,
@@ -106,8 +107,6 @@ fn replay_bounded(records: &[TraceRecord], page_bound: Option<u64>) -> Verdict {
         None => InvariantChecker::new(),
     };
     checker.attach(&tracer);
-    let profiler = Profiler::new();
-    profiler.attach(&tracer);
     for r in records {
         tracer.set_time(r.at);
         tracer.emit(r.event.clone());
@@ -115,7 +114,7 @@ fn replay_bounded(records: &[TraceRecord], page_bound: Option<u64>) -> Verdict {
     Verdict {
         kinds: checker.violations().iter().map(|v| v.kind).collect(),
         undelivered: checker.undelivered(),
-        profile: profiler.finish(),
+        profile: checker.finish(),
     }
 }
 

@@ -7,10 +7,12 @@ use std::sync::{Arc, Mutex};
 use fugu_apps::{NullApp, SynthApp, SynthParams};
 use fugu_sim::fault::FaultPlan;
 use fugu_sim::json::Json;
-use fugu_sim::span::{DeliveryPath, Profiler};
+use fugu_sim::span::DeliveryPath;
 use fugu_sim::trace::{CategoryMask, TraceEvent, TraceRecord, Tracer};
 use fugu_sim::trace_export::chrome_trace;
-use udm::{Envelope, JobSpec, Machine, MachineConfig, Program, RunReport, UserCtx};
+use udm::{
+    Envelope, InvariantChecker, JobSpec, Machine, MachineConfig, Program, RunReport, UserCtx,
+};
 
 /// Every node streams bursts at its ring neighbour with a slow handler, so
 /// receivers fall behind and some messages take the buffered path.
@@ -142,11 +144,13 @@ fn subscriber_sees_the_same_events_as_the_recorder() {
 #[test]
 fn profiler_stitches_every_delivered_message_on_a_fault_free_run() {
     let tracer = Tracer::disabled();
-    let profiler = Profiler::new();
-    profiler.attach(&tracer);
+    let oracle = InvariantChecker::new();
+    oracle.attach(&tracer);
     let m = busy_machine(tracer);
     let report = m.run();
-    let profile = profiler.finish();
+    oracle.assert_clean();
+    let tally = oracle.tally(); // `finish` hands the ledger over
+    let profile = oracle.finish();
     profile.assert_clean();
 
     // Fault-free run: every delivered message stitches into a complete,
@@ -163,6 +167,7 @@ fn profiler_stitches_every_delivered_message_on_a_fault_free_run() {
     let buffered: u64 = report.jobs.iter().map(|j| j.delivered_buffered).sum();
     assert_eq!(profile.fast.hist.total(), fast);
     assert_eq!(profile.buffered.hist.total(), buffered);
+    assert_eq!((tally.fast, tally.buffered), (fast, buffered));
     assert!(profile.buffered.hist.total() > 0, "workload should buffer");
     assert_eq!(profile.launched, profile.delivered + profile.in_flight);
 

@@ -95,18 +95,6 @@ impl std::fmt::Display for HandlerId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Payload(Arc<[u32]>);
 
-impl Payload {
-    /// The empty payload.
-    pub fn empty() -> Self {
-        Payload(Arc::from([]))
-    }
-
-    /// The words as a slice.
-    pub fn as_slice(&self) -> &[u32] {
-        &self.0
-    }
-}
-
 impl std::ops::Deref for Payload {
     type Target = [u32];
 

@@ -5,7 +5,7 @@
 //! quantum expiry, handler page faults, frame exhaustion (§4.3, §5.1).
 //! The figure harnesses only drive those transitions incidentally; this
 //! module provokes them on purpose, and deterministically, so that the
-//! delivery-guarantee invariants (see `udm::invariant`) can be checked
+//! delivery-guarantee invariants (see [`crate::invariant`]) can be checked
 //! under adversarial schedules and the same seed always reproduces the
 //! same run byte for byte.
 //!
@@ -14,7 +14,7 @@
 //! instrumented layer; each injection point consults it through one method
 //! call that reduces to **a single relaxed atomic load when the plan is
 //! inert** — the same zero-cost-when-off discipline as [`crate::trace`].
-//! Randomness comes from per-site [`DetRng`](crate::rng::DetRng) streams
+//! Randomness comes from per-site [`DetRng`] streams
 //! split from the seed, so enabling one fault class does not perturb the
 //! decisions of another.
 //!

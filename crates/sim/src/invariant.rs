@@ -1,14 +1,17 @@
-//! Online delivery-guarantee invariant checking.
+//! The trace oracle: delivery invariants and span attribution over one
+//! message ledger.
 //!
 //! Two-case delivery's promise (§4.3, §5.1) is that no matter which path a
 //! message takes — fast upcall, polled extraction, or transparent replay
 //! from the virtual buffer — delivery is *exactly once*, *in order per
-//! sender*, and buffered backlogs both drain and stay bounded. The fault
-//! injector ([`fugu_sim::fault`]) exists to attack those guarantees; this
-//! module watches the trace stream and verifies they hold anyway.
+//! sender*, buffered backlogs both drain and stay bounded, and the two
+//! cases are transparent down to the cycle. The fault injector
+//! ([`crate::fault`]) exists to attack those guarantees; this module
+//! watches the trace stream and verifies they hold anyway.
 //!
-//! An [`InvariantChecker`] subscribes to a machine's
-//! [`Tracer`](fugu_sim::trace::Tracer) and validates, online:
+//! An [`InvariantChecker`] subscribes once to a machine's
+//! [`Tracer`] and folds every event into one message
+//! ledger ([`crate::ledger`]). Against those records it validates, online:
 //!
 //! * **Conservation** — every delivery corresponds to exactly one launch;
 //!   a message is delivered at most once (twice when the fault injector
@@ -20,59 +23,46 @@
 //!   *something* within a bounded number of its own scheduling quanta.
 //! * **Bounded buffering** — optionally, the per-node page-frame high-water
 //!   mark stays under a configured bound (the paper's §5.1 claim).
-//!
-//! The per-message lifecycle the rules read (launch, deliveries, buffer
-//! inserts, declared drops and duplicates, buffer residency) lives in a
-//! [`MessageLedger`], the model every trace oracle shares; the checker
-//! keeps only its own rule state: the last uid delivered per channel, the
-//! drain strikes and the page bound.
+//! * **Span consistency** — every closed span carries a complete, monotone
+//!   event chain whose cycle attribution sums exactly to its end-to-end
+//!   latency ([`crate::span`]).
 //!
 //! Violations carry a structured `{at, kind, detail}` diagnostic and are
 //! collected for inspection ([`InvariantChecker::violations`],
-//! [`InvariantChecker::assert_clean`]).
+//! [`InvariantChecker::assert_clean`]); span errors and the per-path
+//! latency profile come out of [`InvariantChecker::finish`].
 //!
 //! # Example
 //!
 //! ```
-//! use std::sync::Arc;
-//! use fugu_sim::trace::{CategoryMask, Tracer};
-//! use udm::invariant::InvariantChecker;
-//! use udm::{JobSpec, Machine, MachineConfig, Program, UserCtx};
+//! use fugu_sim::invariant::InvariantChecker;
+//! use fugu_sim::trace::{TraceEvent, Tracer};
 //!
-//! struct Ping;
-//! impl Program for Ping {
-//!     fn main(&self, ctx: &mut UserCtx<'_>) {
-//!         if ctx.node() == 0 {
-//!             ctx.send(1, 0, &[1]);
-//!         } else {
-//!             ctx.begin_atomic();
-//!             while !ctx.poll() {
-//!                 ctx.compute(10);
-//!             }
-//!             ctx.end_atomic();
-//!         }
-//!     }
-//!     fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &udm::Envelope) {}
-//! }
+//! let tracer = Tracer::disabled();
+//! let oracle = InvariantChecker::new();
+//! oracle.attach(&tracer);
 //!
-//! let mut m = Machine::new(MachineConfig { nodes: 2, ..Default::default() });
-//! let tracer = Tracer::recorder(0, CategoryMask::NONE);
-//! let checker = InvariantChecker::new();
-//! checker.attach(&tracer);
-//! m.set_tracer(tracer);
-//! m.add_job(JobSpec::new("ping", Arc::new(Ping)));
-//! m.run();
-//! checker.assert_clean();
-//! assert_eq!(checker.stats().delivered, 1);
+//! // Node 0 sends uid 1 to node 1, which takes it by poll; then a second
+//! // copy of the same message arrives that no fault plan declared.
+//! tracer.emit(TraceEvent::MsgLaunch { node: 0, job: 0, dst: 1, words: 1, uid: 1 });
+//! tracer.set_time(9);
+//! tracer.emit(TraceEvent::MsgArrive { node: 1, qlen: 1, uid: 1 });
+//! tracer.emit(TraceEvent::PollDelivery { node: 1, job: 0, words: 1, uid: 1 });
+//! assert!(oracle.violations().is_empty());
+//! tracer.emit(TraceEvent::PollDelivery { node: 1, job: 0, words: 1, uid: 1 });
+//! assert_eq!(oracle.violations()[0].kind, "over-delivery");
+//! assert_eq!(oracle.tally().delivered, 2);
+//! let profile = oracle.finish();
+//! assert_eq!((profile.delivered, profile.anomalies), (1, 1));
 //! ```
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use fugu_net::NodeId;
-use fugu_sim::ledger::{MessageLedger, Observed};
-use fugu_sim::trace::{TraceEvent, Tracer};
-use fugu_sim::Cycles;
+use crate::ledger::{MessageLedger, Observed, Tally};
+use crate::span::{self, ProfileReport};
+use crate::trace::{TraceEvent, Tracer};
+use crate::Cycles;
 
 /// Consecutive quanta a buffered-mode process may let a nonempty buffer sit
 /// without a single extraction before the checker calls it a livelock.
@@ -95,27 +85,21 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Aggregate counters the checker accumulates alongside its checks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InvariantStats {
-    /// Messages launched (uid stamped).
-    pub launched: u64,
-    /// Deliveries observed (fast upcall, poll, or buffered extract).
-    pub delivered: u64,
-    /// Highest per-node frame count seen in a `PageAlloc` event.
-    pub peak_pages: u64,
-}
-
+/// Everything the oracle holds, behind its one lock: the ledger, the
+/// delivery rules' state and what both kinds of check found.
 #[derive(Default)]
 struct State {
     ledger: MessageLedger,
     /// Highest uid delivered per (src, dst, job) channel.
-    last_uid: HashMap<(NodeId, NodeId, usize), u64>,
+    last_uid: HashMap<(usize, usize, usize), u64>,
     /// Consecutive extraction-free quanta per buffered (node, job).
-    strikes: HashMap<(NodeId, usize), u32>,
+    strikes: HashMap<(usize, usize), u32>,
     page_bound: Option<u64>,
-    stats: InvariantStats,
+    /// Highest per-node frame count seen in a `PageAlloc` event.
+    peak_pages: u64,
     violations: Vec<Violation>,
+    /// Span consistency errors, in detection order.
+    span_errors: Vec<String>,
 }
 
 impl State {
@@ -123,8 +107,7 @@ impl State {
         self.violations.push(Violation { at, kind, detail });
     }
 
-    fn deliver(&mut self, at: Cycles, node: NodeId, job: usize, uid: u64, how: &str) {
-        self.stats.delivered += 1;
+    fn deliver(&mut self, at: Cycles, node: usize, job: usize, uid: u64, how: &str) {
         let Some(rec) = self.ledger.get(uid) else {
             self.violate(
                 at,
@@ -185,12 +168,10 @@ impl State {
         let underflow = matches!(*ev, TraceEvent::BufferExtract { node, uid, .. }
             if !self.ledger.is_resident(node, uid));
         let observed = self.ledger.observe(at, ev);
+        span::check_event(&self.ledger, observed, at, ev, &mut self.span_errors);
         match *ev {
-            TraceEvent::MsgLaunch { uid, .. } => {
-                self.stats.launched += 1;
-                if observed == Observed::Repeat {
-                    self.violate(at, "uid-reuse", format!("uid={uid} launched twice"));
-                }
+            TraceEvent::MsgLaunch { uid, .. } if observed == Observed::Repeat => {
+                self.violate(at, "uid-reuse", format!("uid={uid} launched twice"));
             }
             TraceEvent::FastUpcall { node, job, uid, .. } => {
                 self.deliver(at, node, job, uid, "fast upcall");
@@ -280,7 +261,7 @@ impl State {
                 }
             }
             TraceEvent::PageAlloc { node, in_use } => {
-                self.stats.peak_pages = self.stats.peak_pages.max(in_use as u64);
+                self.peak_pages = self.peak_pages.max(in_use as u64);
                 if let Some(bound) = self.page_bound {
                     if in_use as u64 > bound {
                         self.violate(
@@ -296,7 +277,8 @@ impl State {
     }
 }
 
-/// A delivery-guarantee checker attached to a machine's trace stream.
+/// The trace oracle: one message ledger, checked against the delivery
+/// invariants and the span rules as events arrive.
 ///
 /// Cloning is cheap and clones share state, so a test can keep one handle
 /// while the trace subscription owns another.
@@ -310,7 +292,7 @@ impl std::fmt::Debug for InvariantChecker {
         let st = self.inner.lock().unwrap();
         f.debug_struct("InvariantChecker")
             .field("violations", &st.violations.len())
-            .field("stats", &st.stats)
+            .field("peak_pages", &st.peak_pages)
             .finish()
     }
 }
@@ -328,9 +310,11 @@ impl InvariantChecker {
         self
     }
 
-    /// Subscribes this checker to `tracer`. Call before
-    /// [`Machine::set_tracer`](crate::Machine::set_tracer) so every event
-    /// of the run is observed.
+    /// Subscribes this oracle to `tracer`, once, under the ledger's
+    /// categories. Attaching widens the tracer's effective mask, so
+    /// emission sites pay for event construction only while an oracle (or
+    /// another sink) is watching. Attach before the machine runs so every
+    /// event of the run is observed.
     pub fn attach(&self, tracer: &Tracer) {
         let handle = self.clone();
         tracer.subscribe(MessageLedger::mask(), move |at, ev| {
@@ -343,9 +327,14 @@ impl InvariantChecker {
         self.inner.lock().unwrap().violations.clone()
     }
 
-    /// Aggregate counters.
-    pub fn stats(&self) -> InvariantStats {
-        self.inner.lock().unwrap().stats
+    /// Launch, delivery and per-path counts summed over the ledger.
+    pub fn tally(&self) -> Tally {
+        self.inner.lock().unwrap().ledger.tally()
+    }
+
+    /// Highest per-node frame count seen in a `PageAlloc` event.
+    pub fn peak_pages(&self) -> u64 {
+        self.inner.lock().unwrap().peak_pages
     }
 
     /// Messages launched, never declared dropped, and never delivered —
@@ -353,6 +342,16 @@ impl InvariantChecker {
     /// benign; a transport bug makes it grow with the drop rate.
     pub fn undelivered(&self) -> u64 {
         self.inner.lock().unwrap().ledger.undelivered()
+    }
+
+    /// Builds the span profile from the ledger, handing the ledger and the
+    /// span errors over to the report: afterwards [`Self::tally`] and
+    /// [`Self::undelivered`] read a fresh, empty ledger, so read them
+    /// first. Violations and the page peak are kept.
+    pub fn finish(&self) -> ProfileReport {
+        let mut st = self.inner.lock().unwrap();
+        let ledger = std::mem::take(&mut st.ledger);
+        ProfileReport::from_ledger(ledger, std::mem::take(&mut st.span_errors))
     }
 
     /// Panics with every collected violation if any invariant broke.
@@ -371,7 +370,7 @@ impl InvariantChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fugu_sim::trace::CategoryMask;
+    use crate::trace::CategoryMask;
 
     fn checker_and_tracer() -> (InvariantChecker, Tracer) {
         let tracer = Tracer::recorder(0, CategoryMask::NONE);
@@ -380,7 +379,7 @@ mod tests {
         (checker, tracer)
     }
 
-    fn launch(tracer: &Tracer, uid: u64, src: NodeId, dst: NodeId, job: usize) {
+    fn launch(tracer: &Tracer, uid: u64, src: usize, dst: usize, job: usize) {
         tracer.emit(TraceEvent::MsgLaunch {
             node: src,
             job,
@@ -390,7 +389,7 @@ mod tests {
         });
     }
 
-    fn upcall(tracer: &Tracer, uid: u64, node: NodeId, job: usize) {
+    fn upcall(tracer: &Tracer, uid: u64, node: usize, job: usize) {
         tracer.emit(TraceEvent::FastUpcall {
             node,
             job,
@@ -407,9 +406,9 @@ mod tests {
             upcall(&tracer, uid, 1, 0);
         }
         checker.assert_clean();
-        let stats = checker.stats();
-        assert_eq!(stats.launched, 5);
-        assert_eq!(stats.delivered, 5);
+        let tally = checker.tally();
+        assert_eq!(tally.launched, 5);
+        assert_eq!(tally.delivered, 5);
         assert_eq!(checker.undelivered(), 0);
     }
 
@@ -512,7 +511,8 @@ mod tests {
         });
         tracer.emit(TraceEvent::ModeExit { node: 1, job: 0 });
         checker.assert_clean();
-        assert_eq!(checker.stats().delivered, 1);
+        let tally = checker.tally();
+        assert_eq!((tally.delivered, tally.fast, tally.buffered), (1, 0, 1));
     }
 
     #[test]
@@ -546,6 +546,6 @@ mod tests {
         bounded.assert_clean();
         tracer.emit(TraceEvent::PageAlloc { node: 0, in_use: 5 });
         assert_eq!(bounded.violations()[0].kind, "page-bound");
-        assert_eq!(bounded.stats().peak_pages, 5);
+        assert_eq!(bounded.peak_pages(), 5);
     }
 }

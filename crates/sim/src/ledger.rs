@@ -1,31 +1,19 @@
-//! The message-lifecycle ledger every trace oracle reads.
+//! The message-lifecycle ledger the trace oracle reads.
 //!
 //! Two-case delivery is transparent only if every message's lifecycle —
 //! launch, NIC arrival, a fast-path delivery or a buffer insert and later
-//! extract, handler retirement — holds on both paths. A [`MessageLedger`]
-//! folds the trace stream into one [`MessageSpan`] per launch-stamped uid,
-//! plus per-node state: the job each node runs (from `QuantumSwitch`) and
-//! the messages resident in its software buffer, in insert order.
+//! extract, handler retirement — holds on both paths. The crate-private
+//! `MessageLedger` folds the trace stream into one [`MessageSpan`] per
+//! launch-stamped uid, plus per-node state: the job each node runs (from
+//! `QuantumSwitch`) and the messages resident in its software buffer, in
+//! insert order.
 //!
-//! The ledger applies no rules. Its readers do: `udm::invariant` checks
-//! conservation, FIFO order and drain progress, [`crate::span`] checks and
-//! sums the cycle attribution. Each owns one ledger, feeds it every event
-//! under [`MessageLedger::mask`] and reads the [`Observed`] outcome and the
-//! records.
-//!
-//! ```
-//! use fugu_sim::ledger::{MessageLedger, Observed};
-//! use fugu_sim::trace::TraceEvent;
-//!
-//! let mut ledger = MessageLedger::default();
-//! let launch = TraceEvent::MsgLaunch { node: 0, job: 0, dst: 1, words: 3, uid: 1 };
-//! assert_eq!(ledger.observe(0, &launch), Observed::Fresh);
-//! let upcall = TraceEvent::FastUpcall { node: 1, job: 0, words: 3, uid: 1 };
-//! assert_eq!(ledger.observe(12, &upcall), Observed::Fresh);
-//! assert_eq!(ledger.observe(13, &upcall), Observed::Repeat);
-//! let span = ledger.get(1).unwrap();
-//! assert_eq!((span.deliver, span.deliveries, span.anomalous), (Some(12), 2, true));
-//! ```
+//! The ledger applies no rules. The one oracle that owns it,
+//! [`crate::invariant::InvariantChecker`], does: it folds each event in
+//! once, then checks conservation, FIFO order and drain progress against
+//! the records, and the span checks of [`crate::span`] against the same
+//! records. [`Tally`] sums the records' counts for harnesses that
+//! cross-check a run report against the trace.
 
 use std::collections::HashMap;
 
@@ -157,9 +145,23 @@ impl MessageSpan {
     }
 }
 
+/// Message counts summed over every record of a ledger.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Messages launched (one record each).
+    pub launched: u64,
+    /// Delivery events: upcalls, polls and buffer extracts, so a declared
+    /// duplicate delivered twice counts twice.
+    pub delivered: u64,
+    /// Fast-path delivery events: upcalls and polls.
+    pub fast: u64,
+    /// Buffer inserts: messages that took the second case.
+    pub buffered: u64,
+}
+
 /// How one trace event related to the ledger's records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Observed {
+pub(crate) enum Observed {
     /// The event names no message; at most per-node state changed.
     Untracked,
     /// The event advanced its message's record.
@@ -188,18 +190,20 @@ struct NodeState {
 /// Every launched message's lifecycle plus per-node scheduling and buffer
 /// state, folded from the trace stream.
 #[derive(Debug, Default)]
-pub struct MessageLedger {
+pub(crate) struct MessageLedger {
     /// Records in launch order.
     records: Vec<MessageSpan>,
     /// uid → position in `records`.
     index: HashMap<u64, usize>,
     nodes: HashMap<usize, NodeState>,
+    /// Buffer extracts of launched messages, counted in their records'
+    /// `deliveries` too.
+    extracts: u64,
 }
 
 impl MessageLedger {
-    /// The trace categories every oracle built on the ledger subscribes
-    /// to: the lifecycle events plus the mode and page events the
-    /// invariant checker reads.
+    /// The trace categories the oracle subscribes to: the lifecycle events
+    /// plus the mode and page events its delivery rules read.
     pub fn mask() -> CategoryMask {
         CategoryMask::MSG
             | CategoryMask::UPCALL
@@ -271,9 +275,13 @@ impl MessageLedger {
         };
         let span = &mut self.records[i];
         match *event {
-            TraceEvent::FastUpcall { .. }
-            | TraceEvent::PollDelivery { .. }
-            | TraceEvent::BufferExtract { .. } => span.deliveries += 1,
+            TraceEvent::FastUpcall { .. } | TraceEvent::PollDelivery { .. } => {
+                span.deliveries += 1;
+            }
+            TraceEvent::BufferExtract { .. } => {
+                span.deliveries += 1;
+                self.extracts += 1;
+            }
             TraceEvent::BufferInsert { .. } => span.inserts += 1,
             _ => {}
         }
@@ -361,10 +369,57 @@ impl MessageLedger {
             .count() as u64
     }
 
+    /// The records' counts, summed.
+    pub fn tally(&self) -> Tally {
+        let mut tally = Tally {
+            launched: self.records.len() as u64,
+            ..Tally::default()
+        };
+        for s in &self.records {
+            tally.delivered += u64::from(s.deliveries);
+            tally.buffered += u64::from(s.inserts);
+        }
+        tally.fast = tally.delivered - self.extracts;
+        tally
+    }
+
     /// Every record, sorted by uid.
     pub fn into_spans(self) -> Vec<MessageSpan> {
         let mut spans = self.records;
         spans.sort_by_key(|s| s.uid);
         spans
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn repeated_step_marks_the_record_anomalous() {
+        let mut ledger = MessageLedger::default();
+        let launch = TraceEvent::MsgLaunch {
+            node: 0,
+            job: 0,
+            dst: 1,
+            words: 3,
+            uid: 1,
+        };
+        assert_eq!(ledger.observe(0, &launch), Observed::Fresh);
+        let upcall = TraceEvent::FastUpcall {
+            node: 1,
+            job: 0,
+            words: 3,
+            uid: 1,
+        };
+        assert_eq!(ledger.observe(12, &upcall), Observed::Fresh);
+        assert_eq!(ledger.observe(13, &upcall), Observed::Repeat);
+        let span = ledger.get(1).unwrap();
+        assert_eq!(
+            (span.deliver, span.deliveries, span.anomalous),
+            (Some(12), 2, true)
+        );
+        let tally = ledger.tally();
+        assert_eq!((tally.launched, tally.delivered, tally.fast), (1, 2, 2));
     }
 }

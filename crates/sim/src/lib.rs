@@ -20,9 +20,12 @@
 //! * [`trace`] — typed [`trace::TraceEvent`]s with a ring-buffer recorder
 //!   and subscriber callbacks, zero-cost when disabled;
 //! * [`ledger`] — the per-message lifecycle record, folded from the trace
-//!   stream, that every trace oracle reads;
-//! * [`span`] — a message-lifecycle profiler that stitches trace events
-//!   into per-message causal spans with exact cycle attribution;
+//!   stream, that the trace oracle reads;
+//! * [`invariant`] — the one trace oracle: delivery invariants
+//!   (conservation, FIFO, drain progress, page bound) and span checks over
+//!   one ledger;
+//! * [`span`] — per-message causal spans with exact cycle attribution and
+//!   the per-path latency report the oracle builds from its ledger;
 //! * [`trace_export`] — Chrome trace-event / Perfetto JSON export of
 //!   those spans;
 //! * [`json`] — a dependency-free, deterministic JSON serializer for the
@@ -51,6 +54,7 @@ pub mod coro;
 pub mod event;
 pub mod explore;
 pub mod fault;
+pub mod invariant;
 pub mod json;
 pub mod ledger;
 pub mod prop;

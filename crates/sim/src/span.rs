@@ -18,28 +18,30 @@
 //! | `handler` | delivery → handler retirement              |
 //!
 //! The five segments partition the span, so their sum equals the
-//! end-to-end latency *exactly* — and the profiler re-derives both sides
-//! independently and records a violation if they ever disagree, in the
-//! style of `udm::invariant`. The spans themselves are the records of a
-//! [`MessageLedger`], the lifecycle model every trace oracle shares; this
-//! module adds only the attribution rules and the report. Attach a
-//! [`Profiler`] before a run, call
-//! [`Profiler::finish`] after, and feed [`ProfileReport::spans`] to
-//! [`crate::trace_export`] for a Perfetto-loadable timeline.
+//! end-to-end latency *exactly* — and the oracle re-derives both sides
+//! independently and records an error if they ever disagree. The spans
+//! themselves are the records of the message ledger
+//! ([`crate::ledger`]); this module adds only the attribution rules and
+//! the report. The one trace oracle,
+//! [`InvariantChecker`](crate::invariant::InvariantChecker), applies them
+//! to its ledger as events arrive and builds the [`ProfileReport`] from it
+//! in [`finish`](crate::invariant::InvariantChecker::finish). Feed
+//! [`ProfileReport::spans`] to [`crate::trace_export`] for a
+//! Perfetto-loadable timeline.
 //!
-//! Profiling is pay-for-what-you-watch: nothing here runs unless a
-//! profiler is attached, and detaching is as simple as not attaching — the
-//! emission sites fall back to their single relaxed atomic load.
+//! Profiling is pay-for-what-you-watch: nothing here runs unless an oracle
+//! is attached, and detaching is as simple as not attaching — the emission
+//! sites fall back to their single relaxed atomic load.
 //!
 //! # Example
 //!
 //! ```
-//! use fugu_sim::span::Profiler;
+//! use fugu_sim::invariant::InvariantChecker;
 //! use fugu_sim::trace::{TraceEvent, Tracer};
 //!
 //! let tracer = Tracer::disabled();
-//! let profiler = Profiler::new();
-//! profiler.attach(&tracer);
+//! let oracle = InvariantChecker::new();
+//! oracle.attach(&tracer);
 //!
 //! // A two-node machine would emit this stream while running:
 //! tracer.emit(TraceEvent::MsgLaunch { node: 0, job: 0, dst: 1, words: 3, uid: 1 });
@@ -49,7 +51,7 @@
 //! tracer.emit(TraceEvent::FastUpcall { node: 1, job: 0, words: 3, uid: 1 });
 //! tracer.emit(TraceEvent::HandlerDone { node: 1, job: 0, uid: 1, end: 40 });
 //!
-//! let report = profiler.finish();
+//! let report = oracle.finish();
 //! report.assert_clean();
 //! assert_eq!(report.stitched, 1);
 //! let span = &report.spans[0];
@@ -58,15 +60,19 @@
 //! assert_eq!(attr.total(), 40);
 //! ```
 
-use std::sync::{Arc, Mutex};
-
 use crate::json::Json;
 use crate::ledger::{MessageLedger, Observed};
 use crate::stats::Histogram;
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::TraceEvent;
 use crate::Cycles;
 
 pub use crate::ledger::{DeliveryPath, MessageSpan};
+
+/// The one trace oracle under its old name, kept only because the
+/// `perfbench` harness still names it; it goes when perfbench drops its
+/// ties to engine internals (ROADMAP item 1). Workspace code names
+/// [`InvariantChecker`](crate::invariant::InvariantChecker).
+pub use crate::invariant::InvariantChecker as Profiler;
 
 impl MessageSpan {
     /// Splits the span's end-to-end latency across the five subsystems.
@@ -208,7 +214,7 @@ impl PathProfile {
     }
 }
 
-/// Everything the profiler learned about one run.
+/// Everything the span checks learned about one run.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileReport {
     /// Spans opened (one per observed `MsgLaunch`).
@@ -247,7 +253,7 @@ impl ProfileReport {
     }
 
     /// Panics with the collected violations if any consistency check
-    /// failed — mirrors `udm::invariant`'s `assert_clean`.
+    /// failed — mirrors [`InvariantChecker::assert_clean`](crate::invariant::InvariantChecker::assert_clean).
     ///
     /// # Panics
     ///
@@ -281,50 +287,17 @@ impl ProfileReport {
     }
 }
 
-/// The subscriber state: the message ledger plus the consistency errors
-/// found so far.
-#[derive(Debug, Default)]
-struct SpanCollector {
-    ledger: MessageLedger,
-    errors: Vec<String>,
-}
-
-impl SpanCollector {
-    fn on_event(&mut self, at: Cycles, event: &TraceEvent) {
-        // Repeats (fault-injected duplicates re-arriving or re-delivering)
-        // leave the span anomalous: flagged, not failed.
-        match (self.ledger.observe(at, event), event) {
-            (Observed::Orphan(uid), _) => {
-                let msg = format!("[{at}] uid {uid} without a launch: {event:?}");
-                self.errors.push(msg);
-            }
-            (Observed::Fresh, &TraceEvent::MsgArrive { node, uid, .. }) => {
-                if let Some(span) = self.ledger.get(uid).filter(|s| s.dst != node) {
-                    self.errors.push(format!(
-                        "[{at}] uid {uid} arrived at node {node}, launched toward {}",
-                        span.dst
-                    ));
-                }
-            }
-            // The span just closed: check it while the stream is still
-            // flowing, not at teardown.
-            (Observed::Fresh, &TraceEvent::HandlerDone { uid, .. }) => {
-                if let Some(span) = self.ledger.get(uid) {
-                    check_span(span, &mut self.errors);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn into_report(self) -> ProfileReport {
-        let in_flight = self.ledger.undelivered();
-        let spans = self.ledger.into_spans();
+impl ProfileReport {
+    /// Builds the report from a finished ledger and the errors the online
+    /// checks ([`check_event`]) collected while it filled.
+    pub(crate) fn from_ledger(ledger: MessageLedger, errors: Vec<String>) -> ProfileReport {
+        let in_flight = ledger.undelivered();
+        let spans = ledger.into_spans();
         let mut report = ProfileReport {
             launched: spans.len() as u64,
             in_flight,
             anomalies: spans.iter().filter(|s| s.anomalous).count() as u64,
-            errors: self.errors,
+            errors,
             ..ProfileReport::default()
         };
         for span in spans.iter().filter(|s| s.delivered()) {
@@ -346,6 +319,39 @@ impl SpanCollector {
         }
         report.spans = spans;
         report
+    }
+}
+
+/// The online span checks for one event `ledger` just folded in as
+/// `observed`. Repeats (fault-injected duplicates re-arriving or
+/// re-delivering) leave the span anomalous: flagged, not failed.
+pub(crate) fn check_event(
+    ledger: &MessageLedger,
+    observed: Observed,
+    at: Cycles,
+    event: &TraceEvent,
+    errors: &mut Vec<String>,
+) {
+    match (observed, event) {
+        (Observed::Orphan(uid), _) => {
+            errors.push(format!("[{at}] uid {uid} without a launch: {event:?}"));
+        }
+        (Observed::Fresh, &TraceEvent::MsgArrive { node, uid, .. }) => {
+            if let Some(span) = ledger.get(uid).filter(|s| s.dst != node) {
+                errors.push(format!(
+                    "[{at}] uid {uid} arrived at node {node}, launched toward {}",
+                    span.dst
+                ));
+            }
+        }
+        // The span just closed: check it while the stream is still
+        // flowing, not at teardown.
+        (Observed::Fresh, &TraceEvent::HandlerDone { uid, .. }) => {
+            if let Some(span) = ledger.get(uid) {
+                check_span(span, errors);
+            }
+        }
+        _ => {}
     }
 }
 
@@ -381,49 +387,15 @@ fn check_span(span: &MessageSpan, errors: &mut Vec<String>) {
     }
 }
 
-/// Attachable message-lifecycle profiler.
-///
-/// Subscribe it to a [`Tracer`] before the run ([`Profiler::attach`]),
-/// then consume the [`ProfileReport`] after ([`Profiler::finish`]). The
-/// profiler listens to the [`MessageLedger::mask`] categories; attaching
-/// widens the tracer's effective mask, so emission sites pay for event
-/// construction only while a profiler (or another sink) is watching.
-#[derive(Debug, Clone, Default)]
-pub struct Profiler {
-    collector: Arc<Mutex<SpanCollector>>,
-}
-
-impl Profiler {
-    /// Creates a detached profiler.
-    pub fn new() -> Profiler {
-        Profiler::default()
-    }
-
-    /// Subscribes this profiler to `tracer`. All attachments (and clones)
-    /// feed the same collector, so one profiler can observe several
-    /// tracers if a harness wires them that way.
-    pub fn attach(&self, tracer: &Tracer) {
-        let collector = Arc::clone(&self.collector);
-        tracer.subscribe(MessageLedger::mask(), move |at, event| {
-            collector.lock().unwrap().on_event(at, event);
-        });
-    }
-
-    /// Closes out the collection and builds the report. The profiler can
-    /// keep receiving events afterwards, but they land in a fresh
-    /// collection (the report is a snapshot-and-reset).
-    pub fn finish(&self) -> ProfileReport {
-        std::mem::take(&mut *self.collector.lock().unwrap()).into_report()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::invariant::InvariantChecker;
+    use crate::trace::Tracer;
 
-    fn tracer_with(profiler: &Profiler) -> Tracer {
+    fn tracer_with(oracle: &InvariantChecker) -> Tracer {
         let t = Tracer::disabled();
-        profiler.attach(&t);
+        oracle.attach(&t);
         t
     }
 
@@ -445,7 +417,7 @@ mod tests {
 
     #[test]
     fn fast_path_attribution_partitions_latency() {
-        let p = Profiler::new();
+        let p = InvariantChecker::new();
         let t = tracer_with(&p);
         launch(&t, 0, 1, 0, 1);
         arrive(&t, 10, 1, 1);
@@ -485,7 +457,7 @@ mod tests {
 
     #[test]
     fn buffered_residency_splits_sched_from_vbuf() {
-        let p = Profiler::new();
+        let p = InvariantChecker::new();
         let t = tracer_with(&p);
         // Node 1 starts the run with job 1 scheduled.
         t.emit(TraceEvent::QuantumSwitch {
@@ -544,7 +516,7 @@ mod tests {
 
     #[test]
     fn descheduled_extract_charges_final_interval_to_sched() {
-        let p = Profiler::new();
+        let p = InvariantChecker::new();
         let t = tracer_with(&p);
         // The whole residency happens under the wrong job: all sched.
         t.emit(TraceEvent::QuantumSwitch {
@@ -583,7 +555,7 @@ mod tests {
 
     #[test]
     fn in_flight_spans_do_not_hurt_stitch_rate() {
-        let p = Profiler::new();
+        let p = InvariantChecker::new();
         let t = tracer_with(&p);
         launch(&t, 0, 1, 0, 1);
         arrive(&t, 6, 1, 1); // still in the NIC when the run ends
@@ -598,7 +570,7 @@ mod tests {
 
     #[test]
     fn duplicate_arrival_flags_anomaly_without_error() {
-        let p = Profiler::new();
+        let p = InvariantChecker::new();
         let t = tracer_with(&p);
         launch(&t, 0, 9, 0, 1);
         arrive(&t, 5, 9, 1);
@@ -611,7 +583,7 @@ mod tests {
 
     #[test]
     fn non_monotone_chain_is_a_violation() {
-        let p = Profiler::new();
+        let p = InvariantChecker::new();
         let t = tracer_with(&p);
         launch(&t, 100, 4, 0, 1);
         arrive(&t, 20, 4, 1); // arrival before launch: broken clock
@@ -631,7 +603,7 @@ mod tests {
 
     #[test]
     fn orphan_delivery_is_a_violation() {
-        let p = Profiler::new();
+        let p = InvariantChecker::new();
         let t = tracer_with(&p);
         t.set_time(10);
         t.emit(TraceEvent::FastUpcall {
@@ -646,7 +618,7 @@ mod tests {
 
     #[test]
     fn report_json_shape() {
-        let p = Profiler::new();
+        let p = InvariantChecker::new();
         let t = tracer_with(&p);
         launch(&t, 0, 1, 0, 1);
         arrive(&t, 10, 1, 1);

@@ -417,36 +417,6 @@ impl TraceEvent {
             | TraceEvent::FaultHandlerFault { .. } => CategoryMask::FAULT,
         }
     }
-
-    /// The node the event happened on.
-    pub fn node(&self) -> usize {
-        match *self {
-            TraceEvent::MsgLaunch { node, .. }
-            | TraceEvent::MsgArrive { node, .. }
-            | TraceEvent::FastUpcall { node, .. }
-            | TraceEvent::PollDelivery { node, .. }
-            | TraceEvent::BufferInsert { node, .. }
-            | TraceEvent::BufferExtract { node, .. }
-            | TraceEvent::ModeEnter { node, .. }
-            | TraceEvent::ModeExit { node, .. }
-            | TraceEvent::NicDivert { node, .. }
-            | TraceEvent::AtomicityRevoke { node, .. }
-            | TraceEvent::WatchdogFire { node, .. }
-            | TraceEvent::OverflowAdvise { node, .. }
-            | TraceEvent::OverflowSuspend { node, .. }
-            | TraceEvent::PageAlloc { node, .. }
-            | TraceEvent::PageRelease { node, .. }
-            | TraceEvent::PageFault { node, .. }
-            | TraceEvent::HandlerDone { node, .. }
-            | TraceEvent::QuantumSwitch { node, .. }
-            | TraceEvent::FaultDrop { node, .. }
-            | TraceEvent::FaultDuplicate { node, .. }
-            | TraceEvent::FaultDelay { node, .. }
-            | TraceEvent::FaultNicStall { node, .. }
-            | TraceEvent::FaultFrameFail { node }
-            | TraceEvent::FaultHandlerFault { node, .. } => node,
-        }
-    }
 }
 
 impl fmt::Display for TraceEvent {

@@ -82,13 +82,13 @@ fn slice(name: &str, ts: u64, dur: u64, pid: usize, span: &MessageSpan) -> Json 
 /// # Example
 ///
 /// ```
-/// use fugu_sim::span::Profiler;
+/// use fugu_sim::invariant::InvariantChecker;
 /// use fugu_sim::trace::{TraceEvent, Tracer};
 /// use fugu_sim::trace_export::chrome_trace;
 ///
-/// let profiler = Profiler::new();
+/// let oracle = InvariantChecker::new();
 /// let tracer = Tracer::disabled();
-/// profiler.attach(&tracer);
+/// oracle.attach(&tracer);
 /// tracer.emit(TraceEvent::MsgLaunch { node: 0, job: 0, dst: 1, words: 3, uid: 1 });
 /// tracer.set_time(10);
 /// tracer.emit(TraceEvent::MsgArrive { node: 1, qlen: 1, uid: 1 });
@@ -96,7 +96,7 @@ fn slice(name: &str, ts: u64, dur: u64, pid: usize, span: &MessageSpan) -> Json 
 /// tracer.emit(TraceEvent::FastUpcall { node: 1, job: 0, words: 3, uid: 1 });
 /// tracer.emit(TraceEvent::HandlerDone { node: 1, job: 0, uid: 1, end: 40 });
 ///
-/// let doc = chrome_trace(&profiler.finish().spans, 2);
+/// let doc = chrome_trace(&oracle.finish().spans, 2);
 /// let events = doc.get("traceEvents").unwrap();
 /// assert!(doc.render().starts_with("{\"traceEvents\":["));
 /// # let _ = events;
@@ -182,13 +182,13 @@ pub fn chrome_trace(spans: &[MessageSpan], nodes: usize) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::Profiler;
+    use crate::invariant::InvariantChecker;
     use crate::trace::{TraceEvent, Tracer};
 
     fn sample_spans() -> Vec<MessageSpan> {
-        let profiler = Profiler::new();
+        let oracle = InvariantChecker::new();
         let tracer = Tracer::disabled();
-        profiler.attach(&tracer);
+        oracle.attach(&tracer);
         tracer.emit(TraceEvent::QuantumSwitch {
             node: 1,
             from_job: None,
@@ -244,7 +244,7 @@ mod tests {
             swapped: false,
             uid: 2,
         });
-        profiler.finish().spans
+        oracle.finish().spans
     }
 
     fn events_of(doc: &Json) -> Vec<Json> {

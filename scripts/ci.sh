@@ -95,4 +95,6 @@ cmp BENCH_PROFILE.json "$tmpdir/profile.json" \
   || { echo "ci: BENCH_PROFILE.json drifted from regenerated output" >&2; exit 1; }
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc gate: a broken, private or redundant intra-doc link fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 echo "ci: all checks passed"
