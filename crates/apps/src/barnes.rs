@@ -17,11 +17,11 @@
 // 3-component vector math reads best with explicit dimension indices.
 #![allow(clippy::needless_range_loop)]
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use fugu_crl::Crl;
 use fugu_sim::rng::DetRng;
-use udm::{Envelope, JobSpec, Program, UserCtx};
+use udm::{Envelope, JobSpec, Program, Sim, UserCtx};
 
 use crate::sync::{f32bits, MsgBarrier};
 
@@ -269,7 +269,7 @@ pub struct BarnesApp {
     params: BarnesParams,
     crl: Crl,
     barrier: MsgBarrier,
-    checksum: Mutex<Option<u64>>,
+    checksum: std::cell::Cell<Option<u64>>,
 }
 
 impl BarnesApp {
@@ -287,7 +287,7 @@ impl BarnesApp {
             params,
             crl: Crl::new(nodes),
             barrier: MsgBarrier::new(nodes),
-            checksum: Mutex::new(None),
+            checksum: std::cell::Cell::new(None),
         }
     }
 
@@ -304,7 +304,7 @@ impl BarnesApp {
     /// Bitwise checksum of final body positions (node 0), identical across
     /// node counts for the same parameters.
     pub fn checksum(&self) -> Option<u64> {
-        *self.checksum.lock().unwrap()
+        self.checksum.get()
     }
 
     /// CRL request retries fired by the timeout protocol (chaos runs).
@@ -354,79 +354,85 @@ impl BarnesApp {
 }
 
 impl Program for BarnesApp {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        let me = ctx.node();
-        let p = ctx.nodes();
-        let per = self.params.bodies / p;
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            let me = ctx.node();
+            let p = ctx.nodes();
+            let per = self.params.bodies / p;
 
-        // Region r holds node r's body chunk; every node creates all
-        // regions collectively with identical initial data.
-        let init = self.initial_bodies();
-        for r in 0..p {
-            self.crl.create(
-                ctx,
-                r as u32,
-                &Self::encode_chunk(&init[r * per..(r + 1) * per]),
-            );
-        }
-        self.barrier.wait(ctx);
-
-        for _iter in 0..self.params.iters {
-            // Gather a snapshot of all bodies (CRL read sharing).
-            let mut all: Vec<Body> = Vec::with_capacity(self.params.bodies);
+            // Region r holds node r's body chunk; every node creates all
+            // regions collectively with identical initial data.
+            let init = self.initial_bodies();
             for r in 0..p {
-                self.crl.start_read(ctx, r as u32);
-                let chunk = Self::decode_chunk(&self.crl.snapshot(ctx, r as u32));
-                self.crl.end_read(ctx, r as u32);
-                all.extend(chunk);
+                self.crl
+                    .create(
+                        ctx,
+                        r as u32,
+                        &Self::encode_chunk(&init[r * per..(r + 1) * per]),
+                    )
+                    .await;
             }
-            // Build the octree (charged per body).
-            let tree = Octree::build(&all);
-            ctx.compute(self.params.build_cost * all.len() as u64);
+            self.barrier.wait(ctx).await;
 
-            // Forces + integration for our own bodies.
-            let mut mine: Vec<Body> = all[me * per..(me + 1) * per].to_vec();
-            let mut interactions = 0u64;
-            for (k, b) in mine.iter_mut().enumerate() {
-                let (acc, n) = tree.accel(b.pos, me * per + k, self.params.theta, &all);
-                interactions += n;
-                for d in 0..3 {
-                    b.vel[d] += acc[d] * self.params.dt;
-                    b.pos[d] += b.vel[d] * self.params.dt;
+            for _iter in 0..self.params.iters {
+                // Gather a snapshot of all bodies (CRL read sharing).
+                let mut all: Vec<Body> = Vec::with_capacity(self.params.bodies);
+                for r in 0..p {
+                    self.crl.start_read(ctx, r as u32).await;
+                    let chunk = Self::decode_chunk(&self.crl.snapshot(ctx, r as u32));
+                    self.crl.end_read(ctx, r as u32).await;
+                    all.extend(chunk);
                 }
-            }
-            ctx.compute(self.params.interact_cost * interactions);
-            self.barrier.wait(ctx); // everyone finished reading
+                // Build the octree (charged per body).
+                let tree = Octree::build(&all);
+                ctx.compute(self.params.build_cost * all.len() as u64).await;
 
-            // Write back our chunk.
-            self.crl.start_write(ctx, me as u32);
-            let enc = Self::encode_chunk(&mine);
-            self.crl.update(ctx, me as u32, |w| w.copy_from_slice(&enc));
-            self.crl.end_write(ctx, me as u32);
-            self.barrier.wait(ctx);
-        }
-
-        if me == 0 {
-            let mut sum = 0u64;
-            for r in 0..p {
-                self.crl.start_read(ctx, r as u32);
-                for w in &self.crl.snapshot(ctx, r as u32) {
-                    sum = sum.wrapping_mul(31).wrapping_add(*w as u64);
+                // Forces + integration for our own bodies.
+                let mut mine: Vec<Body> = all[me * per..(me + 1) * per].to_vec();
+                let mut interactions = 0u64;
+                for (k, b) in mine.iter_mut().enumerate() {
+                    let (acc, n) = tree.accel(b.pos, me * per + k, self.params.theta, &all);
+                    interactions += n;
+                    for d in 0..3 {
+                        b.vel[d] += acc[d] * self.params.dt;
+                        b.pos[d] += b.vel[d] * self.params.dt;
+                    }
                 }
-                self.crl.end_read(ctx, r as u32);
+                ctx.compute(self.params.interact_cost * interactions).await;
+                self.barrier.wait(ctx).await; // everyone finished reading
+
+                // Write back our chunk.
+                self.crl.start_write(ctx, me as u32).await;
+                let enc = Self::encode_chunk(&mine);
+                self.crl.update(ctx, me as u32, |w| w.copy_from_slice(&enc));
+                self.crl.end_write(ctx, me as u32).await;
+                self.barrier.wait(ctx).await;
             }
-            *self.checksum.lock().unwrap() = Some(sum);
-        }
-        self.barrier.wait(ctx);
+
+            if me == 0 {
+                let mut sum = 0u64;
+                for r in 0..p {
+                    self.crl.start_read(ctx, r as u32).await;
+                    for w in &self.crl.snapshot(ctx, r as u32) {
+                        sum = sum.wrapping_mul(31).wrapping_add(*w as u64);
+                    }
+                    self.crl.end_read(ctx, r as u32).await;
+                }
+                self.checksum.set(Some(sum));
+            }
+            self.barrier.wait(ctx).await;
+        })
     }
 
-    fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
-        if self.crl.handle(ctx, env) {
-            return;
-        }
-        if self.barrier.handle(ctx, env) {
-            return;
-        }
-        panic!("barnes: unexpected handler {}", env.handler.0);
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            if self.crl.handle(ctx, env).await {
+                return;
+            }
+            if self.barrier.handle(ctx, env).await {
+                return;
+            }
+            panic!("barnes: unexpected handler {}", env.handler.0);
+        })
     }
 }

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use udm::{Envelope, JobSpec, Program, UserCtx};
+use udm::{Envelope, JobSpec, Program, Sim, UserCtx};
 
 use crate::sync::MsgBarrier;
 
@@ -57,24 +57,28 @@ impl BarrierApp {
 }
 
 impl Program for BarrierApp {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        let BarrierParams { barriers, work } = self.params;
-        if ctx.nodes() == 1 {
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            let BarrierParams { barriers, work } = self.params;
+            if ctx.nodes() == 1 {
+                for _ in 0..barriers {
+                    ctx.compute(work.max(1)).await;
+                }
+                return;
+            }
             for _ in 0..barriers {
-                ctx.compute(work.max(1));
+                if work > 0 {
+                    ctx.compute(work).await;
+                }
+                self.barrier.wait(ctx).await;
             }
-            return;
-        }
-        for _ in 0..barriers {
-            if work > 0 {
-                ctx.compute(work);
-            }
-            self.barrier.wait(ctx);
-        }
+        })
     }
 
-    fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
-        let token = self.barrier.handle(ctx, env);
-        debug_assert!(token, "barrier: unexpected handler {}", env.handler.0);
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            let token = self.barrier.handle(ctx, env).await;
+            debug_assert!(token, "barrier: unexpected handler {}", env.handler.0);
+        })
     }
 }

@@ -16,10 +16,11 @@
 //! two-round-stable count of sent vs. processed work messages — the only
 //! synchronization in the program, and an infrequent one.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use udm::{Envelope, JobSpec, Program, UserCtx};
+use udm::{Envelope, JobSpec, Program, Sim, UserCtx};
 
 const H_WORK: u32 = 1;
 const H_PROBE: u32 = 2;
@@ -150,8 +151,8 @@ pub struct EnumApp {
     params: EnumParams,
     moves: Vec<(u32, u32, u32)>,
     holes: u32,
-    nodes: Vec<Mutex<NodeState>>,
-    result: Mutex<Option<u64>>,
+    nodes: Vec<RefCell<NodeState>>,
+    result: Cell<Option<u64>>,
 }
 
 impl EnumApp {
@@ -166,14 +167,14 @@ impl EnumApp {
             holes,
             nodes: (0..nodes)
                 .map(|_| {
-                    Mutex::new(NodeState {
+                    RefCell::new(NodeState {
                         reports: vec![None; nodes],
                         soln_from: vec![false; nodes],
                         ..NodeState::default()
                     })
                 })
                 .collect(),
-            result: Mutex::new(None),
+            result: Cell::new(None),
         }
     }
 
@@ -189,7 +190,7 @@ impl EnumApp {
 
     /// The total number of solutions, available after the run completes.
     pub fn solutions(&self) -> Option<u64> {
-        *self.result.lock().unwrap()
+        self.result.get()
     }
 
     /// Sequential reference enumeration (host-side), for validation.
@@ -218,18 +219,18 @@ impl EnumApp {
     }
 
     /// Expands one board, spraying shallow children and queueing deep ones.
-    fn expand(&self, ctx: &mut UserCtx<'_>, board: u32) {
+    async fn expand(&self, ctx: &mut UserCtx, board: u32) {
         let me = ctx.node();
         let p = ctx.nodes();
-        ctx.compute(self.params.expand_cost);
+        ctx.compute(self.params.expand_cost).await;
         if board.count_ones() == 1 {
-            self.nodes[me].lock().unwrap().solutions += 1;
+            self.nodes[me].borrow_mut().solutions += 1;
             return;
         }
         let depth = self.holes - 1 - board.count_ones(); // pegs removed so far
         let mut outgoing: Vec<(usize, u32)> = Vec::new();
         {
-            let mut st = self.nodes[me].lock().unwrap();
+            let mut st = self.nodes[me].borrow_mut();
             for &(from, over, to) in &self.moves {
                 if board & (1 << from) != 0 && board & (1 << over) != 0 && board & (1 << to) == 0 {
                     let child = board & !(1 << from) & !(1 << over) | (1 << to);
@@ -248,15 +249,15 @@ impl EnumApp {
             }
         }
         for (dst, child) in outgoing {
-            ctx.send(dst, H_WORK, &[child]);
+            ctx.send(dst, H_WORK, &[child]).await;
         }
     }
 
     /// Coordinator: one probe round; returns `true` when stably terminated.
-    fn coordinator_round(&self, ctx: &mut UserCtx<'_>) -> bool {
+    async fn coordinator_round(&self, ctx: &mut UserCtx) -> bool {
         let p = ctx.nodes();
         let gen = {
-            let mut st = self.nodes[0].lock().unwrap();
+            let mut st = self.nodes[0].borrow_mut();
             st.report_gen += 1;
             st.reports = vec![None; p];
             // Self-report.
@@ -265,13 +266,13 @@ impl EnumApp {
             st.report_gen
         };
         for n in 1..p {
-            ctx.send(n, H_PROBE, &[gen]);
+            ctx.send(n, H_PROBE, &[gen]).await;
         }
         // Wait for all reports (they arrive via interrupts).
         let mut spins = 0u32;
         loop {
             {
-                let st = self.nodes[0].lock().unwrap();
+                let st = self.nodes[0].borrow();
                 if st.reports.iter().all(Option::is_some) {
                     break;
                 }
@@ -285,9 +286,9 @@ impl EnumApp {
                 // (its generation number makes stragglers harmless).
                 return false;
             }
-            ctx.compute(1_000);
+            ctx.compute(1_000).await;
         }
-        let mut st = self.nodes[0].lock().unwrap();
+        let mut st = self.nodes[0].borrow_mut();
         let mut sent = 0u32;
         let mut processed = 0u32;
         let mut all_idle = true;
@@ -326,223 +327,230 @@ impl EnumApp {
 }
 
 impl Program for EnumApp {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        let me = ctx.node();
-        let p = ctx.nodes();
-        if me == 0 {
-            self.nodes[0]
-                .lock()
-                .unwrap()
-                .queue
-                .push_back(self.initial_board());
-        }
-        loop {
-            let work = {
-                let mut st = self.nodes[me].lock().unwrap();
-                if st.stopped {
-                    break;
-                }
-                let w = st.queue.pop_back(); // DFS: newest (deepest) first
-                st.expanding = w.is_some();
-                w
-            };
-            match work {
-                Some(board) => {
-                    self.expand(ctx, board);
-                    let mut st = self.nodes[me].lock().unwrap();
-                    st.expanding = false;
-                }
-                None => {
-                    let may_steal = {
-                        let mut st = self.nodes[me].lock().unwrap();
-                        if st.stopped {
-                            break;
-                        }
-                        if p > 1 && !st.steal_out {
-                            st.steal_out = true;
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if may_steal {
-                        // Work stealing: ask a random victim for boards
-                        // from the shallow end of its queue.
-                        ctx.compute(300); // pacing backoff
-                        let victim = {
-                            let r = ctx.rng().range_u64(0, p as u64 - 1) as usize;
-                            if r >= me {
-                                r + 1
-                            } else {
-                                r
-                            }
-                        };
-                        ctx.send(victim, H_STEAL, &[me as u32]);
-                    }
-                    if me == 0 {
-                        if p == 1 || self.coordinator_round(ctx) {
-                            // Terminated: tell everyone.
-                            for n in 1..p {
-                                ctx.send(n, H_STOP, &[]);
-                            }
-                            break;
-                        }
-                        ctx.compute(5_000); // probe backoff
-                    } else if ctx.faults_active() {
-                        // Chaos mode: a steal reply or the final H_STOP may
-                        // have been dropped; wake periodically and allow a
-                        // fresh steal attempt.
-                        if !ctx.block_timeout(WAIT_WORK, RETRY_TIMEOUT) {
-                            self.nodes[me].lock().unwrap().steal_out = false;
-                        }
-                    } else {
-                        ctx.block(WAIT_WORK);
-                    }
-                }
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            let me = ctx.node();
+            let p = ctx.nodes();
+            if me == 0 {
+                self.nodes[0]
+                    .borrow_mut()
+                    .queue
+                    .push_back(self.initial_board());
             }
-        }
-        // Solution aggregation: the infrequent synchronization.
-        if me == 0 {
-            let mine = self.nodes[0].lock().unwrap().solutions;
-            let mut timeout = RETRY_TIMEOUT;
             loop {
-                let mut st = self.nodes[0].lock().unwrap();
-                if st.soln_in == p - 1 {
-                    *self.result.lock().unwrap() = Some(st.soln_total + mine);
-                    st.soln_in = 0;
-                    break;
-                }
-                drop(st);
-                if ctx.faults_active() {
-                    // Chaos mode: an H_STOP or a solution report may have
-                    // been dropped. Nudge the laggards again on timeout.
-                    if !ctx.block_timeout(WAIT_WORK, timeout) {
-                        let missing: Vec<usize> = {
-                            let st = self.nodes[0].lock().unwrap();
-                            (1..p).filter(|&n| !st.soln_from[n]).collect()
-                        };
-                        for n in missing {
-                            ctx.send(n, H_STOP, &[]);
-                        }
-                        timeout = timeout.saturating_mul(2).min(RETRY_TIMEOUT * 16);
-                    }
-                } else {
-                    ctx.block(WAIT_WORK);
-                }
-            }
-        } else {
-            let mine = self.nodes[me].lock().unwrap().solutions;
-            let report = [(mine >> 32) as u32, mine as u32];
-            ctx.send(0, H_SOLN, &report);
-            if ctx.faults_active() {
-                // Chaos mode: re-send the report until the coordinator
-                // acknowledges it (it dedups by source).
-                let mut timeout = RETRY_TIMEOUT;
-                loop {
-                    if self.nodes[me].lock().unwrap().soln_acked {
+                let work = {
+                    let mut st = self.nodes[me].borrow_mut();
+                    if st.stopped {
                         break;
                     }
-                    if !ctx.block_timeout(WAIT_DONE, timeout) {
-                        ctx.send(0, H_SOLN, &report);
-                        timeout = timeout.saturating_mul(2).min(RETRY_TIMEOUT * 16);
-                    }
-                }
-            }
-        }
-    }
-
-    fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
-        let me = ctx.node();
-        match env.handler.0 {
-            H_WORK => {
-                {
-                    let mut st = self.nodes[me].lock().unwrap();
-                    st.processed += 1;
-                    st.steal_out = false;
-                    st.queue.push_back(env.payload[0]);
-                }
-                ctx.compute(160); // queue insertion bookkeeping
-                ctx.wake(WAIT_WORK);
-            }
-            H_PROBE => {
-                let gen = env.payload[0];
-                let (sent, processed, idle) = {
-                    let st = self.nodes[me].lock().unwrap();
-                    (st.sent, st.processed, st.queue.is_empty() && !st.expanding)
+                    let w = st.queue.pop_back(); // DFS: newest (deepest) first
+                    st.expanding = w.is_some();
+                    w
                 };
-                ctx.send(0, H_REPORT, &[gen, sent, processed, idle as u32, me as u32]);
-            }
-            H_REPORT => {
-                let mut st = self.nodes[0].lock().unwrap();
-                if env.payload[0] == st.report_gen {
-                    let from = env.payload[4] as usize;
-                    st.reports[from] = Some((env.payload[1], env.payload[2], env.payload[3] != 0));
-                }
-            }
-            H_STOP => {
-                {
-                    let mut st = self.nodes[me].lock().unwrap();
-                    st.stopped = true;
-                }
-                ctx.wake(WAIT_WORK);
-            }
-            H_STEAL => {
-                let thief = env.payload[0] as usize;
-                let mut grants = Vec::new();
-                {
-                    let mut st = self.nodes[me].lock().unwrap();
-                    for _ in 0..self.params.steal_batch {
-                        // Leave the victim at least one board; take from
-                        // the front (shallowest = largest subtrees).
-                        if st.queue.len() > 1 {
-                            let b = st.queue.pop_front().expect("len checked");
-                            st.sent += 1;
-                            grants.push(b);
+                match work {
+                    Some(board) => {
+                        self.expand(ctx, board).await;
+                        let mut st = self.nodes[me].borrow_mut();
+                        st.expanding = false;
+                    }
+                    None => {
+                        let may_steal = {
+                            let mut st = self.nodes[me].borrow_mut();
+                            if st.stopped {
+                                break;
+                            }
+                            if p > 1 && !st.steal_out {
+                                st.steal_out = true;
+                                true
+                            } else {
+                                false
+                            }
+                        };
+                        if may_steal {
+                            // Work stealing: ask a random victim for boards
+                            // from the shallow end of its queue.
+                            ctx.compute(300).await; // pacing backoff
+                            let victim = {
+                                let r = ctx.rng().range_u64(0, p as u64 - 1) as usize;
+                                if r >= me {
+                                    r + 1
+                                } else {
+                                    r
+                                }
+                            };
+                            ctx.send(victim, H_STEAL, &[me as u32]).await;
+                        }
+                        if me == 0 {
+                            if p == 1 || self.coordinator_round(ctx).await {
+                                // Terminated: tell everyone.
+                                for n in 1..p {
+                                    ctx.send(n, H_STOP, &[]).await;
+                                }
+                                break;
+                            }
+                            ctx.compute(5_000).await; // probe backoff
+                        } else if ctx.faults_active() {
+                            // Chaos mode: a steal reply or the final H_STOP may
+                            // have been dropped; wake periodically and allow a
+                            // fresh steal attempt.
+                            if !ctx.block_timeout(WAIT_WORK, RETRY_TIMEOUT).await {
+                                self.nodes[me].borrow_mut().steal_out = false;
+                            }
+                        } else {
+                            ctx.block(WAIT_WORK).await;
                         }
                     }
                 }
-                if grants.is_empty() {
-                    ctx.send(thief, H_NOWORK, &[]);
-                } else {
-                    for b in grants {
-                        ctx.send(thief, H_WORK, &[b]);
+            }
+            // Solution aggregation: the infrequent synchronization.
+            if me == 0 {
+                let mine = self.nodes[0].borrow().solutions;
+                let mut timeout = RETRY_TIMEOUT;
+                loop {
+                    {
+                        let mut st = self.nodes[0].borrow_mut();
+                        if st.soln_in == p - 1 {
+                            self.result.set(Some(st.soln_total + mine));
+                            st.soln_in = 0;
+                            break;
+                        }
                     }
-                }
-            }
-            H_NOWORK => {
-                {
-                    let mut st = self.nodes[me].lock().unwrap();
-                    st.steal_out = false;
-                }
-                ctx.wake(WAIT_WORK);
-            }
-            H_SOLN => {
-                let fresh = {
-                    let mut st = self.nodes[0].lock().unwrap();
-                    if st.soln_from[env.src] {
-                        false // re-sent report, already folded in
+                    if ctx.faults_active() {
+                        // Chaos mode: an H_STOP or a solution report may have
+                        // been dropped. Nudge the laggards again on timeout.
+                        if !ctx.block_timeout(WAIT_WORK, timeout).await {
+                            let missing: Vec<usize> = {
+                                let st = self.nodes[0].borrow();
+                                (1..p).filter(|&n| !st.soln_from[n]).collect()
+                            };
+                            for n in missing {
+                                ctx.send(n, H_STOP, &[]).await;
+                            }
+                            timeout = timeout.saturating_mul(2).min(RETRY_TIMEOUT * 16);
+                        }
                     } else {
-                        st.soln_from[env.src] = true;
-                        st.soln_total += ((env.payload[0] as u64) << 32) | env.payload[1] as u64;
-                        st.soln_in += 1;
-                        true
+                        ctx.block(WAIT_WORK).await;
                     }
-                };
+                }
+            } else {
+                let mine = self.nodes[me].borrow().solutions;
+                let report = [(mine >> 32) as u32, mine as u32];
+                ctx.send(0, H_SOLN, &report).await;
                 if ctx.faults_active() {
-                    ctx.send(env.src, H_SOLN_ACK, &[]);
-                }
-                if fresh {
-                    ctx.wake(WAIT_WORK);
+                    // Chaos mode: re-send the report until the coordinator
+                    // acknowledges it (it dedups by source).
+                    let mut timeout = RETRY_TIMEOUT;
+                    loop {
+                        if self.nodes[me].borrow().soln_acked {
+                            break;
+                        }
+                        if !ctx.block_timeout(WAIT_DONE, timeout).await {
+                            ctx.send(0, H_SOLN, &report).await;
+                            timeout = timeout.saturating_mul(2).min(RETRY_TIMEOUT * 16);
+                        }
+                    }
                 }
             }
-            H_SOLN_ACK => {
-                {
-                    let mut st = self.nodes[me].lock().unwrap();
-                    st.soln_acked = true;
+        })
+    }
+
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            let me = ctx.node();
+            match env.handler.0 {
+                H_WORK => {
+                    {
+                        let mut st = self.nodes[me].borrow_mut();
+                        st.processed += 1;
+                        st.steal_out = false;
+                        st.queue.push_back(env.payload[0]);
+                    }
+                    ctx.compute(160).await; // queue insertion bookkeeping
+                    ctx.wake(WAIT_WORK).await;
                 }
-                ctx.wake(WAIT_DONE);
+                H_PROBE => {
+                    let gen = env.payload[0];
+                    let (sent, processed, idle) = {
+                        let st = self.nodes[me].borrow();
+                        (st.sent, st.processed, st.queue.is_empty() && !st.expanding)
+                    };
+                    ctx.send(0, H_REPORT, &[gen, sent, processed, idle as u32, me as u32])
+                        .await;
+                }
+                H_REPORT => {
+                    let mut st = self.nodes[0].borrow_mut();
+                    if env.payload[0] == st.report_gen {
+                        let from = env.payload[4] as usize;
+                        st.reports[from] =
+                            Some((env.payload[1], env.payload[2], env.payload[3] != 0));
+                    }
+                }
+                H_STOP => {
+                    {
+                        let mut st = self.nodes[me].borrow_mut();
+                        st.stopped = true;
+                    }
+                    ctx.wake(WAIT_WORK).await;
+                }
+                H_STEAL => {
+                    let thief = env.payload[0] as usize;
+                    let mut grants = Vec::new();
+                    {
+                        let mut st = self.nodes[me].borrow_mut();
+                        for _ in 0..self.params.steal_batch {
+                            // Leave the victim at least one board; take from
+                            // the front (shallowest = largest subtrees).
+                            if st.queue.len() > 1 {
+                                let b = st.queue.pop_front().expect("len checked");
+                                st.sent += 1;
+                                grants.push(b);
+                            }
+                        }
+                    }
+                    if grants.is_empty() {
+                        ctx.send(thief, H_NOWORK, &[]).await;
+                    } else {
+                        for b in grants {
+                            ctx.send(thief, H_WORK, &[b]).await;
+                        }
+                    }
+                }
+                H_NOWORK => {
+                    {
+                        let mut st = self.nodes[me].borrow_mut();
+                        st.steal_out = false;
+                    }
+                    ctx.wake(WAIT_WORK).await;
+                }
+                H_SOLN => {
+                    let fresh = {
+                        let mut st = self.nodes[0].borrow_mut();
+                        if st.soln_from[env.src] {
+                            false // re-sent report, already folded in
+                        } else {
+                            st.soln_from[env.src] = true;
+                            st.soln_total +=
+                                ((env.payload[0] as u64) << 32) | env.payload[1] as u64;
+                            st.soln_in += 1;
+                            true
+                        }
+                    };
+                    if ctx.faults_active() {
+                        ctx.send(env.src, H_SOLN_ACK, &[]).await;
+                    }
+                    if fresh {
+                        ctx.wake(WAIT_WORK).await;
+                    }
+                }
+                H_SOLN_ACK => {
+                    {
+                        let mut st = self.nodes[me].borrow_mut();
+                        st.soln_acked = true;
+                    }
+                    ctx.wake(WAIT_DONE).await;
+                }
+                other => panic!("enum: unexpected handler {other}"),
             }
-            other => panic!("enum: unexpected handler {other}"),
-        }
+        })
     }
 }

@@ -19,6 +19,11 @@
 //! (solution counts, factorization residuals, conservation checks) so the
 //! experiment harnesses double as correctness tests.
 
+// `JobSpec` holds programs as `Arc<dyn Program>`, the type perfbench
+// casts `EnumApp::spec` to. The programs are deliberately `!Sync`: the
+// machine polls them on one thread, so their per-node state is `RefCell`.
+#![allow(clippy::arc_with_non_send_sync)]
+
 pub mod barnes;
 pub mod barrier;
 pub mod enumerate;

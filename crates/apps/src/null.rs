@@ -5,17 +5,19 @@
 
 use std::sync::Arc;
 
-use udm::{JobSpec, Program, UserCtx};
+use udm::{JobSpec, Program, Sim, UserCtx};
 
 /// Computes forever; never sends or receives.
 #[derive(Debug, Default)]
 pub struct NullApp;
 
 impl Program for NullApp {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        loop {
-            ctx.compute(10_000);
-        }
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            loop {
+                ctx.compute(10_000).await;
+            }
+        })
     }
 }
 

@@ -3,7 +3,7 @@
 //! applications synchronize between computation phases exactly as their
 //! SPLASH originals do).
 
-use std::sync::Mutex;
+use std::cell::RefCell;
 
 use udm::{Cycles, Envelope, UserCtx};
 
@@ -32,7 +32,7 @@ struct NodeState {
 /// `wait` may only be called from main threads, one episode at a time per
 /// node; tokens may arrive arbitrarily early (counts are cumulative).
 pub struct MsgBarrier {
-    nodes: Vec<Mutex<NodeState>>,
+    nodes: Vec<RefCell<NodeState>>,
     rounds: usize,
 }
 
@@ -51,7 +51,7 @@ impl MsgBarrier {
         MsgBarrier {
             nodes: (0..nodes)
                 .map(|_| {
-                    Mutex::new(NodeState {
+                    RefCell::new(NodeState {
                         arrived: vec![0; rounds.max(1)],
                         sent: vec![0; rounds.max(1)],
                         episodes: 0,
@@ -67,11 +67,11 @@ impl MsgBarrier {
     }
 
     /// Blocks until every node has entered the same barrier episode.
-    pub fn wait(&self, ctx: &mut UserCtx<'_>) {
+    pub async fn wait(&self, ctx: &mut UserCtx) {
         let me = ctx.node();
         let p = ctx.nodes();
         let episode = {
-            let mut st = self.nodes[me].lock().unwrap();
+            let mut st = self.nodes[me].borrow_mut();
             let e = st.episodes;
             st.episodes += 1;
             e
@@ -83,14 +83,14 @@ impl MsgBarrier {
             let peer = (me + (1 << k)) % p;
             let token = [k as u32 | (((episode + 1) as u32) << 6)];
             {
-                let mut st = self.nodes[me].lock().unwrap();
+                let mut st = self.nodes[me].borrow_mut();
                 st.sent[k] = st.sent[k].max(episode + 1);
             }
-            ctx.send(peer, H_BARRIER, &token);
+            ctx.send(peer, H_BARRIER, &token).await;
             let mut timeout = RETRY_TIMEOUT;
             loop {
                 {
-                    let st = self.nodes[me].lock().unwrap();
+                    let st = self.nodes[me].borrow();
                     if st.arrived[k] > episode {
                         break;
                     }
@@ -101,21 +101,21 @@ impl MsgBarrier {
                     // a high-water mark, so duplicates are harmless) and
                     // ask the predecessor — who may long since have left
                     // this barrier — to re-announce its token.
-                    if !ctx.block_timeout(Self::key(k), timeout) {
-                        ctx.send(peer, H_BARRIER, &token);
+                    if !ctx.block_timeout(Self::key(k), timeout).await {
+                        ctx.send(peer, H_BARRIER, &token).await;
                         let pred = (me + p - (1 << k)) % p;
-                        ctx.send(pred, H_BARRIER, &[k as u32]);
+                        ctx.send(pred, H_BARRIER, &[k as u32]).await;
                         timeout = timeout.saturating_mul(2).min(RETRY_TIMEOUT * 64);
                     }
                 } else {
-                    ctx.block(Self::key(k));
+                    ctx.block(Self::key(k)).await;
                 }
             }
         }
     }
 
     /// Consumes a barrier token; returns `false` if `env` is not one.
-    pub fn handle(&self, ctx: &mut UserCtx<'_>, env: &Envelope) -> bool {
+    pub async fn handle(&self, ctx: &mut UserCtx, env: &Envelope) -> bool {
         if env.handler.0 != H_BARRIER {
             return false;
         }
@@ -125,18 +125,19 @@ impl MsgBarrier {
         if announced == 0 {
             // Re-send request from our round-`round` successor (fault
             // injection only): repeat our highest announcement, if any.
-            let sent = self.nodes[me].lock().unwrap().sent[round];
+            let sent = self.nodes[me].borrow().sent[round];
             if sent > 0 {
                 let succ = (me + (1 << round)) % ctx.nodes();
-                ctx.send(succ, H_BARRIER, &[round as u32 | ((sent as u32) << 6)]);
+                ctx.send(succ, H_BARRIER, &[round as u32 | ((sent as u32) << 6)])
+                    .await;
             }
             return true;
         }
         {
-            let mut st = self.nodes[me].lock().unwrap();
+            let mut st = self.nodes[me].borrow_mut();
             st.arrived[round] = st.arrived[round].max(announced);
         }
-        ctx.wake(Self::key(round));
+        ctx.wake(Self::key(round)).await;
         true
     }
 }

@@ -10,9 +10,10 @@
 //! between individual message sends is a uniformly distributed random
 //! variable with an average of `T_betw` cycles."
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::sync::Arc;
 
-use udm::{Cycles, Envelope, JobSpec, Program, UserCtx};
+use udm::{Cycles, Envelope, JobSpec, Program, Sim, UserCtx};
 
 const H_REQUEST: u32 = 1;
 const H_REPLY: u32 = 2;
@@ -46,14 +47,11 @@ impl Default for SynthParams {
     }
 }
 
-struct NodeState {
-    replies: u64,
-}
-
 /// The synth-N program.
 pub struct SynthApp {
     params: SynthParams,
-    nodes: Vec<Mutex<NodeState>>,
+    /// Replies received, per node.
+    replies: Vec<Cell<u64>>,
 }
 
 impl SynthApp {
@@ -62,9 +60,7 @@ impl SynthApp {
         assert!(nodes >= 2, "synth needs at least two nodes");
         SynthApp {
             params,
-            nodes: (0..nodes)
-                .map(|_| Mutex::new(NodeState { replies: 0 }))
-                .collect(),
+            replies: (0..nodes).map(|_| Cell::new(0)).collect(),
         }
     }
 
@@ -75,57 +71,53 @@ impl SynthApp {
 }
 
 impl Program for SynthApp {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        let me = ctx.node();
-        let p = ctx.nodes();
-        let mut expected: u64 = 0;
-        for _ in 0..self.params.groups {
-            for _ in 0..self.params.group {
-                // Uniform inter-send gap with mean t_betw.
-                let gap = ctx.rng().range_u64(0, 2 * self.params.t_betw + 1);
-                if gap > 0 {
-                    ctx.compute(gap);
-                }
-                let dst = {
-                    let r = ctx.rng().range_u64(0, p as u64 - 1) as usize;
-                    if r >= me {
-                        r + 1
-                    } else {
-                        r
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            let me = ctx.node();
+            let p = ctx.nodes();
+            let mut expected: u64 = 0;
+            for _ in 0..self.params.groups {
+                for _ in 0..self.params.group {
+                    // Uniform inter-send gap with mean t_betw.
+                    let gap = ctx.rng().range_u64(0, 2 * self.params.t_betw + 1);
+                    if gap > 0 {
+                        ctx.compute(gap).await;
                     }
-                };
-                ctx.send(dst, H_REQUEST, &[]);
-                expected += 1;
-            }
-            // Synchronization point: wait for the whole group's replies.
-            loop {
-                {
-                    let st = self.nodes[me].lock().unwrap();
-                    if st.replies >= expected {
-                        break;
-                    }
+                    let dst = {
+                        let r = ctx.rng().range_u64(0, p as u64 - 1) as usize;
+                        if r >= me {
+                            r + 1
+                        } else {
+                            r
+                        }
+                    };
+                    ctx.send(dst, H_REQUEST, &[]).await;
+                    expected += 1;
                 }
-                ctx.block(WAIT_REPLIES);
+                // Synchronization point: wait for the whole group's replies.
+                while self.replies[me].get() < expected {
+                    ctx.block(WAIT_REPLIES).await;
+                }
             }
-        }
+        })
     }
 
-    fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
-        match env.handler.0 {
-            H_REQUEST => {
-                if self.params.handler_stall > 0 {
-                    ctx.compute(self.params.handler_stall);
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            match env.handler.0 {
+                H_REQUEST => {
+                    if self.params.handler_stall > 0 {
+                        ctx.compute(self.params.handler_stall).await;
+                    }
+                    ctx.send(env.src, H_REPLY, &[]).await;
                 }
-                ctx.send(env.src, H_REPLY, &[]);
-            }
-            H_REPLY => {
-                {
-                    let mut st = self.nodes[ctx.node()].lock().unwrap();
-                    st.replies += 1;
+                H_REPLY => {
+                    let replies = &self.replies[ctx.node()];
+                    replies.set(replies.get() + 1);
+                    ctx.wake(WAIT_REPLIES).await;
                 }
-                ctx.wake(WAIT_REPLIES);
+                other => panic!("synth: unexpected handler {other}"),
             }
-            other => panic!("synth: unexpected handler {other}"),
-        }
+        })
     }
 }

@@ -11,11 +11,12 @@
 // 3-component vector math reads best with explicit dimension indices.
 #![allow(clippy::needless_range_loop)]
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::sync::Arc;
 
 use fugu_crl::Crl;
 use fugu_sim::rng::DetRng;
-use udm::{Envelope, JobSpec, Program, UserCtx};
+use udm::{Envelope, JobSpec, Program, Sim, UserCtx};
 
 use crate::sync::{f32bits, MsgBarrier};
 
@@ -67,7 +68,7 @@ pub struct WaterApp {
     params: WaterParams,
     crl: Crl,
     barrier: MsgBarrier,
-    checksum: Mutex<Option<u64>>,
+    checksum: Cell<Option<u64>>,
 }
 
 impl WaterApp {
@@ -85,7 +86,7 @@ impl WaterApp {
             params,
             crl: Crl::new(nodes),
             barrier: MsgBarrier::new(nodes),
-            checksum: Mutex::new(None),
+            checksum: Cell::new(None),
         }
     }
 
@@ -101,7 +102,7 @@ impl WaterApp {
 
     /// Bitwise checksum of final positions.
     pub fn checksum(&self) -> Option<u64> {
-        *self.checksum.lock().unwrap()
+        self.checksum.get()
     }
 
     /// CRL request retries fired by the timeout protocol (chaos runs).
@@ -155,92 +156,100 @@ impl WaterApp {
 }
 
 impl Program for WaterApp {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        let me = ctx.node();
-        let p = ctx.nodes();
-        let per = self.params.molecules / p;
-        let cutoff2 = self.params.cutoff * self.params.cutoff;
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            let me = ctx.node();
+            let p = ctx.nodes();
+            let per = self.params.molecules / p;
+            let cutoff2 = self.params.cutoff * self.params.cutoff;
 
-        let init = self.initial();
-        for r in 0..p {
-            self.crl
-                .create(ctx, r as u32, &Self::encode(&init[r * per..(r + 1) * per]));
-        }
-        self.barrier.wait(ctx);
-
-        for _iter in 0..self.params.iters {
-            let mut all: Vec<Mol> = Vec::with_capacity(self.params.molecules);
+            let init = self.initial();
             for r in 0..p {
-                self.crl.start_read(ctx, r as u32);
-                let chunk = Self::decode(&self.crl.snapshot(ctx, r as u32));
-                self.crl.end_read(ctx, r as u32);
-                all.extend(chunk);
+                self.crl
+                    .create(ctx, r as u32, &Self::encode(&init[r * per..(r + 1) * per]))
+                    .await;
             }
+            self.barrier.wait(ctx).await;
 
-            let mut mine: Vec<Mol> = all[me * per..(me + 1) * per].to_vec();
-            let mut checks = 0u64;
-            let mut hits = 0u64;
-            for (k, m) in mine.iter_mut().enumerate() {
-                let idx = me * per + k;
-                let mut acc = [0.0f32; 3];
-                for (j, other) in all.iter().enumerate() {
-                    if j == idx {
-                        continue;
-                    }
-                    checks += 1;
-                    let dr = [
-                        Self::min_image(m.pos[0], other.pos[0]),
-                        Self::min_image(m.pos[1], other.pos[1]),
-                        Self::min_image(m.pos[2], other.pos[2]),
-                    ];
-                    let d2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
-                    if d2 < cutoff2 && d2 > 0.0 {
-                        hits += 1;
-                        // Soft LJ-like repulsion/attraction.
-                        let inv2 = 1.0 / (d2 + 1e-4);
-                        let inv6 = inv2 * inv2 * inv2;
-                        let f = (inv6 * inv6 - 0.5 * inv6) * 1e-6;
-                        for d in 0..3 {
-                            acc[d] += f * dr[d];
+            for _iter in 0..self.params.iters {
+                let mut all: Vec<Mol> = Vec::with_capacity(self.params.molecules);
+                for r in 0..p {
+                    self.crl.start_read(ctx, r as u32).await;
+                    let chunk = Self::decode(&self.crl.snapshot(ctx, r as u32));
+                    self.crl.end_read(ctx, r as u32).await;
+                    all.extend(chunk);
+                }
+
+                let mut mine: Vec<Mol> = all[me * per..(me + 1) * per].to_vec();
+                let mut checks = 0u64;
+                let mut hits = 0u64;
+                for (k, m) in mine.iter_mut().enumerate() {
+                    let idx = me * per + k;
+                    let mut acc = [0.0f32; 3];
+                    for (j, other) in all.iter().enumerate() {
+                        if j == idx {
+                            continue;
+                        }
+                        checks += 1;
+                        let dr = [
+                            Self::min_image(m.pos[0], other.pos[0]),
+                            Self::min_image(m.pos[1], other.pos[1]),
+                            Self::min_image(m.pos[2], other.pos[2]),
+                        ];
+                        let d2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
+                        if d2 < cutoff2 && d2 > 0.0 {
+                            hits += 1;
+                            // Soft LJ-like repulsion/attraction.
+                            let inv2 = 1.0 / (d2 + 1e-4);
+                            let inv6 = inv2 * inv2 * inv2;
+                            let f = (inv6 * inv6 - 0.5 * inv6) * 1e-6;
+                            for d in 0..3 {
+                                acc[d] += f * dr[d];
+                            }
                         }
                     }
+                    for d in 0..3 {
+                        m.vel[d] += acc[d] * self.params.dt;
+                        m.pos[d] = (m.pos[d] + m.vel[d] * self.params.dt).rem_euclid(1.0);
+                    }
                 }
-                for d in 0..3 {
-                    m.vel[d] += acc[d] * self.params.dt;
-                    m.pos[d] = (m.pos[d] + m.vel[d] * self.params.dt).rem_euclid(1.0);
-                }
-            }
-            ctx.compute(self.params.pair_check_cost * checks + self.params.interact_cost * hits);
-            self.barrier.wait(ctx);
+                ctx.compute(
+                    self.params.pair_check_cost * checks + self.params.interact_cost * hits,
+                )
+                .await;
+                self.barrier.wait(ctx).await;
 
-            self.crl.start_write(ctx, me as u32);
-            let enc = Self::encode(&mine);
-            self.crl.update(ctx, me as u32, |w| w.copy_from_slice(&enc));
-            self.crl.end_write(ctx, me as u32);
-            self.barrier.wait(ctx);
-        }
-
-        if me == 0 {
-            let mut sum = 0u64;
-            for r in 0..p {
-                self.crl.start_read(ctx, r as u32);
-                for w in &self.crl.snapshot(ctx, r as u32) {
-                    sum = sum.wrapping_mul(31).wrapping_add(*w as u64);
-                }
-                self.crl.end_read(ctx, r as u32);
+                self.crl.start_write(ctx, me as u32).await;
+                let enc = Self::encode(&mine);
+                self.crl.update(ctx, me as u32, |w| w.copy_from_slice(&enc));
+                self.crl.end_write(ctx, me as u32).await;
+                self.barrier.wait(ctx).await;
             }
-            *self.checksum.lock().unwrap() = Some(sum);
-        }
-        self.barrier.wait(ctx);
+
+            if me == 0 {
+                let mut sum = 0u64;
+                for r in 0..p {
+                    self.crl.start_read(ctx, r as u32).await;
+                    for w in &self.crl.snapshot(ctx, r as u32) {
+                        sum = sum.wrapping_mul(31).wrapping_add(*w as u64);
+                    }
+                    self.crl.end_read(ctx, r as u32).await;
+                }
+                self.checksum.set(Some(sum));
+            }
+            self.barrier.wait(ctx).await;
+        })
     }
 
-    fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
-        if self.crl.handle(ctx, env) {
-            return;
-        }
-        if self.barrier.handle(ctx, env) {
-            return;
-        }
-        panic!("water: unexpected handler {}", env.handler.0);
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            if self.crl.handle(ctx, env).await {
+                return;
+            }
+            if self.barrier.handle(ctx, env).await {
+                return;
+            }
+            panic!("water: unexpected handler {}", env.handler.0);
+        })
     }
 }

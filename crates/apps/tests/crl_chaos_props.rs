@@ -3,13 +3,17 @@
 //! operations stay idempotent — every write is applied exactly once — and
 //! runs are deterministic per seed.
 
-use std::sync::{Arc, Mutex};
+// `JobSpec` holds an `Arc<dyn Program>`; these programs are single-threaded.
+#![allow(clippy::arc_with_non_send_sync)]
+
+use std::cell::Cell;
+use std::sync::Arc;
 
 use fugu_apps::sync::MsgBarrier;
 use fugu_crl::Crl;
 use fugu_sim::fault::FaultPlan;
 use fugu_sim::prop::forall;
-use udm::{Envelope, JobSpec, Machine, MachineConfig, Program, UserCtx};
+use udm::{Envelope, JobSpec, Machine, MachineConfig, Program, Sim, UserCtx};
 
 /// A torture program: every node applies `writes` increments, each to a
 /// region chosen by a fixed pseudo-random schedule, then node 0 sums all
@@ -20,7 +24,7 @@ struct IncApp {
     barrier: MsgBarrier,
     regions: u32,
     writes: usize,
-    total: Mutex<Option<u64>>,
+    total: Cell<Option<u64>>,
 }
 
 impl IncApp {
@@ -30,7 +34,7 @@ impl IncApp {
             barrier: MsgBarrier::new(nodes),
             regions,
             writes,
-            total: Mutex::new(None),
+            total: Cell::new(None),
         })
     }
 
@@ -40,41 +44,45 @@ impl IncApp {
 }
 
 impl Program for IncApp {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        let me = ctx.node();
-        let p = ctx.nodes();
-        for r in 0..self.regions {
-            self.crl.create(ctx, r, &[0]);
-        }
-        self.barrier.wait(ctx);
-        for i in 0..self.writes {
-            let r = ((me * 31 + i * 7) % self.regions as usize) as u32;
-            self.crl.start_write(ctx, r);
-            self.crl.update(ctx, r, |w| w[0] += 1);
-            self.crl.end_write(ctx, r);
-        }
-        self.barrier.wait(ctx);
-        if me == 0 {
-            let mut sum = 0u64;
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            let me = ctx.node();
+            let p = ctx.nodes();
             for r in 0..self.regions {
-                self.crl.start_read(ctx, r);
-                sum += self.crl.snapshot(ctx, r)[0] as u64;
-                self.crl.end_read(ctx, r);
+                self.crl.create(ctx, r, &[0]).await;
             }
-            *self.total.lock().unwrap() = Some(sum);
-        }
-        self.barrier.wait(ctx);
-        let _ = p;
+            self.barrier.wait(ctx).await;
+            for i in 0..self.writes {
+                let r = ((me * 31 + i * 7) % self.regions as usize) as u32;
+                self.crl.start_write(ctx, r).await;
+                self.crl.update(ctx, r, |w| w[0] += 1);
+                self.crl.end_write(ctx, r).await;
+            }
+            self.barrier.wait(ctx).await;
+            if me == 0 {
+                let mut sum = 0u64;
+                for r in 0..self.regions {
+                    self.crl.start_read(ctx, r).await;
+                    sum += self.crl.snapshot(ctx, r)[0] as u64;
+                    self.crl.end_read(ctx, r).await;
+                }
+                self.total.set(Some(sum));
+            }
+            self.barrier.wait(ctx).await;
+            let _ = p;
+        })
     }
 
-    fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
-        if self.crl.handle(ctx, env) {
-            return;
-        }
-        if self.barrier.handle(ctx, env) {
-            return;
-        }
-        panic!("inc: unexpected handler {}", env.handler.0);
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            if self.crl.handle(ctx, env).await {
+                return;
+            }
+            if self.barrier.handle(ctx, env).await {
+                return;
+            }
+            panic!("inc: unexpected handler {}", env.handler.0);
+        })
     }
 }
 
@@ -95,7 +103,7 @@ fn run_once(
     });
     m.add_job(IncApp::job(&app));
     let r = m.run();
-    let total = app.total.lock().unwrap().expect("run did not finish");
+    let total = app.total.get().expect("run did not finish");
     (total, r.end_time, app.crl.retries())
 }
 

@@ -13,6 +13,9 @@
 //!    compares perfectly aligned vs. heavily skewed schedules.
 //! 4. **Revocation vs polling watchdog** — the §2 alternative policy.
 
+// `JobSpec` holds an `Arc<dyn Program>`; these programs are single-threaded.
+#![allow(clippy::arc_with_non_send_sync)]
+
 use fugu_apps::{NullApp, SynthApp, SynthParams};
 use fugu_bench::{machine, parallel_map, pct, write_report, Json, Opts, Table};
 use udm::{CostModel, JobSpec, Machine, MachineConfig, NicConfig};
@@ -190,36 +193,40 @@ fn main() {
 /// policy (forced watchdog interrupts consume messages outside `poll`).
 struct SluggishPoller {
     count: u32,
-    received: std::sync::Mutex<u32>,
+    received: std::cell::Cell<u32>,
 }
 
 impl SluggishPoller {
     fn new(count: u32) -> Self {
         SluggishPoller {
             count,
-            received: std::sync::Mutex::new(0),
+            received: std::cell::Cell::new(0),
         }
     }
 }
 
 impl udm::Program for SluggishPoller {
-    fn main(&self, ctx: &mut udm::UserCtx<'_>) {
-        if ctx.node() == 0 {
-            for _ in 0..self.count {
-                ctx.send(1, 0, &[]);
-                ctx.compute(5_000);
+    fn main<'a>(&'a self, ctx: &'a mut udm::UserCtx) -> udm::Sim<'a> {
+        Box::pin(async move {
+            if ctx.node() == 0 {
+                for _ in 0..self.count {
+                    ctx.send(1, 0, &[]).await;
+                    ctx.compute(5_000).await;
+                }
+            } else {
+                ctx.begin_atomic().await;
+                while self.received.get() < self.count {
+                    ctx.compute(20_000).await; // sluggish
+                    while ctx.poll().await {}
+                }
+                ctx.end_atomic().await;
             }
-        } else {
-            ctx.begin_atomic();
-            while *self.received.lock().unwrap() < self.count {
-                ctx.compute(20_000); // sluggish
-                while ctx.poll() {}
-            }
-            ctx.end_atomic();
-        }
+        })
     }
-    fn handler(&self, _ctx: &mut udm::UserCtx<'_>, _env: &udm::Envelope) {
-        *self.received.lock().unwrap() += 1;
+    fn handler<'a>(&'a self, _ctx: &'a mut udm::UserCtx, _env: &'a udm::Envelope) -> udm::Sim<'a> {
+        Box::pin(async move {
+            self.received.set(self.received.get() + 1);
+        })
     }
 }
 

@@ -85,8 +85,9 @@ impl Scenario {
 
 /// Builds and runs one scenario under the trace oracle and enforces the
 /// acceptance checks: no invariant violation, clean stitching, 100% stitch
-/// rate, exact attribution sums. Building the machine here, inside the `--jobs` worker, keeps at
-/// most `--jobs` machines and their sim-threads alive at once.
+/// rate, exact attribution sums. The machine is built here, inside the
+/// `--jobs` worker, because it holds its programs' futures and so never
+/// leaves the thread that built it.
 fn profile(scenario: Scenario, opts: &Opts) -> (u64, ProfileReport) {
     let name = scenario.name();
     let mut machine = scenario.machine(opts);

@@ -8,37 +8,45 @@
 //! step (the totals must equal the paper's 54/87/115 interrupt and 9
 //! polling cycles by construction — see EXPERIMENTS.md).
 
-use std::sync::{Arc, Mutex};
+// `JobSpec` holds an `Arc<dyn Program>`; these programs are single-threaded.
+#![allow(clippy::arc_with_non_send_sync)]
+
+use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 use fugu_bench::{write_report, Json, Opts, Table};
-use udm::{CostModel, Envelope, JobSpec, Machine, MachineConfig, Program, UserCtx};
+use udm::{CostModel, Envelope, JobSpec, Machine, MachineConfig, Program, Sim, UserCtx};
 
 /// Node 0 sends `count` spaced null messages; node 1 computes and takes
 /// interrupts. Send costs are measured on node 0 with `now()`.
 struct InterruptProbe {
     count: u32,
-    send_cycles: Mutex<Vec<u64>>,
-    received: Mutex<u32>,
+    send_cycles: RefCell<Vec<u64>>,
+    received: Cell<u32>,
 }
 
 impl Program for InterruptProbe {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        if ctx.node() == 0 {
-            for _ in 0..self.count {
-                let t0 = ctx.now();
-                ctx.send(1, 0, &[]);
-                let t1 = ctx.now();
-                self.send_cycles.lock().unwrap().push(t1 - t0);
-                ctx.compute(2_000);
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            if ctx.node() == 0 {
+                for _ in 0..self.count {
+                    let t0 = ctx.now().await;
+                    ctx.send(1, 0, &[]).await;
+                    let t1 = ctx.now().await;
+                    self.send_cycles.borrow_mut().push(t1 - t0);
+                    ctx.compute(2_000).await;
+                }
+            } else {
+                while self.received.get() < self.count {
+                    ctx.compute(1_000).await;
+                }
             }
-        } else {
-            while *self.received.lock().unwrap() < self.count {
-                ctx.compute(1_000);
-            }
-        }
+        })
     }
-    fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {
-        *self.received.lock().unwrap() += 1;
+    fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            self.received.set(self.received.get() + 1);
+        })
     }
 }
 
@@ -46,33 +54,37 @@ impl Program for InterruptProbe {
 /// measures the cost of each successful poll.
 struct PollProbe {
     count: u32,
-    poll_cycles: Mutex<Vec<u64>>,
+    poll_cycles: RefCell<Vec<u64>>,
 }
 
 impl Program for PollProbe {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        if ctx.node() == 0 {
-            for _ in 0..self.count {
-                ctx.send(1, 0, &[]);
-                ctx.compute(2_000);
-            }
-        } else {
-            ctx.begin_atomic();
-            let mut got = 0;
-            while got < self.count {
-                let t0 = ctx.now();
-                if ctx.poll() {
-                    let t1 = ctx.now();
-                    self.poll_cycles.lock().unwrap().push(t1 - t0);
-                    got += 1;
-                } else {
-                    ctx.compute(50);
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            if ctx.node() == 0 {
+                for _ in 0..self.count {
+                    ctx.send(1, 0, &[]).await;
+                    ctx.compute(2_000).await;
                 }
+            } else {
+                ctx.begin_atomic().await;
+                let mut got = 0;
+                while got < self.count {
+                    let t0 = ctx.now().await;
+                    if ctx.poll().await {
+                        let t1 = ctx.now().await;
+                        self.poll_cycles.borrow_mut().push(t1 - t0);
+                        got += 1;
+                    } else {
+                        ctx.compute(50).await;
+                    }
+                }
+                ctx.end_atomic().await;
             }
-            ctx.end_atomic();
-        }
+        })
     }
-    fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {}
+    fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {})
+    }
 }
 
 fn mean(xs: &[u64]) -> f64 {
@@ -132,8 +144,8 @@ fn main() {
     for costs in models {
         let probe = Arc::new(InterruptProbe {
             count,
-            send_cycles: Mutex::new(Vec::new()),
-            received: Mutex::new(0),
+            send_cycles: RefCell::new(Vec::new()),
+            received: Cell::new(0),
         });
         let mut m = Machine::new(MachineConfig {
             nodes: 2,
@@ -146,12 +158,12 @@ fn main() {
             Arc::clone(&probe) as Arc<dyn Program>,
         ));
         let r = m.run();
-        send_measured.push(mean(&probe.send_cycles.lock().unwrap()));
+        send_measured.push(mean(&probe.send_cycles.borrow()));
         int_measured.push(r.job("probe").handler_cycles.mean());
 
         let poll = Arc::new(PollProbe {
             count,
-            poll_cycles: Mutex::new(Vec::new()),
+            poll_cycles: RefCell::new(Vec::new()),
         });
         let mut m = Machine::new(MachineConfig {
             nodes: 2,
@@ -161,7 +173,7 @@ fn main() {
         });
         m.add_job(JobSpec::new("poll", Arc::clone(&poll) as Arc<dyn Program>));
         m.run();
-        poll_measured.push(mean(&poll.poll_cycles.lock().unwrap()));
+        poll_measured.push(mean(&poll.poll_cycles.borrow()));
     }
     t.row(vec![
         "send total (measured)".into(),

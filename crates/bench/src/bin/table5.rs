@@ -7,45 +7,53 @@
 //! reports the cost-model constants alongside measured per-message
 //! buffered handler costs and demand-allocation (vmalloc) counts.
 
-use std::sync::{Arc, Mutex};
+// `JobSpec` holds an `Arc<dyn Program>`; these programs are single-threaded.
+#![allow(clippy::arc_with_non_send_sync)]
+
+use std::cell::RefCell;
+use std::sync::Arc;
 
 use fugu_bench::{write_report, Json, Opts, Table};
-use udm::{CostModel, Envelope, JobSpec, Machine, MachineConfig, Program, UserCtx};
+use udm::{CostModel, Envelope, JobSpec, Machine, MachineConfig, Program, Sim, UserCtx};
 
 struct BufferedProbe {
     count: u32,
     payload_words: usize,
-    drain_cycles: Mutex<Vec<u64>>,
+    drain_cycles: RefCell<Vec<u64>>,
 }
 
 impl Program for BufferedProbe {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        if ctx.node() == 0 {
-            let payload = vec![0u32; self.payload_words];
-            for _ in 0..self.count {
-                ctx.send(1, 0, &payload);
-                ctx.compute(300);
-            }
-        } else {
-            // Hold atomicity until well past the revocation timeout while
-            // the messages stream in.
-            ctx.begin_atomic();
-            ctx.compute(200_000);
-            let mut got = 0;
-            while got < self.count {
-                let t0 = ctx.now();
-                if ctx.poll() {
-                    let t1 = ctx.now();
-                    self.drain_cycles.lock().unwrap().push(t1 - t0);
-                    got += 1;
-                } else {
-                    ctx.compute(50);
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            if ctx.node() == 0 {
+                let payload = vec![0u32; self.payload_words];
+                for _ in 0..self.count {
+                    ctx.send(1, 0, &payload).await;
+                    ctx.compute(300).await;
                 }
+            } else {
+                // Hold atomicity until well past the revocation timeout while
+                // the messages stream in.
+                ctx.begin_atomic().await;
+                ctx.compute(200_000).await;
+                let mut got = 0;
+                while got < self.count {
+                    let t0 = ctx.now().await;
+                    if ctx.poll().await {
+                        let t1 = ctx.now().await;
+                        self.drain_cycles.borrow_mut().push(t1 - t0);
+                        got += 1;
+                    } else {
+                        ctx.compute(50).await;
+                    }
+                }
+                ctx.end_atomic().await;
             }
-            ctx.end_atomic();
-        }
+        })
     }
-    fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {}
+    fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {})
+    }
 }
 
 fn main() {
@@ -71,7 +79,7 @@ fn main() {
     let probe = Arc::new(BufferedProbe {
         count,
         payload_words: 0,
-        drain_cycles: Mutex::new(Vec::new()),
+        drain_cycles: RefCell::new(Vec::new()),
     });
     let mut m = Machine::new(MachineConfig {
         nodes: 2,
@@ -85,7 +93,7 @@ fn main() {
     ));
     let r = m.run();
     let j = r.job("probe");
-    let drain = probe.drain_cycles.lock().unwrap();
+    let drain = probe.drain_cycles.borrow();
     // The measured poll includes the 3-cycle poll check on top of the
     // 52-cycle buffered extraction.
     let poll_check = costs.poll_check as f64;

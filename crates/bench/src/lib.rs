@@ -34,8 +34,9 @@
 //! own deterministic simulation, results are reassembled in sweep order,
 //! and the JSON output is byte-identical whatever `J` is (neither `--jobs`
 //! nor `--json` is echoed into the report). Unknown options, a zero
-//! `--trials`, and a `--nodes` outside `1..=64` (`MAX_NODES`: every node
-//! of every job is two host threads) print usage and exit with status 2.
+//! `--trials`, and a `--nodes` outside `1..=64` (`MAX_NODES`, which turns
+//! a mistyped machine size into a usage error) print usage and exit with
+//! status 2.
 //! Data-set scaling versus the paper is recorded in EXPERIMENTS.md; the
 //! JSON schema is documented in docs/OBSERVABILITY.md.
 

@@ -21,7 +21,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use udm::{Envelope, JobSpec, Machine, MachineConfig, Program, UserCtx};
+//! use udm::{Envelope, JobSpec, Machine, MachineConfig, Program, Sim, UserCtx};
 //!
 //! /// Node 0 pings every other node; the others pong back.
 //! struct PingPong;
@@ -30,36 +30,40 @@
 //! const PONG: u32 = 1;
 //!
 //! impl Program for PingPong {
-//!     fn main(&self, ctx: &mut UserCtx<'_>) {
-//!         // Polling-style reception: disable message interrupts first
-//!         // (otherwise arrivals are delivered by upcall instead). The
-//!         // disable is *revocable*: hold it too long with a message
-//!         // waiting and the OS switches us to buffered mode.
-//!         ctx.begin_atomic();
-//!         if ctx.node() == 0 {
-//!             for peer in 1..ctx.nodes() {
-//!                 ctx.send(peer, PING, &[peer as u32]);
-//!             }
-//!             let mut pongs = 0;
-//!             while pongs < ctx.nodes() - 1 {
-//!                 if ctx.poll() {
-//!                     pongs += 1;
-//!                 } else {
-//!                     ctx.compute(20);
+//!     fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+//!         Box::pin(async move {
+//!             // Polling-style reception: disable message interrupts first
+//!             // (otherwise arrivals are delivered by upcall instead). The
+//!             // disable is *revocable*: hold it too long with a message
+//!             // waiting and the OS switches us to buffered mode.
+//!             ctx.begin_atomic().await;
+//!             if ctx.node() == 0 {
+//!                 for peer in 1..ctx.nodes() {
+//!                     ctx.send(peer, PING, &[peer as u32]).await;
+//!                 }
+//!                 let mut pongs = 0;
+//!                 while pongs < ctx.nodes() - 1 {
+//!                     if ctx.poll().await {
+//!                         pongs += 1;
+//!                     } else {
+//!                         ctx.compute(20).await;
+//!                     }
+//!                 }
+//!             } else {
+//!                 while !ctx.poll().await {
+//!                     ctx.compute(20).await;
 //!                 }
 //!             }
-//!         } else {
-//!             while !ctx.poll() {
-//!                 ctx.compute(20);
-//!             }
-//!         }
-//!         ctx.end_atomic();
+//!             ctx.end_atomic().await;
+//!         })
 //!     }
 //!
-//!     fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
-//!         if env.handler.0 == PING {
-//!             ctx.send(env.src, PONG, &[]);
-//!         }
+//!     fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+//!         Box::pin(async move {
+//!             if env.handler.0 == PING {
+//!                 ctx.send(env.src, PONG, &[]).await;
+//!             }
+//!         })
 //!     }
 //! }
 //!
@@ -80,7 +84,7 @@ pub mod user;
 pub use config::{JobSpec, MachineConfig};
 pub use machine::Machine;
 pub use report::{JobReport, NodeReport, RunReport};
-pub use user::{CtxKind, Envelope, Program, UserCtx};
+pub use user::{CtxKind, Envelope, Program, Sim, UserCtx};
 
 // The trace oracle lives next to its message ledger in `fugu_sim`;
 // re-exported so a checked run needs only `udm`.

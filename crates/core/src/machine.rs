@@ -16,20 +16,28 @@
 //!   message waiting starts the atomicity timer; expiry revokes physical
 //!   atomicity and switches the process to buffered mode.
 //!
-//! Execution model: simulated programs run on sim-threads (one main thread
-//! and one handler context per process per node). The machine's event loop
-//! processes network arrivals, compute completions, atomicity timeouts and
-//! quantum switches; each node's processor is a resource on which kernel
-//! work preempts user work, exactly one activity computes at a time, and
-//! preempted computation resumes with its remaining cycles intact.
+//! Execution model: there is one thread of control, the caller's. Each
+//! process on each node has two sim-threads, a main context and a handler
+//! context, and each is an `async` future ([`Sim`]) that the machine
+//! polls with a no-op waker. A context runs until it awaits a
+//! machine call; the call goes through a one-slot exchange, the machine
+//! services it, and either polls the context again with the answer or
+//! parks it (a `compute` block, a `block`, an idle handler). The machine's
+//! event loop processes network arrivals, compute completions, atomicity
+//! timeouts and quantum switches; each node's processor is a resource on
+//! which kernel work preempts user work, exactly one activity computes at
+//! a time, and preempted computation resumes with its remaining cycles
+//! intact.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 use fugu_glaze::{FrameAllocator, GangScheduler, OverflowAction, OverflowControl, VirtualBuffer};
 use fugu_net::{Gid, Message, Network, NetworkConfig, NodeId};
 use fugu_nic::{HeadDisposition, Mode, Nic, UacMask};
-use fugu_sim::coro::{CoEvent, CoId, CoRuntime};
 use fugu_sim::event::{EventId, EventQueue};
 use fugu_sim::fault::{FaultInjector, NetFault};
 use fugu_sim::json::Json;
@@ -38,7 +46,7 @@ use fugu_sim::Cycles;
 
 use crate::config::{JobSpec, MachineConfig};
 use crate::report::{JobReport, NodeReport, RunReport};
-use crate::user::{CtxKind, Envelope, SimCall, SimResp, UserCtx};
+use crate::user::{CtxKind, Envelope, Exchange, Sim, SimCall, SimResp, UserCtx};
 
 /// Events in the machine's global future-event list.
 #[derive(Debug)]
@@ -84,13 +92,12 @@ enum TState {
     WaitingPoll,
     /// Handler context idle, awaiting the next upcall.
     AwaitUpcall,
-    /// Thread's closure returned.
+    /// Thread's future completed.
     Done,
 }
 
-#[derive(Debug)]
 struct ThreadSlot {
-    coid: CoId,
+    task: Sim<'static>,
     state: TState,
 }
 
@@ -126,7 +133,6 @@ enum DeliveryMode {
 }
 
 /// Per-(job, node) process state.
-#[derive(Debug)]
 struct Proc {
     main: ThreadSlot,
     handler: ThreadSlot,
@@ -191,23 +197,27 @@ struct JobState {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use udm::{JobSpec, Machine, MachineConfig, Program, UserCtx};
+/// use udm::{Envelope, JobSpec, Machine, MachineConfig, Program, Sim, UserCtx};
 ///
 /// struct Hello;
 /// impl Program for Hello {
-///     fn main(&self, ctx: &mut UserCtx<'_>) {
-///         if ctx.node() == 0 {
-///             ctx.send(1, 0, &[42]);
-///         } else {
-///             ctx.begin_atomic(); // poll-mode reception: defer interrupts
-///             while !ctx.poll() {
-///                 ctx.compute(10);
+///     fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+///         Box::pin(async move {
+///             if ctx.node() == 0 {
+///                 ctx.send(1, 0, &[42]).await;
+///             } else {
+///                 ctx.begin_atomic().await; // poll-mode reception: defer interrupts
+///                 while !ctx.poll().await {
+///                     ctx.compute(10).await;
+///                 }
+///                 ctx.end_atomic().await;
 ///             }
-///             ctx.end_atomic();
-///         }
+///         })
 ///     }
-///     fn handler(&self, _ctx: &mut UserCtx<'_>, env: &udm::Envelope) {
-///         assert_eq!(env.payload, [42]);
+///     fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+///         Box::pin(async move {
+///             assert_eq!(env.payload, [42]);
+///         })
 ///     }
 /// }
 ///
@@ -220,7 +230,8 @@ struct JobState {
 pub struct Machine {
     cfg: MachineConfig,
     queue: EventQueue<Ev>,
-    coro: CoRuntime<SimCall, SimResp>,
+    /// The request/response slot every context's [`UserCtx`] shares.
+    exchange: Rc<Exchange>,
     net: Network,
     sched: Option<GangScheduler>,
     swap_cost: Cycles,
@@ -283,7 +294,7 @@ impl Machine {
         Machine {
             cfg,
             queue: EventQueue::new(),
-            coro: CoRuntime::new(),
+            exchange: Rc::default(),
             net: Network::new(NetworkConfig::main_network()),
             sched: None,
             swap_cost,
@@ -341,31 +352,39 @@ impl Machine {
         let seed = self.cfg.seed;
         let faults = self.faults.is_active();
         for n in 0..nnodes {
+            let ctx = |kind, salt| {
+                let seed = mix_seed(seed, job, n, salt);
+                UserCtx::new(
+                    Rc::clone(&self.exchange),
+                    n,
+                    nnodes,
+                    job,
+                    kind,
+                    faults,
+                    seed,
+                )
+            };
             let program = Arc::clone(&spec.program);
-            let main_seed = mix_seed(seed, job, n, 0);
-            let main = self.coro.spawn(move |co| {
-                let mut ctx = UserCtx::new(co, n, nnodes, job, CtxKind::Main, faults, main_seed);
-                program.main(&mut ctx);
-            });
+            let mut ctx_main = ctx(CtxKind::Main, 0);
+            let main: Sim<'static> = Box::pin(async move { program.main(&mut ctx_main).await });
             let program = Arc::clone(&spec.program);
-            let handler_seed = mix_seed(seed, job, n, 1);
-            let handler = self.coro.spawn(move |co| {
-                let kind = CtxKind::Handler;
-                let mut ctx = UserCtx::new(co, n, nnodes, job, kind, faults, handler_seed);
+            let mut ctx_handler = ctx(CtxKind::Handler, 1);
+            let handler: Sim<'static> = Box::pin(async move {
                 loop {
-                    let env = ctx.await_upcall();
-                    program.handler(&mut ctx, &env);
+                    let env = ctx_handler.await_upcall().await;
+                    program.handler(&mut ctx_handler, &env).await;
                 }
             });
             self.nodes[n].procs.push(Proc {
-                // The first resume's response is discarded, so a main
-                // starts as any ready thread does; `run` parks the handler.
+                // A future runs nothing until its first poll, whose
+                // response it never reads, so a main starts as any ready
+                // thread does; `run` parks the handler.
                 main: ThreadSlot {
-                    coid: main,
+                    task: main,
                     state: TState::Ready(SimResp::Ok),
                 },
                 handler: ThreadSlot {
-                    coid: handler,
+                    task: handler,
                     state: TState::AwaitUpcall,
                 },
                 mode: DeliveryMode::Fast,
@@ -1116,24 +1135,37 @@ impl Machine {
     // ==================================================================
 
     /// Resumes a thread with `resp` and services its requests until it
-    /// suspends or finishes.
+    /// suspends or finishes. A panic in simulated code is caught here and
+    /// re-raised naming the job, context and node.
     fn run_burst(&mut self, n: NodeId, j: usize, which: CtxKind, first: SimResp) {
         let mut resp = first;
         loop {
-            let coid = slot_mut(&mut self.nodes[n].procs[j], which).coid;
-            match self.coro.resume(coid, resp) {
-                CoEvent::Finished => {
+            self.exchange.resp.set(Some(resp));
+            let task = &mut slot_mut(&mut self.nodes[n].procs[j], which).task;
+            let mut cx = Context::from_waker(Waker::noop());
+            match catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx))) {
+                Ok(Poll::Ready(())) => {
                     self.on_thread_finished(n, j, which);
                     return;
                 }
-                CoEvent::Panicked(m) => panic!(
+                Ok(Poll::Pending) => {
+                    let call = self
+                        .exchange
+                        .call
+                        .take()
+                        .expect("a pending sim-thread awaits only machine calls");
+                    match self.apply(n, j, which, call) {
+                        Some(r) => resp = r,
+                        None => return, // suspended; state set inside apply
+                    }
+                }
+                Err(payload) => panic!(
                     "job '{}' {:?} context on node {} panicked: {}",
-                    self.jobs[j].spec.name, which, n, m
+                    self.jobs[j].spec.name,
+                    which,
+                    n,
+                    panic_message(payload.as_ref())
                 ),
-                CoEvent::Request(call) => match self.apply(n, j, which, call) {
-                    Some(r) => resp = r,
-                    None => return, // suspended; state set inside apply
-                },
             }
         }
     }
@@ -1589,6 +1621,16 @@ fn envelope(msg: &Message) -> Envelope {
         src: msg.src(),
         handler: msg.handler(),
         payload: msg.payload_shared(),
+    }
+}
+
+/// Extracts a readable message from a panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    match payload.downcast_ref::<&'static str>() {
+        Some(s) => s,
+        None => payload
+            .downcast_ref::<String>()
+            .map_or("non-string payload", |s| s),
     }
 }
 

@@ -7,14 +7,24 @@
 //! invoked for every incoming message, either via simulated user-level
 //! interrupt or from a polling loop.
 //!
+//! Both are `async`: each returns a [`Sim`] future that the machine polls
+//! on its own thread, one context at a time. Every `UserCtx` method that
+//! acts on the machine is an `async fn`; awaiting it hands one request to
+//! the machine through a one-slot exchange and resumes with the answer.
+//!
 //! Crucially — and this is the paper's *transparent access* principle
 //! (§4.3) — nothing in this API reveals whether a message was delivered
 //! from the network-interface hardware (fast case) or replayed from the
 //! software buffer in virtual memory (buffered case). The machine switches
 //! between the two cases freely; user code cannot tell, except by timing.
 
+use std::cell::Cell;
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::Poll;
+
 use fugu_net::{HandlerId, NodeId, Payload};
-use fugu_sim::coro::CoCtx;
 use fugu_sim::rng::DetRng;
 use fugu_sim::Cycles;
 
@@ -109,18 +119,33 @@ pub(crate) enum SimResp {
     Upcall(Envelope),
 }
 
+/// The one-slot request/response cell between the machine and the context
+/// it is running. Only one context runs at a time, so one exchange per
+/// machine serves them all: a pending context leaves its [`SimCall`] in
+/// `call`, and the machine puts the answer in `resp` before polling it
+/// again.
+#[derive(Default)]
+pub(crate) struct Exchange {
+    pub(crate) call: Cell<Option<SimCall>>,
+    pub(crate) resp: Cell<Option<SimResp>>,
+}
+
+/// The future a [`Program`] entry point returns: simulated code that the
+/// machine polls on its own thread.
+pub type Sim<'a> = Pin<Box<dyn Future<Output = ()> + 'a>>;
+
 /// A simulated parallel program: one gang of processes, one per node.
 ///
 /// A single `Program` value is shared by every node of the job and by both
 /// execution contexts (main thread and handler) on each node, so per-node
 /// mutable state lives behind interior mutability — conventionally a
-/// `Vec<Mutex<State>>` indexed by [`UserCtx::node`]. Within one node the
-/// machine never runs the main thread and the handler concurrently, so
-/// those locks are never contended.
-pub trait Program: Send + Sync + 'static {
+/// `Vec<RefCell<State>>` indexed by [`UserCtx::node`]. The machine runs one
+/// context at a time on one host thread, so a borrow is never contended as
+/// long as it is not held across an `.await`.
+pub trait Program: 'static {
     /// Per-node entry point. The job completes when `main` has returned on
     /// every node.
-    fn main(&self, ctx: &mut UserCtx<'_>);
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a>;
 
     /// Message handler, invoked with interrupts disabled (an atomic
     /// section), either by a *message-available* user interrupt, by a
@@ -129,7 +154,7 @@ pub trait Program: Send + Sync + 'static {
     ///
     /// The default implementation panics: programs that receive messages
     /// must override it.
-    fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
         let _ = ctx;
         panic!(
             "program received message {:?} but defines no handler",
@@ -152,8 +177,8 @@ pub enum CtxKind {
 /// All methods charge simulated cycles according to the machine's
 /// [`CostModel`](fugu_glaze::CostModel); see each method for which Table 4/5
 /// entry applies.
-pub struct UserCtx<'a> {
-    co: &'a mut CoCtx<SimCall, SimResp>,
+pub struct UserCtx {
+    exchange: Rc<Exchange>,
     node: NodeId,
     nodes: usize,
     job: usize,
@@ -162,7 +187,7 @@ pub struct UserCtx<'a> {
     rng: DetRng,
 }
 
-impl std::fmt::Debug for UserCtx<'_> {
+impl std::fmt::Debug for UserCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UserCtx")
             .field("node", &self.node)
@@ -173,10 +198,10 @@ impl std::fmt::Debug for UserCtx<'_> {
     }
 }
 
-impl<'a> UserCtx<'a> {
-    /// Used by the machine when spawning program threads.
+impl UserCtx {
+    /// Used by the machine when building a process's two contexts.
     pub(crate) fn new(
-        co: &'a mut CoCtx<SimCall, SimResp>,
+        exchange: Rc<Exchange>,
         node: NodeId,
         nodes: usize,
         job: usize,
@@ -185,7 +210,7 @@ impl<'a> UserCtx<'a> {
         seed: u64,
     ) -> Self {
         UserCtx {
-            co,
+            exchange,
             node,
             nodes,
             job,
@@ -195,25 +220,44 @@ impl<'a> UserCtx<'a> {
         }
     }
 
+    /// Hands `call` to the machine and resumes with its response: the
+    /// first poll posts the request and yields; the next takes the answer.
+    async fn call(&self, call: SimCall) -> SimResp {
+        let mut request = Some(call);
+        std::future::poll_fn(|_| match request.take() {
+            Some(call) => {
+                self.exchange.call.set(Some(call));
+                Poll::Pending
+            }
+            None => Poll::Ready(
+                self.exchange
+                    .resp
+                    .take()
+                    .expect("the machine answers a call before polling its caller again"),
+            ),
+        })
+        .await
+    }
+
     /// Issues a call whose response is an acknowledgement.
-    fn call_ok(&mut self, call: SimCall) {
-        match self.co.call(call) {
+    async fn call_ok(&self, call: SimCall) {
+        match self.call(call).await {
             SimResp::Ok => {}
             other => unreachable!("bad response {other:?}"),
         }
     }
 
     /// Issues a call whose response is a boolean.
-    fn call_bool(&mut self, call: SimCall) -> bool {
-        match self.co.call(call) {
+    async fn call_bool(&self, call: SimCall) -> bool {
+        match self.call(call).await {
             SimResp::Bool(b) => b,
             other => unreachable!("bad response {other:?}"),
         }
     }
 
     /// Issues a call whose response is an optional message.
-    fn call_extract(&mut self, call: SimCall) -> Option<Envelope> {
-        match self.co.call(call) {
+    async fn call_extract(&self, call: SimCall) -> Option<Envelope> {
+        match self.call(call).await {
             SimResp::Extract(e) => e,
             other => unreachable!("bad response {other:?}"),
         }
@@ -245,8 +289,8 @@ impl<'a> UserCtx<'a> {
     }
 
     /// Current simulated time in cycles.
-    pub fn now(&mut self) -> Cycles {
-        match self.co.call(SimCall::Now) {
+    pub async fn now(&mut self) -> Cycles {
+        match self.call(SimCall::Now).await {
             SimResp::Time(t) => t,
             other => unreachable!("bad response {other:?}"),
         }
@@ -254,11 +298,11 @@ impl<'a> UserCtx<'a> {
 
     /// Performs `cycles` of local computation. Preemptible: interrupts,
     /// kernel buffer-insert handlers and quantum switches may interleave.
-    pub fn compute(&mut self, cycles: Cycles) {
+    pub async fn compute(&mut self, cycles: Cycles) {
         if cycles == 0 {
             return;
         }
-        self.call_ok(SimCall::Compute(cycles));
+        self.call_ok(SimCall::Compute(cycles)).await;
     }
 
     /// `inject`: sends a message (Table 4: 7 cycles + 3 per payload word).
@@ -267,22 +311,24 @@ impl<'a> UserCtx<'a> {
     ///
     /// Panics if `payload` exceeds 14 words (the 16-word send buffer) or
     /// `dst` is not a valid node.
-    pub fn send(&mut self, dst: NodeId, handler: u32, payload: &[u32]) {
+    pub async fn send(&mut self, dst: NodeId, handler: u32, payload: &[u32]) {
         self.call_ok(SimCall::Send {
             dst,
             handler: HandlerId(handler),
             payload: Payload::from(payload),
-        });
+        })
+        .await;
     }
 
     /// `injectc`: conditional send; returns `false` if the network refused
     /// the message (never blocks).
-    pub fn try_send(&mut self, dst: NodeId, handler: u32, payload: &[u32]) -> bool {
+    pub async fn try_send(&mut self, dst: NodeId, handler: u32, payload: &[u32]) -> bool {
         self.call_bool(SimCall::TrySend {
             dst,
             handler: HandlerId(handler),
             payload: Payload::from(payload),
         })
+        .await
     }
 
     /// Polls for a message and, if one is pending, runs its handler to
@@ -299,28 +345,28 @@ impl<'a> UserCtx<'a> {
     ///
     /// Panics when called from the handler context (the handler context
     /// cannot dispatch to itself; use [`UserCtx::poll_extract`] there).
-    pub fn poll(&mut self) -> bool {
+    pub async fn poll(&mut self) -> bool {
         assert_eq!(
             self.kind,
             CtxKind::Main,
             "poll() dispatches to the handler context; handlers must use poll_extract()"
         );
-        self.call_bool(SimCall::PollDispatch)
+        self.call_bool(SimCall::PollDispatch).await
     }
 
     /// Polls for a message and extracts it raw, without running a handler.
     /// This is the `extract` operation for programs that orchestrate their
     /// own receive loops; also the only receive primitive legal inside a
     /// handler (for draining bursts).
-    pub fn poll_extract(&mut self) -> Option<Envelope> {
-        self.call_extract(SimCall::PollExtract)
+    pub async fn poll_extract(&mut self) -> Option<Envelope> {
+        self.call_extract(SimCall::PollExtract).await
     }
 
     /// `peek` (§3): examines the next pending message without dequeuing it.
     /// Like every receive primitive this is transparent — in buffered mode
     /// it peeks the software buffer instead of the hardware queue.
-    pub fn peek(&mut self) -> Option<Envelope> {
-        self.call_extract(SimCall::Peek)
+    pub async fn peek(&mut self) -> Option<Envelope> {
+        self.call_extract(SimCall::Peek).await
     }
 
     /// Touches page `page` of this process's demand-zero heap (Glaze
@@ -329,21 +375,21 @@ impl<'a> UserCtx<'a> {
     /// inside a message handler switches the process to buffered mode so
     /// the network is not blocked while the fault is serviced (§4.3's
     /// first mode-transition cause).
-    pub fn touch_page(&mut self, page: u32) {
-        self.call_ok(SimCall::TouchPage(page));
+    pub async fn touch_page(&mut self, page: u32) {
+        self.call_ok(SimCall::TouchPage(page)).await;
     }
 
     /// Enters an atomic section: message interrupts are deferred; the
     /// process must poll to observe messages. Subject to revocation — hold
     /// atomicity too long with a message waiting and the OS switches the
     /// process to buffered mode (§4.1 "Revocable Interrupt Disable").
-    pub fn begin_atomic(&mut self) {
-        self.call_ok(SimCall::BeginAtomic);
+    pub async fn begin_atomic(&mut self) {
+        self.call_ok(SimCall::BeginAtomic).await;
     }
 
     /// Leaves an atomic section; deferred messages are then delivered.
-    pub fn end_atomic(&mut self) {
-        self.call_ok(SimCall::EndAtomic);
+    pub async fn end_atomic(&mut self) {
+        self.call_ok(SimCall::EndAtomic).await;
     }
 
     /// Blocks the main thread until a handler calls [`UserCtx::wake`] with
@@ -354,9 +400,9 @@ impl<'a> UserCtx<'a> {
     ///
     /// Panics when called from a handler (handlers run in atomic sections
     /// and must not block, per the UDM model).
-    pub fn block(&mut self, key: u32) {
+    pub async fn block(&mut self, key: u32) {
         assert_eq!(self.kind, CtxKind::Main, "handlers must not block");
-        self.call_ok(SimCall::Block(key));
+        self.call_ok(SimCall::Block(key)).await;
     }
 
     /// Like [`UserCtx::block`] but gives up after `timeout` cycles. Returns
@@ -371,9 +417,9 @@ impl<'a> UserCtx<'a> {
     /// # Panics
     ///
     /// Panics when called from a handler (handlers must not block).
-    pub fn block_timeout(&mut self, key: u32, timeout: Cycles) -> bool {
+    pub async fn block_timeout(&mut self, key: u32, timeout: Cycles) -> bool {
         assert_eq!(self.kind, CtxKind::Main, "handlers must not block");
-        self.call_bool(SimCall::BlockTimeout { key, timeout })
+        self.call_bool(SimCall::BlockTimeout { key, timeout }).await
     }
 
     /// Whether the machine is running with an active fault-injection plan.
@@ -386,14 +432,14 @@ impl<'a> UserCtx<'a> {
     }
 
     /// Wakes the main thread blocked on `key` (or banks a permit).
-    pub fn wake(&mut self, key: u32) {
-        self.call_ok(SimCall::Wake(key));
+    pub async fn wake(&mut self, key: u32) {
+        self.call_ok(SimCall::Wake(key)).await;
     }
 
     /// Handler context's dispatch loop: reports completion of the previous
     /// handler and waits for the next message.
-    pub(crate) fn await_upcall(&mut self) -> Envelope {
-        match self.co.call(SimCall::AwaitUpcall) {
+    pub(crate) async fn await_upcall(&mut self) -> Envelope {
+        match self.call(SimCall::AwaitUpcall).await {
             SimResp::Upcall(e) => e,
             other => unreachable!("bad response {other:?}"),
         }

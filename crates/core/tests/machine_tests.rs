@@ -2,12 +2,16 @@
 //! (Tables 4/5), two-case delivery transitions, transparent access,
 //! revocation, overflow control and determinism.
 
-use std::sync::{Arc, Mutex};
+// `JobSpec` holds an `Arc<dyn Program>`; these programs are single-threaded.
+#![allow(clippy::arc_with_non_send_sync)]
+
+use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 use fugu_sim::fault::FaultPlan;
 use udm::{
     CostModel, CtxKind, Envelope, JobSpec, Machine, MachineConfig, NicConfig, Program, RunReport,
-    UserCtx,
+    Sim, UserCtx,
 };
 
 /// Convenience: a machine with `nodes` nodes and otherwise default config.
@@ -25,26 +29,30 @@ fn machine(nodes: usize) -> Machine {
 /// Node 0 sends one interrupt-delivered null message to node 1, which just
 /// computes until the handler flips a flag.
 struct OneShot {
-    got: Mutex<bool>,
+    got: Cell<bool>,
 }
 
 impl Program for OneShot {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        match ctx.node() {
-            0 => ctx.send(1, 7, &[]),
-            1 => {
-                while !*self.got.lock().unwrap() {
-                    ctx.compute(50);
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            match ctx.node() {
+                0 => ctx.send(1, 7, &[]).await,
+                1 => {
+                    while !self.got.get() {
+                        ctx.compute(50).await;
+                    }
                 }
+                _ => {}
             }
-            _ => {}
-        }
+        })
     }
-    fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
-        assert_eq!(env.handler.0, 7);
-        assert_eq!(env.src, 0);
-        assert_eq!(ctx.node(), 1);
-        *self.got.lock().unwrap() = true;
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            assert_eq!(env.handler.0, 7);
+            assert_eq!(env.src, 0);
+            assert_eq!(ctx.node(), 1);
+            self.got.set(true);
+        })
     }
 }
 
@@ -54,7 +62,7 @@ fn interrupt_delivery_reaches_handler() {
     m.add_job(JobSpec::new(
         "oneshot",
         Arc::new(OneShot {
-            got: Mutex::new(false),
+            got: Cell::new(false),
         }),
     ));
     let r = m.run();
@@ -83,7 +91,7 @@ fn table4_interrupt_cost_is_emergent() {
         m.add_job(JobSpec::new(
             "oneshot",
             Arc::new(OneShot {
-                got: Mutex::new(false),
+                got: Cell::new(false),
             }),
         ));
         let r = m.run();
@@ -103,15 +111,19 @@ fn table4_interrupt_cost_is_emergent() {
 fn table4_per_word_receive_cost() {
     struct WordShot;
     impl Program for WordShot {
-        fn main(&self, ctx: &mut UserCtx<'_>) {
-            if ctx.node() == 0 {
-                ctx.send(1, 0, &[1, 2, 3, 4]);
-            } else {
-                ctx.compute(5_000);
-            }
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                if ctx.node() == 0 {
+                    ctx.send(1, 0, &[1, 2, 3, 4]).await;
+                } else {
+                    ctx.compute(5_000).await;
+                }
+            })
         }
-        fn handler(&self, _ctx: &mut UserCtx<'_>, env: &Envelope) {
-            assert_eq!(env.payload, [1, 2, 3, 4]);
+        fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {
+                assert_eq!(env.payload, [1, 2, 3, 4]);
+            })
         }
     }
     let mut m = machine(2);
@@ -130,28 +142,32 @@ struct PollPong {
 }
 
 impl Program for PollPong {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        ctx.begin_atomic();
-        if ctx.node() == 0 {
-            for _ in 0..self.rounds {
-                ctx.send(1, 0, &[]);
-                while !ctx.poll() {
-                    ctx.compute(5);
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            ctx.begin_atomic().await;
+            if ctx.node() == 0 {
+                for _ in 0..self.rounds {
+                    ctx.send(1, 0, &[]).await;
+                    while !ctx.poll().await {
+                        ctx.compute(5).await;
+                    }
+                }
+            } else {
+                for _ in 0..self.rounds {
+                    while !ctx.poll().await {
+                        ctx.compute(5).await;
+                    }
                 }
             }
-        } else {
-            for _ in 0..self.rounds {
-                while !ctx.poll() {
-                    ctx.compute(5);
-                }
-            }
-        }
-        ctx.end_atomic();
+            ctx.end_atomic().await;
+        })
     }
-    fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
-        if ctx.node() == 1 {
-            ctx.send(env.src, 0, &[]);
-        }
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            if ctx.node() == 1 {
+                ctx.send(env.src, 0, &[]).await;
+            }
+        })
     }
 }
 
@@ -170,21 +186,23 @@ fn polling_ping_pong_round_trips() {
 /// Raw extraction (`poll_extract`) without handler dispatch.
 struct RawExtract;
 impl Program for RawExtract {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        if ctx.node() == 0 {
-            ctx.send(1, 3, &[9, 9]);
-        } else {
-            ctx.begin_atomic();
-            loop {
-                if let Some(env) = ctx.poll_extract() {
-                    assert_eq!(env.handler.0, 3);
-                    assert_eq!(env.payload, [9, 9]);
-                    break;
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            if ctx.node() == 0 {
+                ctx.send(1, 3, &[9, 9]).await;
+            } else {
+                ctx.begin_atomic().await;
+                loop {
+                    if let Some(env) = ctx.poll_extract().await {
+                        assert_eq!(env.handler.0, 3);
+                        assert_eq!(env.payload, [9, 9]);
+                        break;
+                    }
+                    ctx.compute(10).await;
                 }
-                ctx.compute(10);
+                ctx.end_atomic().await;
             }
-            ctx.end_atomic();
-        }
+        })
     }
 }
 
@@ -207,23 +225,27 @@ fn raw_extract_bypasses_handler() {
 /// when node 1 finally polls.
 struct AtomicHog;
 impl Program for AtomicHog {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        if ctx.node() == 0 {
-            ctx.send(1, 0, &[5]);
-        } else {
-            ctx.begin_atomic();
-            ctx.compute(100_000); // >> default 8192-cycle timeout
-                                  // Transparent access: this poll is served from the software
-                                  // buffer (the message was revoked into it long ago).
-            let mut got = false;
-            while !got {
-                got = ctx.poll();
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            if ctx.node() == 0 {
+                ctx.send(1, 0, &[5]).await;
+            } else {
+                ctx.begin_atomic().await;
+                ctx.compute(100_000).await; // >> default 8192-cycle timeout
+                                            // Transparent access: this poll is served from the software
+                                            // buffer (the message was revoked into it long ago).
+                let mut got = false;
+                while !got {
+                    got = ctx.poll().await;
+                }
+                ctx.end_atomic().await;
             }
-            ctx.end_atomic();
-        }
+        })
     }
-    fn handler(&self, _ctx: &mut UserCtx<'_>, env: &Envelope) {
-        assert_eq!(env.payload, [5]);
+    fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            assert_eq!(env.payload, [5]);
+        })
     }
 }
 
@@ -260,10 +282,12 @@ fn prompt_polling_is_never_revoked() {
 /// The experiments' "null" application: computes forever.
 pub struct NullApp;
 impl Program for NullApp {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        loop {
-            ctx.compute(10_000);
-        }
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            loop {
+                ctx.compute(10_000).await;
+            }
+        })
     }
 }
 
@@ -273,7 +297,7 @@ impl Program for NullApp {
 struct Exchanger {
     count: u32,
     gap: u64,
-    received: Vec<Mutex<u32>>,
+    received: Vec<Cell<u32>>,
 }
 
 impl Exchanger {
@@ -281,30 +305,34 @@ impl Exchanger {
         Exchanger {
             count,
             gap,
-            received: (0..nodes).map(|_| Mutex::new(0)).collect(),
+            received: (0..nodes).map(|_| Cell::new(0)).collect(),
         }
     }
 }
 
 impl Program for Exchanger {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        let me = ctx.node();
-        let n = ctx.nodes();
-        let expect = (n as u32 - 1) * self.count;
-        for _ in 0..self.count {
-            for dst in 0..n {
-                if dst != me {
-                    ctx.send(dst, 0, &[me as u32]);
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            let me = ctx.node();
+            let n = ctx.nodes();
+            let expect = (n as u32 - 1) * self.count;
+            for _ in 0..self.count {
+                for dst in 0..n {
+                    if dst != me {
+                        ctx.send(dst, 0, &[me as u32]).await;
+                    }
                 }
+                ctx.compute(self.gap).await;
             }
-            ctx.compute(self.gap);
-        }
-        while *self.received[me].lock().unwrap() < expect {
-            ctx.compute(500);
-        }
+            while self.received[me].get() < expect {
+                ctx.compute(500).await;
+            }
+        })
     }
-    fn handler(&self, ctx: &mut UserCtx<'_>, _env: &Envelope) {
-        *self.received[ctx.node()].lock().unwrap() += 1;
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            self.received[ctx.node()].set(self.received[ctx.node()].get() + 1);
+        })
     }
 }
 
@@ -409,16 +437,20 @@ fn buffering_uses_few_physical_pages() {
 
 struct BlockWake;
 impl Program for BlockWake {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        if ctx.node() == 0 {
-            ctx.compute(1_000);
-            ctx.send(1, 0, &[]);
-        } else {
-            ctx.block(42); // sleep until the handler wakes us
-        }
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            if ctx.node() == 0 {
+                ctx.compute(1_000).await;
+                ctx.send(1, 0, &[]).await;
+            } else {
+                ctx.block(42).await; // sleep until the handler wakes us
+            }
+        })
     }
-    fn handler(&self, ctx: &mut UserCtx<'_>, _env: &Envelope) {
-        ctx.wake(42);
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            ctx.wake(42).await;
+        })
     }
 }
 
@@ -433,18 +465,22 @@ fn handler_wakes_blocked_main() {
 /// A wake that lands before the block must not be lost.
 struct EarlyWake;
 impl Program for EarlyWake {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        if ctx.node() == 0 {
-            ctx.send(1, 0, &[]);
-        } else {
-            // Compute long enough that the message (and its wake) arrives
-            // before we block.
-            ctx.compute(50_000);
-            ctx.block(1);
-        }
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            if ctx.node() == 0 {
+                ctx.send(1, 0, &[]).await;
+            } else {
+                // Compute long enough that the message (and its wake) arrives
+                // before we block.
+                ctx.compute(50_000).await;
+                ctx.block(1).await;
+            }
+        })
     }
-    fn handler(&self, ctx: &mut UserCtx<'_>, _env: &Envelope) {
-        ctx.wake(1);
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            ctx.wake(1).await;
+        })
     }
 }
 
@@ -463,36 +499,39 @@ fn early_wake_is_banked_not_lost() {
 #[test]
 fn full_nic_queue_holds_messages_in_fabric_without_loss() {
     struct Burst {
-        seen: Mutex<u32>,
+        seen: Cell<u32>,
     }
     impl Program for Burst {
-        fn main(&self, ctx: &mut UserCtx<'_>) {
-            if ctx.node() == 0 {
-                for i in 0..64 {
-                    ctx.send(1, 0, &[i]);
-                }
-            } else {
-                // Hold atomicity briefly so the 2-slot queue overflows into
-                // the fabric, then drain by polling.
-                ctx.begin_atomic();
-                ctx.compute(3_000);
-                let mut got = 0;
-                while got < 64 {
-                    if ctx.poll() {
-                        got += 1;
-                    } else {
-                        ctx.compute(5);
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                if ctx.node() == 0 {
+                    for i in 0..64 {
+                        ctx.send(1, 0, &[i]).await;
                     }
+                } else {
+                    // Hold atomicity briefly so the 2-slot queue overflows into
+                    // the fabric, then drain by polling.
+                    ctx.begin_atomic().await;
+                    ctx.compute(3_000).await;
+                    let mut got = 0;
+                    while got < 64 {
+                        if ctx.poll().await {
+                            got += 1;
+                        } else {
+                            ctx.compute(5).await;
+                        }
+                    }
+                    ctx.end_atomic().await;
+                    assert_eq!(self.seen.get(), 64);
                 }
-                ctx.end_atomic();
-                assert_eq!(*self.seen.lock().unwrap(), 64);
-            }
+            })
         }
-        fn handler(&self, _ctx: &mut UserCtx<'_>, env: &Envelope) {
-            let mut seen = self.seen.lock().unwrap();
-            // FIFO order must survive the fabric backlog.
-            assert_eq!(env.payload[0], *seen);
-            *seen += 1;
+        fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {
+                // FIFO order must survive the fabric backlog.
+                assert_eq!(env.payload[0], self.seen.get());
+                self.seen.set(self.seen.get() + 1);
+            })
         }
     }
     let mut m = Machine::new(MachineConfig {
@@ -504,9 +543,7 @@ fn full_nic_queue_holds_messages_in_fabric_without_loss() {
     });
     m.add_job(JobSpec::new(
         "burst",
-        Arc::new(Burst {
-            seen: Mutex::new(0),
-        }),
+        Arc::new(Burst { seen: Cell::new(0) }),
     ));
     let r = m.run();
     let j = r.job("burst");
@@ -520,34 +557,38 @@ fn full_nic_queue_holds_messages_in_fabric_without_loss() {
 #[test]
 fn frame_exhaustion_swaps_and_suspends_instead_of_losing_messages() {
     struct Flood {
-        drained: Mutex<u32>,
+        drained: Cell<u32>,
     }
     impl Program for Flood {
-        fn main(&self, ctx: &mut UserCtx<'_>) {
-            if ctx.node() == 0 {
-                for i in 0..400 {
-                    ctx.send(1, 0, &[i, i, i, i, i, i]);
-                }
-                ctx.compute(10);
-            } else {
-                // Receiver stays atomic long past the timeout so everything
-                // is diverted to the (tiny) buffer, then drains.
-                ctx.begin_atomic();
-                ctx.compute(2_000_000);
-                let mut got = 0;
-                while got < 400 {
-                    if ctx.poll() {
-                        got += 1;
-                    } else {
-                        ctx.compute(5);
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                if ctx.node() == 0 {
+                    for i in 0..400 {
+                        ctx.send(1, 0, &[i, i, i, i, i, i]).await;
                     }
+                    ctx.compute(10).await;
+                } else {
+                    // Receiver stays atomic long past the timeout so everything
+                    // is diverted to the (tiny) buffer, then drains.
+                    ctx.begin_atomic().await;
+                    ctx.compute(2_000_000).await;
+                    let mut got = 0;
+                    while got < 400 {
+                        if ctx.poll().await {
+                            got += 1;
+                        } else {
+                            ctx.compute(5).await;
+                        }
+                    }
+                    ctx.end_atomic().await;
+                    assert_eq!(self.drained.get(), 400);
                 }
-                ctx.end_atomic();
-                assert_eq!(*self.drained.lock().unwrap(), 400);
-            }
+            })
         }
-        fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {
-            *self.drained.lock().unwrap() += 1;
+        fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {
+                self.drained.set(self.drained.get() + 1);
+            })
         }
     }
     let mut m = Machine::new(MachineConfig {
@@ -564,7 +605,7 @@ fn frame_exhaustion_swaps_and_suspends_instead_of_losing_messages() {
     m.add_job(JobSpec::new(
         "flood",
         Arc::new(Flood {
-            drained: Mutex::new(0),
+            drained: Cell::new(0),
         }),
     ));
     let r = m.run();
@@ -626,27 +667,32 @@ fn identical_configs_produce_identical_runs() {
 fn peek_observes_without_consuming_in_both_modes() {
     struct Full;
     impl Program for Full {
-        fn main(&self, ctx: &mut UserCtx<'_>) {
-            if ctx.node() == 0 {
-                ctx.send(1, 9, &[1, 2]);
-                ctx.compute(10_000);
-                ctx.send(1, 10, &[]);
-            } else {
-                ctx.begin_atomic();
-                loop {
-                    if let Some(env) = ctx.peek() {
-                        assert_eq!(env.handler.0, 9);
-                        break;
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                if ctx.node() == 0 {
+                    ctx.send(1, 9, &[1, 2]).await;
+                    ctx.compute(10_000).await;
+                    ctx.send(1, 10, &[]).await;
+                } else {
+                    ctx.begin_atomic().await;
+                    loop {
+                        if let Some(env) = ctx.peek().await {
+                            assert_eq!(env.handler.0, 9);
+                            break;
+                        }
+                        ctx.compute(10).await;
                     }
-                    ctx.compute(10);
+                    let env = ctx
+                        .poll_extract()
+                        .await
+                        .expect("peeked message still there");
+                    assert_eq!(env.payload, [1, 2]);
+                    ctx.compute(50_000).await; // second message times out into vbuf
+                    assert_eq!(ctx.peek().await.expect("buffered peek").handler.0, 10);
+                    assert!(ctx.poll_extract().await.is_some());
+                    ctx.end_atomic().await;
                 }
-                let env = ctx.poll_extract().expect("peeked message still there");
-                assert_eq!(env.payload, [1, 2]);
-                ctx.compute(50_000); // second message times out into vbuf
-                assert_eq!(ctx.peek().expect("buffered peek").handler.0, 10);
-                assert!(ctx.poll_extract().is_some());
-                ctx.end_atomic();
-            }
+            })
         }
     }
     let mut m = machine(2);
@@ -660,37 +706,37 @@ fn peek_observes_without_consuming_in_both_modes() {
 #[test]
 fn page_fault_in_handler_switches_to_buffered_mode() {
     struct FaultyHandler {
-        handled: Mutex<u32>,
+        handled: Cell<u32>,
     }
     impl Program for FaultyHandler {
-        fn main(&self, ctx: &mut UserCtx<'_>) {
-            if ctx.node() == 0 {
-                ctx.send(1, 0, &[]);
-                ctx.compute(2_000);
-                ctx.send(1, 0, &[]); // arrives while node 1 services a fault
-            } else {
-                while *self.handled.lock().unwrap() < 2 {
-                    ctx.compute(100);
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                if ctx.node() == 0 {
+                    ctx.send(1, 0, &[]).await;
+                    ctx.compute(2_000).await;
+                    ctx.send(1, 0, &[]).await; // arrives while node 1 services a fault
+                } else {
+                    while self.handled.get() < 2 {
+                        ctx.compute(100).await;
+                    }
                 }
-            }
+            })
         }
-        fn handler(&self, ctx: &mut UserCtx<'_>, _env: &Envelope) {
-            let first = {
-                let mut h = self.handled.lock().unwrap();
-                *h += 1;
-                *h == 1
-            };
-            if first {
-                ctx.touch_page(7); // demand-zero fault inside the handler
-                ctx.compute(5_000);
-            }
+        fn handler<'a>(&'a self, ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {
+                self.handled.set(self.handled.get() + 1);
+                if self.handled.get() == 1 {
+                    ctx.touch_page(7).await; // demand-zero fault inside the handler
+                    ctx.compute(5_000).await;
+                }
+            })
         }
     }
     let mut m = machine(2);
     m.add_job(JobSpec::new(
         "faulty",
         Arc::new(FaultyHandler {
-            handled: Mutex::new(0),
+            handled: Cell::new(0),
         }),
     ));
     let r = m.run();
@@ -706,55 +752,61 @@ fn page_fault_in_handler_switches_to_buffered_mode() {
 #[test]
 fn touch_page_faults_once_per_page() {
     struct Toucher {
-        done: Mutex<bool>,
+        done: Cell<bool>,
     }
     impl Program for Toucher {
-        fn main(&self, ctx: &mut UserCtx<'_>) {
-            if ctx.node() == 0 {
-                let t0 = ctx.now();
-                ctx.touch_page(0); // fault
-                let t1 = ctx.now();
-                ctx.touch_page(0); // hit
-                let t2 = ctx.now();
-                assert!(t1 - t0 > 1_000, "first touch must fault");
-                assert!(t2 - t1 < 10, "second touch must hit");
-                *self.done.lock().unwrap() = true;
-            }
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                if ctx.node() == 0 {
+                    let t0 = ctx.now().await;
+                    ctx.touch_page(0).await; // fault
+                    let t1 = ctx.now().await;
+                    ctx.touch_page(0).await; // hit
+                    let t2 = ctx.now().await;
+                    assert!(t1 - t0 > 1_000, "first touch must fault");
+                    assert!(t2 - t1 < 10, "second touch must hit");
+                    self.done.set(true);
+                }
+            })
         }
     }
     let mut m = machine(1);
     let p = Arc::new(Toucher {
-        done: Mutex::new(false),
+        done: Cell::new(false),
     });
     m.add_job(JobSpec::new("touch", Arc::clone(&p) as Arc<dyn Program>));
     let r = m.run();
-    assert!(*p.done.lock().unwrap());
+    assert!(p.done.get());
     assert_eq!(r.job("touch").page_faults, 1);
 }
 
 #[test]
 fn polling_watchdog_forces_interrupts_instead_of_buffering() {
     struct Sluggish {
-        received: Mutex<u32>,
+        received: Cell<u32>,
     }
     impl Program for Sluggish {
-        fn main(&self, ctx: &mut UserCtx<'_>) {
-            if ctx.node() == 0 {
-                for _ in 0..20 {
-                    ctx.send(1, 0, &[]);
-                    ctx.compute(5_000);
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                if ctx.node() == 0 {
+                    for _ in 0..20 {
+                        ctx.send(1, 0, &[]).await;
+                        ctx.compute(5_000).await;
+                    }
+                } else {
+                    ctx.begin_atomic().await;
+                    while self.received.get() < 20 {
+                        ctx.compute(30_000).await; // far past the 8192 timeout
+                        while ctx.poll().await {}
+                    }
+                    ctx.end_atomic().await;
                 }
-            } else {
-                ctx.begin_atomic();
-                while *self.received.lock().unwrap() < 20 {
-                    ctx.compute(30_000); // far past the 8192 timeout
-                    while ctx.poll() {}
-                }
-                ctx.end_atomic();
-            }
+            })
         }
-        fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {
-            *self.received.lock().unwrap() += 1;
+        fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {
+                self.received.set(self.received.get() + 1);
+            })
         }
     }
     let run = |watchdog: bool| {
@@ -766,7 +818,7 @@ fn polling_watchdog_forces_interrupts_instead_of_buffering() {
         m.add_job(JobSpec::new(
             "slug",
             Arc::new(Sluggish {
-                received: Mutex::new(0),
+                received: Cell::new(0),
             }) as Arc<dyn Program>,
         ));
         m.run()
@@ -788,40 +840,44 @@ fn polling_watchdog_forces_interrupts_instead_of_buffering() {
 #[test]
 fn injectc_refuses_when_fabric_congested() {
     struct Flooder {
-        refused: Mutex<u32>,
+        refused: Cell<u32>,
     }
     impl Program for Flooder {
-        fn main(&self, ctx: &mut UserCtx<'_>) {
-            if ctx.node() == 0 {
-                // Fire as fast as possible at a receiver that is asleep in
-                // an atomic section; the window must eventually refuse.
-                let mut sent = 0;
-                while sent < 64 {
-                    if ctx.try_send(1, 0, &[]) {
-                        sent += 1;
-                    } else {
-                        *self.refused.lock().unwrap() += 1;
-                        ctx.compute(200);
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                if ctx.node() == 0 {
+                    // Fire as fast as possible at a receiver that is asleep in
+                    // an atomic section; the window must eventually refuse.
+                    let mut sent = 0;
+                    while sent < 64 {
+                        if ctx.try_send(1, 0, &[]).await {
+                            sent += 1;
+                        } else {
+                            self.refused.set(self.refused.get() + 1);
+                            ctx.compute(200).await;
+                        }
                     }
-                }
-            } else {
-                ctx.begin_atomic();
-                ctx.compute(100_000);
-                let mut got = 0;
-                while got < 64 {
-                    if ctx.poll() {
-                        got += 1;
-                    } else {
-                        ctx.compute(10);
+                } else {
+                    ctx.begin_atomic().await;
+                    ctx.compute(100_000).await;
+                    let mut got = 0;
+                    while got < 64 {
+                        if ctx.poll().await {
+                            got += 1;
+                        } else {
+                            ctx.compute(10).await;
+                        }
                     }
+                    ctx.end_atomic().await;
                 }
-                ctx.end_atomic();
-            }
+            })
         }
-        fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {}
+        fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {})
+        }
     }
     let p = Arc::new(Flooder {
-        refused: Mutex::new(0),
+        refused: Cell::new(0),
     });
     let mut m = Machine::new(MachineConfig {
         nodes: 2,
@@ -831,7 +887,7 @@ fn injectc_refuses_when_fabric_congested() {
     m.add_job(JobSpec::new("flood", Arc::clone(&p) as Arc<dyn Program>));
     let r = m.run();
     assert!(
-        *p.refused.lock().unwrap() > 0,
+        p.refused.get() > 0,
         "a closed 8-message window must refuse some injectc attempts"
     );
     assert_eq!(
@@ -848,27 +904,31 @@ fn try_send_window_counts_fabric_held_messages_once() {
     // and count once against the window: the sender gets the window's 4
     // plus the one message the NIC admitted before the first refusal.
     struct Prober {
-        accepted: Mutex<u32>,
+        accepted: Cell<u32>,
     }
     impl Program for Prober {
-        fn main(&self, ctx: &mut UserCtx<'_>) {
-            if ctx.node() == 0 {
-                let mut accepted = 0;
-                while accepted < 64 && ctx.try_send(1, 0, &[]) {
-                    accepted += 1;
-                    ctx.compute(100);
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                if ctx.node() == 0 {
+                    let mut accepted = 0;
+                    while accepted < 64 && ctx.try_send(1, 0, &[]).await {
+                        accepted += 1;
+                        ctx.compute(100).await;
+                    }
+                    self.accepted.set(accepted);
+                } else {
+                    ctx.begin_atomic().await;
+                    ctx.compute(5_000).await;
+                    ctx.end_atomic().await;
                 }
-                *self.accepted.lock().unwrap() = accepted;
-            } else {
-                ctx.begin_atomic();
-                ctx.compute(5_000);
-                ctx.end_atomic();
-            }
+            })
         }
-        fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {}
+        fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {})
+        }
     }
     let p = Arc::new(Prober {
-        accepted: Mutex::new(0),
+        accepted: Cell::new(0),
     });
     let mut m = Machine::new(MachineConfig {
         nodes: 2,
@@ -880,7 +940,7 @@ fn try_send_window_counts_fabric_held_messages_once() {
     });
     m.add_job(JobSpec::new("probe", Arc::clone(&p) as Arc<dyn Program>));
     m.run();
-    assert_eq!(*p.accepted.lock().unwrap(), 5);
+    assert_eq!(p.accepted.get(), 5);
 }
 
 #[test]
@@ -888,28 +948,30 @@ fn faults_active_reads_the_plan_from_both_contexts() {
     // Node 0 pings node 1; each context records what `faults_active`
     // reports, keyed by (node, context).
     struct Reader {
-        seen: Mutex<Vec<(usize, CtxKind, bool)>>,
+        seen: RefCell<Vec<(usize, CtxKind, bool)>>,
     }
     impl Program for Reader {
-        fn main(&self, ctx: &mut UserCtx<'_>) {
-            let active = ctx.faults_active();
-            self.seen
-                .lock()
-                .unwrap()
-                .push((ctx.node(), ctx.kind(), active));
-            if ctx.node() == 0 {
-                ctx.send(1, 0, &[]);
-            } else {
-                ctx.block(0);
-            }
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                let active = ctx.faults_active();
+                self.seen
+                    .borrow_mut()
+                    .push((ctx.node(), ctx.kind(), active));
+                if ctx.node() == 0 {
+                    ctx.send(1, 0, &[]).await;
+                } else {
+                    ctx.block(0).await;
+                }
+            })
         }
-        fn handler(&self, ctx: &mut UserCtx<'_>, _env: &Envelope) {
-            let active = ctx.faults_active();
-            self.seen
-                .lock()
-                .unwrap()
-                .push((ctx.node(), ctx.kind(), active));
-            ctx.wake(0);
+        fn handler<'a>(&'a self, ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {
+                let active = ctx.faults_active();
+                self.seen
+                    .borrow_mut()
+                    .push((ctx.node(), ctx.kind(), active));
+                ctx.wake(0).await;
+            })
         }
     }
     for (faults, expect) in [
@@ -917,7 +979,7 @@ fn faults_active_reads_the_plan_from_both_contexts() {
         (FaultPlan::parse("dup=0.05").unwrap(), true),
     ] {
         let p = Arc::new(Reader {
-            seen: Mutex::new(Vec::new()),
+            seen: RefCell::new(Vec::new()),
         });
         let mut m = Machine::new(MachineConfig {
             nodes: 2,
@@ -926,7 +988,7 @@ fn faults_active_reads_the_plan_from_both_contexts() {
         });
         m.add_job(JobSpec::new("reader", Arc::clone(&p) as Arc<dyn Program>));
         m.run();
-        let mut seen = p.seen.lock().unwrap().clone();
+        let mut seen = p.seen.take();
         seen.sort_by_key(|&(node, kind, _)| (node, kind == CtxKind::Handler));
         seen.dedup();
         assert_eq!(
@@ -947,12 +1009,16 @@ fn try_send_to_missing_node_fails_even_when_congested() {
     // destination must still fail loudly instead of being refused forever.
     struct Stray;
     impl Program for Stray {
-        fn main(&self, ctx: &mut UserCtx<'_>) {
-            if ctx.node() == 0 {
-                ctx.try_send(2, 0, &[]);
-            }
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                if ctx.node() == 0 {
+                    ctx.try_send(2, 0, &[]).await;
+                }
+            })
         }
-        fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {}
+        fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {})
+        }
     }
     let mut m = Machine::new(MachineConfig {
         nodes: 2,
@@ -986,39 +1052,47 @@ fn duplicate_job_names_are_rejected() {
 fn gid_isolation_between_jobs() {
     struct Talker;
     impl Program for Talker {
-        fn main(&self, ctx: &mut UserCtx<'_>) {
-            let peer = 1 - ctx.node();
-            for i in 0..50 {
-                ctx.send(peer, 1, &[i]);
-                ctx.compute(3_000);
-            }
-            ctx.compute(50_000);
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                let peer = 1 - ctx.node();
+                for i in 0..50 {
+                    ctx.send(peer, 1, &[i]).await;
+                    ctx.compute(3_000).await;
+                }
+                ctx.compute(50_000).await;
+            })
         }
-        fn handler(&self, _ctx: &mut UserCtx<'_>, env: &Envelope) {
-            assert_eq!(env.handler.0, 1);
+        fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {
+                assert_eq!(env.handler.0, 1);
+            })
         }
     }
     struct Bystander {
-        intrusions: Mutex<u32>,
+        intrusions: Cell<u32>,
     }
     impl Program for Bystander {
-        fn main(&self, ctx: &mut UserCtx<'_>) {
-            // Poll aggressively and also leave interrupt windows open; we
-            // must see nothing.
-            for _ in 0..200 {
-                if let Some(env) = ctx.poll_extract() {
-                    let _ = env;
-                    *self.intrusions.lock().unwrap() += 1;
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                // Poll aggressively and also leave interrupt windows open; we
+                // must see nothing.
+                for _ in 0..200 {
+                    if let Some(env) = ctx.poll_extract().await {
+                        let _ = env;
+                        self.intrusions.set(self.intrusions.get() + 1);
+                    }
+                    ctx.compute(1_000).await;
                 }
-                ctx.compute(1_000);
-            }
+            })
         }
-        fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {
-            *self.intrusions.lock().unwrap() += 1;
+        fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {
+                self.intrusions.set(self.intrusions.get() + 1);
+            })
         }
     }
     let bystander = Arc::new(Bystander {
-        intrusions: Mutex::new(0),
+        intrusions: Cell::new(0),
     });
     let mut m = Machine::new(MachineConfig {
         nodes: 2,
@@ -1036,7 +1110,7 @@ fn gid_isolation_between_jobs() {
     ));
     let r = m.run();
     assert_eq!(
-        *bystander.intrusions.lock().unwrap(),
+        bystander.intrusions.get(),
         0,
         "bystander observed another group's messages"
     );
@@ -1056,28 +1130,32 @@ fn two_communicating_jobs_interleave_cleanly() {
     let mk = |marker: u32| {
         struct Chat {
             marker: u32,
-            got: Mutex<u32>,
+            got: Cell<u32>,
         }
         impl Program for Chat {
-            fn main(&self, ctx: &mut UserCtx<'_>) {
-                let peer = 1 - ctx.node();
-                for _ in 0..30 {
-                    ctx.send(peer, self.marker, &[self.marker]);
-                    ctx.compute(2_000);
-                }
-                while *self.got.lock().unwrap() < 30 {
-                    ctx.compute(1_000);
-                }
+            fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+                Box::pin(async move {
+                    let peer = 1 - ctx.node();
+                    for _ in 0..30 {
+                        ctx.send(peer, self.marker, &[self.marker]).await;
+                        ctx.compute(2_000).await;
+                    }
+                    while self.got.get() < 30 {
+                        ctx.compute(1_000).await;
+                    }
+                })
             }
-            fn handler(&self, _ctx: &mut UserCtx<'_>, env: &Envelope) {
-                assert_eq!(env.handler.0, self.marker, "crosstalk between jobs!");
-                assert_eq!(env.payload, [self.marker]);
-                *self.got.lock().unwrap() += 1;
+            fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+                Box::pin(async move {
+                    assert_eq!(env.handler.0, self.marker, "crosstalk between jobs!");
+                    assert_eq!(env.payload, [self.marker]);
+                    self.got.set(self.got.get() + 1);
+                })
             }
         }
         Arc::new(Chat {
             marker,
-            got: Mutex::new(0),
+            got: Cell::new(0),
         }) as Arc<dyn Program>
     };
     let mut m = Machine::new(MachineConfig {
@@ -1096,5 +1174,172 @@ fn two_communicating_jobs_interleave_cleanly() {
         let j = r.job(name);
         assert_eq!(j.sent, 60);
         assert_eq!(j.delivered(), 60, "{name} lost messages");
+    }
+}
+
+// ======================================================================
+// Engine: one thread of control, panic classification, teardown
+// ======================================================================
+
+/// Runs `m`, which must panic, and returns the panic's message.
+fn run_panic_message(m: Machine) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || m.run()))
+        .expect_err("the run should panic");
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .expect("panic payload is a string")
+            .to_string(),
+    }
+}
+
+/// A main that panics on one node, with a runtime-formatted message or a
+/// string literal.
+struct Panicky {
+    formatted: bool,
+}
+
+impl Program for Panicky {
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            ctx.compute(100).await;
+            if ctx.node() == 1 {
+                if self.formatted {
+                    panic!("boom {}", ctx.node() * 7);
+                }
+                panic!("static boom");
+            }
+        })
+    }
+}
+
+#[test]
+fn main_panic_with_formatted_message_names_job_context_and_node() {
+    let mut m = machine(2);
+    m.add_job(JobSpec::new(
+        "boomer",
+        Arc::new(Panicky { formatted: true }),
+    ));
+    assert_eq!(
+        run_panic_message(m),
+        "job 'boomer' Main context on node 1 panicked: boom 7"
+    );
+}
+
+#[test]
+fn main_panic_with_literal_message_names_job_context_and_node() {
+    let mut m = machine(2);
+    m.add_job(JobSpec::new(
+        "boomer",
+        Arc::new(Panicky { formatted: false }),
+    ));
+    assert_eq!(
+        run_panic_message(m),
+        "job 'boomer' Main context on node 1 panicked: static boom"
+    );
+}
+
+#[test]
+fn message_to_a_program_without_handler_panics_in_its_handler_context() {
+    struct Mute;
+    impl Program for Mute {
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                if ctx.node() == 0 {
+                    ctx.send(1, 3, &[]).await;
+                }
+                ctx.compute(10_000).await;
+            })
+        }
+    }
+    let mut m = machine(2);
+    m.add_job(JobSpec::new("mute", Arc::new(Mute)));
+    let msg = run_panic_message(m);
+    assert!(
+        msg.starts_with("job 'mute' Handler context on node 1 panicked: "),
+        "{msg}"
+    );
+    assert!(msg.contains("defines no handler"), "{msg}");
+}
+
+#[test]
+fn main_blocked_forever_is_a_simulation_deadlock() {
+    struct Sleeper;
+    impl Program for Sleeper {
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                ctx.block(0x5EE9).await;
+            })
+        }
+    }
+    let mut m = machine(2);
+    m.add_job(JobSpec::new("sleeper", Arc::new(Sleeper)));
+    let msg = run_panic_message(m);
+    assert!(msg.contains("simulation deadlock"), "{msg}");
+}
+
+#[test]
+fn machine_dropped_without_run_returns_promptly_and_runs_nothing() {
+    struct Untouched {
+        ran: Cell<bool>,
+    }
+    impl Program for Untouched {
+        fn main<'a>(&'a self, _ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move { self.ran.set(true) })
+        }
+    }
+    let p = Arc::new(Untouched {
+        ran: Cell::new(false),
+    });
+    let start = std::time::Instant::now();
+    let mut m = machine(8);
+    m.add_job(JobSpec::new("a", Arc::clone(&p) as Arc<dyn Program>));
+    m.add_job(JobSpec::new("b", Arc::new(NullApp)).background());
+    drop(m);
+    assert!(start.elapsed() < std::time::Duration::from_secs(10));
+    assert!(!p.ran.get(), "dropping a machine must not run its programs");
+}
+
+#[test]
+fn every_context_runs_on_the_thread_that_called_run() {
+    struct WhereAmI {
+        threads: RefCell<Vec<(CtxKind, std::thread::ThreadId)>>,
+    }
+    impl Program for WhereAmI {
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                let here = std::thread::current().id();
+                self.threads.borrow_mut().push((ctx.kind(), here));
+                if ctx.node() == 0 {
+                    ctx.send(1, 0, &[]).await;
+                } else {
+                    ctx.block(0).await;
+                }
+            })
+        }
+        fn handler<'a>(&'a self, ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {
+                let here = std::thread::current().id();
+                self.threads.borrow_mut().push((ctx.kind(), here));
+                ctx.wake(0).await;
+            })
+        }
+    }
+    let p = Arc::new(WhereAmI {
+        threads: RefCell::new(Vec::new()),
+    });
+    let mut m = machine(2);
+    m.add_job(JobSpec::new("where", Arc::clone(&p) as Arc<dyn Program>));
+    m.run();
+    let caller = std::thread::current().id();
+    let threads = p.threads.take();
+    assert_eq!(threads.len(), 3, "two mains and one handler ran");
+    assert!(threads.iter().any(|&(kind, _)| kind == CtxKind::Handler));
+    for (kind, thread) in threads {
+        assert_eq!(
+            thread, caller,
+            "{kind:?} context ran off the caller's thread"
+        );
     }
 }

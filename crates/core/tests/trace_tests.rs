@@ -11,37 +11,45 @@ use fugu_sim::span::DeliveryPath;
 use fugu_sim::trace::{CategoryMask, TraceEvent, TraceRecord, Tracer};
 use fugu_sim::trace_export::chrome_trace;
 use udm::{
-    Envelope, InvariantChecker, JobSpec, Machine, MachineConfig, Program, RunReport, UserCtx,
+    Envelope, InvariantChecker, JobSpec, Machine, MachineConfig, Program, RunReport, Sim, UserCtx,
 };
 
 /// Every node streams bursts at its ring neighbour with a slow handler, so
 /// receivers fall behind and some messages take the buffered path.
 struct Chatter;
 impl Program for Chatter {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        let peer = (ctx.node() + 1) % ctx.nodes();
-        for burst in 0..8 {
-            for _ in 0..25 {
-                ctx.send(peer, 0, &[burst, 1, 2]);
-                ctx.compute(250);
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            let peer = (ctx.node() + 1) % ctx.nodes();
+            for burst in 0..8 {
+                for _ in 0..25 {
+                    ctx.send(peer, 0, &[burst, 1, 2]).await;
+                    ctx.compute(250).await;
+                }
+                ctx.compute(10_000).await;
             }
-            ctx.compute(10_000);
-        }
+        })
     }
-    fn handler(&self, ctx: &mut UserCtx<'_>, _env: &Envelope) {
-        ctx.compute(400);
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            ctx.compute(400).await;
+        })
     }
 }
 
 /// Background filler so the gang scheduler has something to switch to.
 struct Idler;
 impl Program for Idler {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        loop {
-            ctx.compute(10_000);
-        }
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            loop {
+                ctx.compute(10_000).await;
+            }
+        })
     }
-    fn handler(&self, _ctx: &mut UserCtx<'_>, _env: &Envelope) {}
+    fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {})
+    }
 }
 
 /// A machine busy enough to exercise both delivery cases: chatter against

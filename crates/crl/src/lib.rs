@@ -24,11 +24,13 @@
 //! unrecognized messages to [`Crl::handle`]:
 //!
 //! ```ignore
-//! fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
-//!     if self.crl.handle(ctx, env) {
-//!         return; // a coherence-protocol message
-//!     }
-//!     // ... application messages ...
+//! fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+//!     Box::pin(async move {
+//!         if self.crl.handle(ctx, env).await {
+//!             return; // a coherence-protocol message
+//!         }
+//!         // ... application messages ...
+//!     })
 //! }
 //! ```
 //!
@@ -36,8 +38,8 @@
 //! invalidations and recalls are *deferred* until the matching `end_*`
 //! (as in real CRL), so data is never torn mid-access.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use udm::{Cycles, Envelope, NodeId, UserCtx};
 
@@ -197,43 +199,28 @@ struct CrlNode {
 
 /// A region-based software DSM instance for one job.
 ///
-/// Shared via `Arc` between the job's program value on every node; each
-/// node's state lives behind its own mutex (never contended: the machine
-/// serializes a node's contexts).
+/// One value serves every node of the job, inside the job's program; each
+/// node's state is its own `RefCell`. The machine runs one context at a
+/// time on one thread, and no protocol step holds a borrow across an
+/// `.await`, so a borrow is never contended.
 #[derive(Debug)]
 pub struct Crl {
-    nnodes: usize,
-    nodes: Vec<Mutex<CrlNode>>,
+    nodes: Vec<RefCell<CrlNode>>,
 }
 
 impl Crl {
     /// Creates the DSM layer for a job spanning `nnodes` nodes.
     pub fn new(nnodes: usize) -> Self {
         Crl {
-            nnodes,
             nodes: (0..nnodes)
-                .map(|_| Mutex::new(CrlNode::default()))
+                .map(|_| RefCell::new(CrlNode::default()))
                 .collect(),
         }
     }
 
     /// The home node of a region.
     pub fn home(&self, rid: Rid) -> NodeId {
-        rid as usize % self.nnodes
-    }
-
-    /// Locks one node's protocol state, recovering from lock poisoning.
-    ///
-    /// A panic in simulated program code (an assertion failure, or the
-    /// machine's structured deadlock dump) unwinds while a node lock is
-    /// held and poisons it. Every protocol entry point goes through this
-    /// helper rather than `lock().unwrap()` so that the *first* panic's
-    /// message survives instead of being buried under a cascade of opaque
-    /// `PoisonError` panics from whichever handlers run afterwards. The
-    /// state itself is safe to reuse: each method leaves it consistent
-    /// before calling back into the machine.
-    fn node(&self, n: NodeId) -> MutexGuard<'_, CrlNode> {
-        self.nodes[n].lock().unwrap_or_else(PoisonError::into_inner)
+        rid as usize % self.nodes.len()
     }
 
     fn key(rid: Rid) -> u32 {
@@ -247,26 +234,29 @@ impl Crl {
     /// # Panics
     ///
     /// Panics if the region already exists on this node.
-    pub fn create(&self, ctx: &mut UserCtx<'_>, rid: Rid, init: &[u32]) {
+    pub async fn create(&self, ctx: &mut UserCtx, rid: Rid, init: &[u32]) {
         let me = ctx.node();
-        let mut st = self.node(me);
-        let prev = st.local.insert(
-            rid,
-            RegionLocal {
-                state: LState::Invalid,
-                data: Vec::new(),
-                len: init.len(),
-                hold: None,
-                wanted: false,
-                deferred: None,
-                fill: 0,
-                got: BTreeSet::new(),
-                req_seq: 0,
-                grant_seen: 0,
-            },
-        );
-        assert!(prev.is_none(), "region {rid} already exists on node {me}");
-        if self.home(rid) == me {
+        let had_early = {
+            let mut st = self.nodes[me].borrow_mut();
+            let prev = st.local.insert(
+                rid,
+                RegionLocal {
+                    state: LState::Invalid,
+                    data: Vec::new(),
+                    len: init.len(),
+                    hold: None,
+                    wanted: false,
+                    deferred: None,
+                    fill: 0,
+                    got: BTreeSet::new(),
+                    req_seq: 0,
+                    grant_seen: 0,
+                },
+            );
+            assert!(prev.is_none(), "region {rid} already exists on node {me}");
+            if self.home(rid) != me {
+                return;
+            }
             let queue: VecDeque<DirReq> = st
                 .early_reqs
                 .remove(&rid)
@@ -285,10 +275,10 @@ impl Crl {
                     served: BTreeMap::new(),
                 },
             );
-            drop(st);
-            if had_early {
-                self.pump(ctx, rid);
-            }
+            had_early
+        };
+        if had_early {
+            self.pump(ctx, rid).await;
         }
     }
 
@@ -298,22 +288,21 @@ impl Crl {
 
     /// Begins a read hold. Blocks (the main thread) until a readable copy
     /// is local.
-    pub fn start_read(&self, ctx: &mut UserCtx<'_>, rid: Rid) {
-        self.start(ctx, rid, false);
+    pub async fn start_read(&self, ctx: &mut UserCtx, rid: Rid) {
+        self.start(ctx, rid, false).await;
     }
 
     /// Begins a write hold. Blocks until the region is exclusive here.
-    pub fn start_write(&self, ctx: &mut UserCtx<'_>, rid: Rid) {
-        self.start(ctx, rid, true);
+    pub async fn start_write(&self, ctx: &mut UserCtx, rid: Rid) {
+        self.start(ctx, rid, true).await;
     }
 
-    fn start(&self, ctx: &mut UserCtx<'_>, rid: Rid, write: bool) {
+    async fn start(&self, ctx: &mut UserCtx, rid: Rid, write: bool) {
         let me = ctx.node();
         loop {
-            let seq;
             // Fast path: local state already suffices.
-            {
-                let mut st = self.node(me);
+            let miss = {
+                let mut st = self.nodes[me].borrow_mut();
                 // The home node with no remote owner can serve itself.
                 self.try_home_local(&mut st, me, rid, write);
                 let region = st
@@ -325,38 +314,39 @@ impl Crl {
                     (write, region.state),
                     (false, LState::Shared | LState::Exclusive) | (true, LState::Exclusive)
                 );
+                region.fill = 0;
+                region.got.clear();
                 if ok {
                     region.hold = Some(if write { Hold::Write } else { Hold::Read });
                     region.wanted = false; // any deferred recall runs at end_*
-                    region.fill = 0;
-                    region.got.clear();
-                    drop(st);
-                    ctx.compute(HIT_COST);
-                    return;
+                    None
+                } else {
+                    region.wanted = true;
+                    region.req_seq += 1;
+                    Some(region.req_seq)
                 }
-                region.fill = 0;
-                region.got.clear();
-                region.wanted = true;
-                region.req_seq += 1;
-                seq = region.req_seq;
-            }
+            };
+            let Some(seq) = miss else {
+                ctx.compute(HIT_COST).await;
+                return;
+            };
             // Miss: ask the home node and sleep until the grant lands.
-            ctx.compute(MISS_COST);
+            ctx.compute(MISS_COST).await;
             let req = [rid, write as u32 | (seq << 1)];
-            ctx.send(self.home(rid), handlers::REQ, &req);
+            ctx.send(self.home(rid), handlers::REQ, &req).await;
             if ctx.faults_active() {
                 // Chaos mode: the request or its grant may be dropped. Sleep
                 // with a timeout and re-send the same request (same sequence
                 // number — the directory dedups) with exponential backoff.
                 let mut timeout = RETRY_TIMEOUT;
                 let cap = timeout.saturating_mul(64);
-                while !ctx.block_timeout(Self::key(rid), timeout) {
-                    self.node(me).retries += 1;
-                    ctx.send(self.home(rid), handlers::REQ, &req);
+                while !ctx.block_timeout(Self::key(rid), timeout).await {
+                    self.nodes[me].borrow_mut().retries += 1;
+                    ctx.send(self.home(rid), handlers::REQ, &req).await;
                     timeout = timeout.saturating_mul(2).min(cap);
                 }
             } else {
-                ctx.block(Self::key(rid));
+                ctx.block(Self::key(rid)).await;
             }
             // Re-check: an invalidation may have raced the wakeup.
         }
@@ -400,20 +390,20 @@ impl Crl {
     }
 
     /// Ends a read hold, performing any deferred coherence work.
-    pub fn end_read(&self, ctx: &mut UserCtx<'_>, rid: Rid) {
-        self.end(ctx, rid, Hold::Read);
+    pub async fn end_read(&self, ctx: &mut UserCtx, rid: Rid) {
+        self.end(ctx, rid, Hold::Read).await;
     }
 
     /// Ends a write hold, performing any deferred coherence work.
-    pub fn end_write(&self, ctx: &mut UserCtx<'_>, rid: Rid) {
-        self.end(ctx, rid, Hold::Write);
+    pub async fn end_write(&self, ctx: &mut UserCtx, rid: Rid) {
+        self.end(ctx, rid, Hold::Write).await;
     }
 
-    fn end(&self, ctx: &mut UserCtx<'_>, rid: Rid, expect: Hold) {
+    async fn end(&self, ctx: &mut UserCtx, rid: Rid, expect: Hold) {
         let me = ctx.node();
         let deferred;
         {
-            let mut st = self.node(me);
+            let mut st = self.nodes[me].borrow_mut();
             let region = st.local.get_mut(&rid).expect("region exists");
             assert_eq!(
                 region.hold,
@@ -423,11 +413,11 @@ impl Crl {
             region.hold = None;
             deferred = region.deferred.take();
         }
-        ctx.compute(END_COST);
+        ctx.compute(END_COST).await;
         match deferred {
             None => {}
-            Some(Deferred::Inv) => self.do_invalidate(ctx, rid),
-            Some(Deferred::Recall { full }) => self.do_flush(ctx, rid, full),
+            Some(Deferred::Inv) => self.do_invalidate(ctx, rid).await,
+            Some(Deferred::Recall { full }) => self.do_flush(ctx, rid, full).await,
         }
     }
 
@@ -436,9 +426,9 @@ impl Crl {
     /// # Panics
     ///
     /// Panics unless the caller holds the region (read or write).
-    pub fn snapshot(&self, ctx: &mut UserCtx<'_>, rid: Rid) -> Vec<u32> {
+    pub fn snapshot(&self, ctx: &mut UserCtx, rid: Rid) -> Vec<u32> {
         let me = ctx.node();
-        let st = self.node(me);
+        let st = self.nodes[me].borrow();
         let region = &st.local[&rid];
         assert!(region.hold.is_some(), "snapshot of unheld region {rid}");
         region.data.clone()
@@ -449,9 +439,9 @@ impl Crl {
     /// # Panics
     ///
     /// Panics unless the caller holds the region for write.
-    pub fn update<R>(&self, ctx: &mut UserCtx<'_>, rid: Rid, f: impl FnOnce(&mut [u32]) -> R) -> R {
+    pub fn update<R>(&self, ctx: &mut UserCtx, rid: Rid, f: impl FnOnce(&mut [u32]) -> R) -> R {
         let me = ctx.node();
-        let mut st = self.node(me);
+        let mut st = self.nodes[me].borrow_mut();
         let region = st.local.get_mut(&rid).expect("region exists");
         assert_eq!(
             region.hold,
@@ -464,7 +454,7 @@ impl Crl {
     /// Total request retries fired by the timeout protocol, summed over all
     /// nodes. Always zero when fault injection is inert.
     pub fn retries(&self) -> u64 {
-        (0..self.nnodes).map(|n| self.node(n).retries).sum()
+        self.nodes.iter().map(|st| st.borrow().retries).sum()
     }
 
     // ------------------------------------------------------------------
@@ -473,21 +463,21 @@ impl Crl {
 
     /// Routes a coherence-protocol message; returns `false` if `env` is not
     /// a CRL message (the application should handle it).
-    pub fn handle(&self, ctx: &mut UserCtx<'_>, env: &Envelope) -> bool {
+    pub async fn handle(&self, ctx: &mut UserCtx, env: &Envelope) -> bool {
         match env.handler.0 {
-            handlers::REQ => self.on_req(ctx, env),
-            handlers::DATA => self.on_data(ctx, env),
-            handlers::INV => self.on_inv(ctx, env),
-            handlers::INV_ACK => self.on_inv_ack(ctx, env),
-            handlers::RECALL => self.on_recall(ctx, env),
-            handlers::FLUSH => self.on_flush(ctx, env),
+            handlers::REQ => self.on_req(ctx, env).await,
+            handlers::DATA => self.on_data(ctx, env).await,
+            handlers::INV => self.on_inv(ctx, env).await,
+            handlers::INV_ACK => self.on_inv_ack(ctx, env).await,
+            handlers::RECALL => self.on_recall(ctx, env).await,
+            handlers::FLUSH => self.on_flush(ctx, env).await,
             _ => return false,
         }
-        ctx.compute(PROTOCOL_COST);
+        ctx.compute(PROTOCOL_COST).await;
         true
     }
 
-    fn on_req(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
+    async fn on_req(&self, ctx: &mut UserCtx, env: &Envelope) {
         let rid = env.payload[0];
         let write = env.payload[1] & 1 != 0;
         let seq = env.payload[1] >> 1;
@@ -512,7 +502,7 @@ impl Crl {
             seq,
         };
         let action = {
-            let mut st = self.node(me);
+            let mut st = self.nodes[me].borrow_mut();
             match st.dir.get_mut(&rid) {
                 Some(dir) => {
                     let served = dir.served.get(&req.node).copied().unwrap_or(0);
@@ -586,7 +576,7 @@ impl Crl {
         };
         match action {
             ReqAction::Ignore => {}
-            ReqAction::Pump => self.pump(ctx, rid),
+            ReqAction::Pump => self.pump(ctx, rid).await,
             ReqAction::Resend { data } => {
                 self.send_chunks(
                     ctx,
@@ -595,7 +585,8 @@ impl Crl {
                     rid,
                     write as u32 | (seq << 1),
                     &data,
-                );
+                )
+                .await;
             }
             ReqAction::Redrive { recall, invs } => {
                 if let Some((to, full, rseq)) = recall {
@@ -608,26 +599,27 @@ impl Crl {
                         // re-issue it. Idempotent: state and data are
                         // unchanged since the first flush.
                         let lost = {
-                            let st = self.node(me);
+                            let st = self.nodes[me].borrow();
                             let region = &st.local[&rid];
                             region.hold.is_none() && region.deferred.is_none()
                         };
                         if lost {
-                            self.do_flush(ctx, rid, full);
+                            self.do_flush(ctx, rid, full).await;
                         }
                     } else {
-                        ctx.send(to, handlers::RECALL, &[rid, full as u32 | (rseq << 1)]);
+                        ctx.send(to, handlers::RECALL, &[rid, full as u32 | (rseq << 1)])
+                            .await;
                     }
                 }
                 for s in invs {
-                    ctx.send(s, handlers::INV, &[rid]);
+                    ctx.send(s, handlers::INV, &[rid]).await;
                 }
             }
         }
     }
 
     /// Serves the directory queue head if the directory is idle.
-    fn pump(&self, ctx: &mut UserCtx<'_>, rid: Rid) {
+    async fn pump(&self, ctx: &mut UserCtx, rid: Rid) {
         let me = ctx.node();
         loop {
             enum Action {
@@ -637,7 +629,7 @@ impl Crl {
                 Grant { req: DirReq, data: Vec<u32> },
             }
             let action = {
-                let mut st = self.node(me);
+                let mut st = self.nodes[me].borrow_mut();
                 let dir = st.dir.get_mut(&rid).expect("pump at non-home");
                 if dir.busy != DirBusy::Idle {
                     Action::Done
@@ -749,12 +741,13 @@ impl Crl {
             match action {
                 Action::Done => return,
                 Action::Recall { to, full, seq } => {
-                    ctx.send(to, handlers::RECALL, &[rid, full as u32 | (seq << 1)]);
+                    ctx.send(to, handlers::RECALL, &[rid, full as u32 | (seq << 1)])
+                        .await;
                     return;
                 }
                 Action::Invalidate { to } => {
                     for s in to {
-                        ctx.send(s, handlers::INV, &[rid]);
+                        ctx.send(s, handlers::INV, &[rid]).await;
                     }
                     return;
                 }
@@ -762,16 +755,17 @@ impl Crl {
                     if req.node == me {
                         // Local grant (home requested its own region while
                         // traffic was queued): install directly.
-                        let mut st = self.node(me);
-                        let region = st.local.get_mut(&rid).expect("created");
-                        region.data = data;
-                        region.state = if req.write {
-                            LState::Exclusive
-                        } else {
-                            LState::Shared
-                        };
-                        drop(st);
-                        ctx.wake(Self::key(rid));
+                        {
+                            let mut st = self.nodes[me].borrow_mut();
+                            let region = st.local.get_mut(&rid).expect("created");
+                            region.data = data;
+                            region.state = if req.write {
+                                LState::Exclusive
+                            } else {
+                                LState::Shared
+                            };
+                        }
+                        ctx.wake(Self::key(rid)).await;
                     } else {
                         self.send_chunks(
                             ctx,
@@ -780,7 +774,8 @@ impl Crl {
                             rid,
                             req.write as u32 | (req.seq << 1),
                             &data,
-                        );
+                        )
+                        .await;
                     }
                     // Loop: reads may continue to be granted.
                 }
@@ -788,9 +783,9 @@ impl Crl {
         }
     }
 
-    fn send_chunks(
+    async fn send_chunks(
         &self,
-        ctx: &mut UserCtx<'_>,
+        ctx: &mut UserCtx,
         dst: NodeId,
         handler: u32,
         rid: Rid,
@@ -799,7 +794,7 @@ impl Crl {
     ) {
         let total = data.len() as u32;
         if data.is_empty() {
-            ctx.send(dst, handler, &[rid, flag, 0, 0]);
+            ctx.send(dst, handler, &[rid, flag, 0, 0]).await;
             return;
         }
         let mut off = 0usize;
@@ -807,12 +802,12 @@ impl Crl {
             let end = (off + CHUNK_WORDS).min(data.len());
             let mut payload = vec![rid, flag, off as u32, total];
             payload.extend_from_slice(&data[off..end]);
-            ctx.send(dst, handler, &payload);
+            ctx.send(dst, handler, &payload).await;
             off = end;
         }
     }
 
-    fn on_data(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
+    async fn on_data(&self, ctx: &mut UserCtx, env: &Envelope) {
         let rid = env.payload[0];
         let write = env.payload[1] & 1 != 0;
         let seq = env.payload[1] >> 1;
@@ -821,7 +816,7 @@ impl Crl {
         let words = &env.payload[4..];
         let me = ctx.node();
         let complete = {
-            let mut st = self.node(me);
+            let mut st = self.nodes[me].borrow_mut();
             let region = st.local.get_mut(&rid).expect("grant for unknown region");
             if !region.wanted || seq != region.req_seq || region.grant_seen >= seq {
                 // A re-sent grant for a request we have since satisfied or
@@ -854,15 +849,15 @@ impl Crl {
             }
         };
         if complete {
-            ctx.wake(Self::key(rid));
+            ctx.wake(Self::key(rid)).await;
         }
     }
 
-    fn on_inv(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
+    async fn on_inv(&self, ctx: &mut UserCtx, env: &Envelope) {
         let rid = env.payload[0];
         let me = ctx.node();
         let deferred = {
-            let mut st = self.node(me);
+            let mut st = self.nodes[me].borrow_mut();
             let region = st.local.get_mut(&rid).expect("inv for unknown region");
             // Defer only while *held*. A merely `wanted` sharer must ack
             // immediately: it may itself be awaiting a write upgrade from
@@ -883,35 +878,37 @@ impl Crl {
             }
         };
         if !deferred {
-            ctx.send(self.home(rid), handlers::INV_ACK, &[rid, me as u32]);
+            ctx.send(self.home(rid), handlers::INV_ACK, &[rid, me as u32])
+                .await;
         }
     }
 
-    fn do_invalidate(&self, ctx: &mut UserCtx<'_>, rid: Rid) {
+    async fn do_invalidate(&self, ctx: &mut UserCtx, rid: Rid) {
         let me = ctx.node();
         {
-            let mut st = self.node(me);
+            let mut st = self.nodes[me].borrow_mut();
             let region = st.local.get_mut(&rid).expect("region exists");
             region.state = LState::Invalid;
         }
         if self.home(rid) == me {
             // Deferred self-invalidation at home: account the ack locally.
-            self.on_ack_internal(ctx, rid, me);
+            self.on_ack_internal(ctx, rid, me).await;
         } else {
-            ctx.send(self.home(rid), handlers::INV_ACK, &[rid, me as u32]);
+            ctx.send(self.home(rid), handlers::INV_ACK, &[rid, me as u32])
+                .await;
         }
     }
 
-    fn on_inv_ack(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
+    async fn on_inv_ack(&self, ctx: &mut UserCtx, env: &Envelope) {
         let rid = env.payload[0];
         let sharer = env.payload[1] as usize;
-        self.on_ack_internal(ctx, rid, sharer);
+        self.on_ack_internal(ctx, rid, sharer).await;
     }
 
-    fn on_ack_internal(&self, ctx: &mut UserCtx<'_>, rid: Rid, sharer: NodeId) {
+    async fn on_ack_internal(&self, ctx: &mut UserCtx, rid: Rid, sharer: NodeId) {
         let me = ctx.node();
         let done = {
-            let mut st = self.node(me);
+            let mut st = self.nodes[me].borrow_mut();
             let dir = st.dir.get_mut(&rid).expect("ack at non-home");
             dir.sharers.remove(&sharer);
             // Duplicate acks (re-sent after a re-driven INV, or duplicated
@@ -927,11 +924,11 @@ impl Crl {
             done
         };
         if done {
-            self.pump(ctx, rid);
+            self.pump(ctx, rid).await;
         }
     }
 
-    fn on_recall(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
+    async fn on_recall(&self, ctx: &mut UserCtx, env: &Envelope) {
         let rid = env.payload[0];
         let full = env.payload[1] & 1 != 0;
         let seq = env.payload[1] >> 1;
@@ -946,7 +943,7 @@ impl Crl {
             Reflush(Vec<u32>),
         }
         let action = {
-            let mut st = self.node(me);
+            let mut st = self.nodes[me].borrow_mut();
             let region = st.local.get_mut(&rid).expect("recall for unknown region");
             if region.grant_seen < seq {
                 // The grant being recalled has not arrived here yet (it may
@@ -971,7 +968,7 @@ impl Crl {
         };
         match action {
             RecallAction::Defer => {}
-            RecallAction::Flush => self.do_flush(ctx, rid, full),
+            RecallAction::Flush => self.do_flush(ctx, rid, full).await,
             RecallAction::Reflush(data) => {
                 self.send_chunks(
                     ctx,
@@ -980,15 +977,16 @@ impl Crl {
                     rid,
                     full as u32,
                     &data,
-                );
+                )
+                .await;
             }
         }
     }
 
-    fn do_flush(&self, ctx: &mut UserCtx<'_>, rid: Rid, full: bool) {
+    async fn do_flush(&self, ctx: &mut UserCtx, rid: Rid, full: bool) {
         let me = ctx.node();
         let data = {
-            let mut st = self.node(me);
+            let mut st = self.nodes[me].borrow_mut();
             let region = st.local.get_mut(&rid).expect("region exists");
             let data = region.data.clone();
             region.state = if full {
@@ -1005,10 +1003,11 @@ impl Crl {
             rid,
             full as u32,
             &data,
-        );
+        )
+        .await;
     }
 
-    fn on_flush(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
+    async fn on_flush(&self, ctx: &mut UserCtx, env: &Envelope) {
         let rid = env.payload[0];
         let _full = env.payload[1] != 0;
         let off = env.payload[2] as usize;
@@ -1017,7 +1016,7 @@ impl Crl {
         let me = ctx.node();
         let owner = env.src;
         let complete = {
-            let mut st = self.node(me);
+            let mut st = self.nodes[me].borrow_mut();
             let dir = st.dir.get_mut(&rid).expect("flush at non-home");
             // Accept chunks only from the owner we are actually recalling;
             // anything else is a duplicate or a re-sent flush that already
@@ -1047,30 +1046,7 @@ impl Crl {
             done
         };
         if complete {
-            self.pump(ctx, rid);
+            self.pump(ctx, rid).await;
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A panic under a node lock (as a simulated-program assertion failure
-    /// produces) must not cascade: later lock acquisitions recover the
-    /// state instead of dying on `PoisonError`, so the first panic's
-    /// message reaches the user intact.
-    #[test]
-    fn poisoned_node_lock_is_recovered() {
-        let crl = Crl::new(2);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut st = crl.nodes[0].lock().unwrap();
-            st.retries = 7;
-            panic!("original diagnostic");
-        }));
-        assert!(caught.is_err());
-        assert!(crl.nodes[0].is_poisoned());
-        // Every public accessor goes through the recovering helper.
-        assert_eq!(crl.retries(), 7);
     }
 }

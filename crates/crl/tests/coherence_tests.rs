@@ -3,10 +3,12 @@
 //! invalidations and recalls, write serialization, and survival of the
 //! protocol under multiprogrammed, skewed (buffering-heavy) schedules.
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use fugu_crl::Crl;
-use udm::{CostModel, Envelope, JobSpec, Machine, MachineConfig, Program, UserCtx};
+use udm::{CostModel, Envelope, JobSpec, Machine, MachineConfig, Program, Sim, UserCtx};
 
 fn run_on(nodes: usize, program: Arc<dyn Program>) -> udm::RunReport {
     let mut m = Machine::new(MachineConfig {
@@ -18,21 +20,26 @@ fn run_on(nodes: usize, program: Arc<dyn Program>) -> udm::RunReport {
 }
 
 /// Program shell that owns a Crl and forwards protocol messages.
-struct CrlProg<F: Fn(&Crl, &mut UserCtx<'_>) + Send + Sync + 'static> {
+struct CrlProg<F: for<'a> Fn(&'a Crl, &'a mut UserCtx) -> Sim<'a> + 'static> {
     crl: Crl,
     body: F,
 }
 
-impl<F: Fn(&Crl, &mut UserCtx<'_>) + Send + Sync + 'static> Program for CrlProg<F> {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        (self.body)(&self.crl, ctx);
+impl<F: for<'a> Fn(&'a Crl, &'a mut UserCtx) -> Sim<'a> + 'static> Program for CrlProg<F> {
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        (self.body)(&self.crl, ctx)
     }
-    fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
-        assert!(self.crl.handle(ctx, env), "unexpected non-CRL message");
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            assert!(
+                self.crl.handle(ctx, env).await,
+                "unexpected non-CRL message"
+            );
+        })
     }
 }
 
-fn crl_prog<F: Fn(&Crl, &mut UserCtx<'_>) + Send + Sync + 'static>(
+fn crl_prog<F: for<'a> Fn(&'a Crl, &'a mut UserCtx) -> Sim<'a> + 'static>(
     nodes: usize,
     body: F,
 ) -> Arc<dyn Program> {
@@ -51,18 +58,20 @@ fn home_local_read_and_write() {
     run_on(
         2,
         crl_prog(2, |crl, ctx| {
-            crl.create(ctx, 0, &[1, 2, 3, 4]);
-            if ctx.node() == 0 {
-                crl.start_read(ctx, 0);
-                assert_eq!(crl.snapshot(ctx, 0), vec![1, 2, 3, 4]);
-                crl.end_read(ctx, 0);
-                crl.start_write(ctx, 0);
-                crl.update(ctx, 0, |d| d[0] = 99);
-                crl.end_write(ctx, 0);
-                crl.start_read(ctx, 0);
-                assert_eq!(crl.snapshot(ctx, 0)[0], 99);
-                crl.end_read(ctx, 0);
-            }
+            Box::pin(async move {
+                crl.create(ctx, 0, &[1, 2, 3, 4]).await;
+                if ctx.node() == 0 {
+                    crl.start_read(ctx, 0).await;
+                    assert_eq!(crl.snapshot(ctx, 0), vec![1, 2, 3, 4]);
+                    crl.end_read(ctx, 0).await;
+                    crl.start_write(ctx, 0).await;
+                    crl.update(ctx, 0, |d| d[0] = 99);
+                    crl.end_write(ctx, 0).await;
+                    crl.start_read(ctx, 0).await;
+                    assert_eq!(crl.snapshot(ctx, 0)[0], 99);
+                    crl.end_read(ctx, 0).await;
+                }
+            })
         }),
     );
 }
@@ -72,46 +81,50 @@ fn remote_read_fetches_master_copy() {
     run_on(
         2,
         crl_prog(2, |crl, ctx| {
-            // Region 1 is homed on node 1; node 0 reads it remotely.
-            let init: Vec<u32> = (0..37).collect(); // multi-chunk transfer
-            crl.create(ctx, 1, &init);
-            if ctx.node() == 0 {
-                crl.start_read(ctx, 1);
-                assert_eq!(crl.snapshot(ctx, 1), (0..37).collect::<Vec<u32>>());
-                crl.end_read(ctx, 1);
-            }
+            Box::pin(async move {
+                // Region 1 is homed on node 1; node 0 reads it remotely.
+                let init: Vec<u32> = (0..37).collect(); // multi-chunk transfer
+                crl.create(ctx, 1, &init).await;
+                if ctx.node() == 0 {
+                    crl.start_read(ctx, 1).await;
+                    assert_eq!(crl.snapshot(ctx, 1), (0..37).collect::<Vec<u32>>());
+                    crl.end_read(ctx, 1).await;
+                }
+            })
         }),
     );
 }
 
 #[test]
 fn remote_write_then_remote_read_sees_update() {
-    let order = Arc::new(Mutex::new(0u32));
-    let o2 = Arc::clone(&order);
+    let written = Rc::new(Cell::new(false));
     run_on(
         4,
         crl_prog(4, move |crl, ctx| {
-            crl.create(ctx, 2, &[0; 8]); // homed on node 2
-            match ctx.node() {
-                0 => {
-                    crl.start_write(ctx, 2);
-                    crl.update(ctx, 2, |d| d[3] = 777);
-                    crl.end_write(ctx, 2);
-                    *o2.lock().unwrap() = 1;
-                }
-                1 => {
-                    // Wait until node 0 finished its write (host-side flag is
-                    // fine: we only need *some* ordering, the protocol supplies
-                    // the data correctness).
-                    while *o2.lock().unwrap() == 0 {
-                        ctx.compute(500);
+            let written = Rc::clone(&written);
+            Box::pin(async move {
+                crl.create(ctx, 2, &[0; 8]).await; // homed on node 2
+                match ctx.node() {
+                    0 => {
+                        crl.start_write(ctx, 2).await;
+                        crl.update(ctx, 2, |d| d[3] = 777);
+                        crl.end_write(ctx, 2).await;
+                        written.set(true);
                     }
-                    crl.start_read(ctx, 2);
-                    assert_eq!(crl.snapshot(ctx, 2)[3], 777);
-                    crl.end_read(ctx, 2);
+                    1 => {
+                        // Wait until node 0 finished its write (host-side flag is
+                        // fine: we only need *some* ordering, the protocol supplies
+                        // the data correctness).
+                        while !written.get() {
+                            ctx.compute(500).await;
+                        }
+                        crl.start_read(ctx, 2).await;
+                        assert_eq!(crl.snapshot(ctx, 2)[3], 777);
+                        crl.end_read(ctx, 2).await;
+                    }
+                    _ => {}
                 }
-                _ => {}
-            }
+            })
         }),
     );
 }
@@ -123,27 +136,29 @@ fn concurrent_writers_serialize_increments() {
     run_on(
         nodes,
         crl_prog(nodes, move |crl, ctx| {
-            crl.create(ctx, 3, &[0]); // counter homed on node 3
-            for _ in 0..PER_NODE {
-                crl.start_write(ctx, 3);
-                crl.update(ctx, 3, |d| d[0] += 1);
-                crl.end_write(ctx, 3);
-                ctx.compute(200);
-            }
-            // Everyone checks the final value once all increments are in.
-            loop {
-                crl.start_read(ctx, 3);
-                let v = crl.snapshot(ctx, 3)[0];
-                crl.end_read(ctx, 3);
-                if v == PER_NODE * nodes as u32 {
-                    break;
+            Box::pin(async move {
+                crl.create(ctx, 3, &[0]).await; // counter homed on node 3
+                for _ in 0..PER_NODE {
+                    crl.start_write(ctx, 3).await;
+                    crl.update(ctx, 3, |d| d[0] += 1);
+                    crl.end_write(ctx, 3).await;
+                    ctx.compute(200).await;
                 }
-                assert!(
-                    v < PER_NODE * nodes as u32,
-                    "counter overshot: {v} (lost or doubled increments)"
-                );
-                ctx.compute(1_000);
-            }
+                // Everyone checks the final value once all increments are in.
+                loop {
+                    crl.start_read(ctx, 3).await;
+                    let v = crl.snapshot(ctx, 3)[0];
+                    crl.end_read(ctx, 3).await;
+                    if v == PER_NODE * nodes as u32 {
+                        break;
+                    }
+                    assert!(
+                        v < PER_NODE * nodes as u32,
+                        "counter overshot: {v} (lost or doubled increments)"
+                    );
+                    ctx.compute(1_000).await;
+                }
+            })
         }),
     );
 }
@@ -154,33 +169,35 @@ fn read_sharers_are_invalidated_by_writer() {
     run_on(
         nodes,
         crl_prog(nodes, move |crl, ctx| {
-            crl.create(ctx, 0, &[5]);
-            match ctx.node() {
-                1 | 2 => {
-                    // Become a sharer, release, then keep re-reading; we must
-                    // eventually observe the writer's value.
-                    crl.start_read(ctx, 0);
-                    let first = crl.snapshot(ctx, 0)[0];
-                    crl.end_read(ctx, 0);
-                    assert!(first == 5 || first == 6);
-                    loop {
-                        crl.start_read(ctx, 0);
-                        let v = crl.snapshot(ctx, 0)[0];
-                        crl.end_read(ctx, 0);
-                        if v == 6 {
-                            break;
+            Box::pin(async move {
+                crl.create(ctx, 0, &[5]).await;
+                match ctx.node() {
+                    1 | 2 => {
+                        // Become a sharer, release, then keep re-reading; we must
+                        // eventually observe the writer's value.
+                        crl.start_read(ctx, 0).await;
+                        let first = crl.snapshot(ctx, 0)[0];
+                        crl.end_read(ctx, 0).await;
+                        assert!(first == 5 || first == 6);
+                        loop {
+                            crl.start_read(ctx, 0).await;
+                            let v = crl.snapshot(ctx, 0)[0];
+                            crl.end_read(ctx, 0).await;
+                            if v == 6 {
+                                break;
+                            }
+                            ctx.compute(500).await;
                         }
-                        ctx.compute(500);
                     }
+                    0 => {
+                        ctx.compute(5_000).await; // let the readers cache it first
+                        crl.start_write(ctx, 0).await;
+                        crl.update(ctx, 0, |d| d[0] = 6);
+                        crl.end_write(ctx, 0).await;
+                    }
+                    _ => unreachable!(),
                 }
-                0 => {
-                    ctx.compute(5_000); // let the readers cache it first
-                    crl.start_write(ctx, 0);
-                    crl.update(ctx, 0, |d| d[0] = 6);
-                    crl.end_write(ctx, 0);
-                }
-                _ => unreachable!(),
-            }
+            })
         }),
     );
 }
@@ -193,27 +210,29 @@ fn held_region_defers_recall_until_end() {
     run_on(
         nodes,
         crl_prog(nodes, move |crl, ctx| {
-            crl.create(ctx, 0, &[0, 0]);
-            match ctx.node() {
-                1 => {
-                    crl.start_write(ctx, 0);
-                    crl.update(ctx, 0, |d| d[0] = 1);
-                    ctx.compute(50_000); // hold across node 2's request
-                    crl.update(ctx, 0, |d| d[1] = 1);
-                    crl.end_write(ctx, 0);
+            Box::pin(async move {
+                crl.create(ctx, 0, &[0, 0]).await;
+                match ctx.node() {
+                    1 => {
+                        crl.start_write(ctx, 0).await;
+                        crl.update(ctx, 0, |d| d[0] = 1);
+                        ctx.compute(50_000).await; // hold across node 2's request
+                        crl.update(ctx, 0, |d| d[1] = 1);
+                        crl.end_write(ctx, 0).await;
+                    }
+                    2 => {
+                        ctx.compute(10_000).await; // let node 1 acquire first
+                        crl.start_read(ctx, 0).await;
+                        let snap = crl.snapshot(ctx, 0);
+                        crl.end_read(ctx, 0).await;
+                        assert!(
+                            snap == vec![0, 0] || snap == vec![1, 1],
+                            "torn read: {snap:?}"
+                        );
+                    }
+                    _ => {}
                 }
-                2 => {
-                    ctx.compute(10_000); // let node 1 acquire first
-                    crl.start_read(ctx, 0);
-                    let snap = crl.snapshot(ctx, 0);
-                    crl.end_read(ctx, 0);
-                    assert!(
-                        snap == vec![0, 0] || snap == vec![1, 1],
-                        "torn read: {snap:?}"
-                    );
-                }
-                _ => {}
-            }
+            })
         }),
     );
 }
@@ -226,54 +245,56 @@ fn many_regions_many_nodes_stress() {
     const REGIONS: u32 = 8;
     const OPS: usize = 40;
     let nodes = 4;
-    let done = Arc::new(Mutex::new(0usize));
-    let d2 = Arc::clone(&done);
+    let done = Rc::new(Cell::new(0usize));
     run_on(
         nodes,
         crl_prog(nodes, move |crl, ctx| {
-            for r in 0..REGIONS {
-                crl.create(ctx, r, &[0]);
-            }
-            for i in 0..OPS {
-                let r = {
-                    let rng = ctx.rng();
-                    rng.range_u64(0, REGIONS as u64) as u32
-                };
-                if (i + ctx.node()) % 3 == 0 {
-                    crl.start_read(ctx, r);
-                    let _ = crl.snapshot(ctx, r);
-                    crl.end_read(ctx, r);
-                } else {
-                    crl.start_write(ctx, r);
-                    crl.update(ctx, r, |d| d[0] += 1);
-                    crl.end_write(ctx, r);
-                }
-                ctx.compute(300);
-            }
-            *d2.lock().unwrap() += 1;
-            // Wait for everyone, then node 0 audits the global sum.
-            while *d2.lock().unwrap() < ctx.nodes() {
-                ctx.compute(1_000);
-            }
-            if ctx.node() == 0 {
-                let mut sum = 0;
+            let done = Rc::clone(&done);
+            Box::pin(async move {
                 for r in 0..REGIONS {
-                    crl.start_read(ctx, r);
-                    sum += crl.snapshot(ctx, r)[0];
-                    crl.end_read(ctx, r);
+                    crl.create(ctx, r, &[0]).await;
                 }
-                // Each node performed OPS ops of which ~2/3 are increments;
-                // count exactly:
-                let mut expect = 0;
-                for node in 0..ctx.nodes() {
-                    for i in 0..OPS {
-                        if (i + node) % 3 != 0 {
-                            expect += 1;
+                for i in 0..OPS {
+                    let r = {
+                        let rng = ctx.rng();
+                        rng.range_u64(0, REGIONS as u64) as u32
+                    };
+                    if (i + ctx.node()) % 3 == 0 {
+                        crl.start_read(ctx, r).await;
+                        let _ = crl.snapshot(ctx, r);
+                        crl.end_read(ctx, r).await;
+                    } else {
+                        crl.start_write(ctx, r).await;
+                        crl.update(ctx, r, |d| d[0] += 1);
+                        crl.end_write(ctx, r).await;
+                    }
+                    ctx.compute(300).await;
+                }
+                done.set(done.get() + 1);
+                // Wait for everyone, then node 0 audits the global sum.
+                while done.get() < ctx.nodes() {
+                    ctx.compute(1_000).await;
+                }
+                if ctx.node() == 0 {
+                    let mut sum = 0;
+                    for r in 0..REGIONS {
+                        crl.start_read(ctx, r).await;
+                        sum += crl.snapshot(ctx, r)[0];
+                        crl.end_read(ctx, r).await;
+                    }
+                    // Each node performed OPS ops of which ~2/3 are increments;
+                    // count exactly:
+                    let mut expect = 0;
+                    for node in 0..ctx.nodes() {
+                        for i in 0..OPS {
+                            if (i + node) % 3 != 0 {
+                                expect += 1;
+                            }
                         }
                     }
+                    assert_eq!(sum, expect, "increments lost or duplicated");
                 }
-                assert_eq!(sum, expect, "increments lost or duplicated");
-            }
+            })
         }),
     );
 }
@@ -285,30 +306,34 @@ fn protocol_survives_multiprogrammed_buffered_delivery() {
     // buffered path; coherence must be unaffected.
     struct NullApp;
     impl Program for NullApp {
-        fn main(&self, ctx: &mut UserCtx<'_>) {
-            loop {
-                ctx.compute(10_000);
-            }
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                loop {
+                    ctx.compute(10_000).await;
+                }
+            })
         }
     }
     let nodes = 4;
     let prog = crl_prog(nodes, move |crl, ctx| {
-        crl.create(ctx, 7, &[0]); // homed on node 3
-        for _ in 0..30 {
-            crl.start_write(ctx, 7);
-            crl.update(ctx, 7, |d| d[0] += 1);
-            crl.end_write(ctx, 7);
-            ctx.compute(2_000);
-        }
-        loop {
-            crl.start_read(ctx, 7);
-            let v = crl.snapshot(ctx, 7)[0];
-            crl.end_read(ctx, 7);
-            if v == 30 * ctx.nodes() as u32 {
-                break;
+        Box::pin(async move {
+            crl.create(ctx, 7, &[0]).await; // homed on node 3
+            for _ in 0..30 {
+                crl.start_write(ctx, 7).await;
+                crl.update(ctx, 7, |d| d[0] += 1);
+                crl.end_write(ctx, 7).await;
+                ctx.compute(2_000).await;
             }
-            ctx.compute(2_000);
-        }
+            loop {
+                crl.start_read(ctx, 7).await;
+                let v = crl.snapshot(ctx, 7)[0];
+                crl.end_read(ctx, 7).await;
+                if v == 30 * ctx.nodes() as u32 {
+                    break;
+                }
+                ctx.compute(2_000).await;
+            }
+        })
     });
     let mut m = Machine::new(MachineConfig {
         nodes,

@@ -1,17 +1,13 @@
-//! Sim-thread (coroutine) runtime.
+//! Sim-thread (coroutine) runtime on operating-system threads.
 //!
-//! Simulated FUGU programs — application main threads, message handlers,
-//! the synthetic workloads — are written as plain Rust closures that *block*
-//! on simulator calls ("charge 500 cycles", "inject this message", ...).
-//! Stable Rust has no native coroutines, so each sim-thread runs on a real
-//! OS thread, rendezvousing with the engine through a pair of channels.
+//! Unused by the workspace: the machine runs its sim-threads as `async`
+//! futures on its own thread (see `udm::machine`). This module stays only
+//! because `perfbench/src/micro.rs` still times it, until ROADMAP item 5
+//! cuts that tie and deletes it.
 //!
-//! The engine resumes at most one sim-thread at a time and blocks until that
-//! thread either issues its next request or finishes, so the whole
-//! simulation executes as a single logical thread of control: fully
-//! deterministic, no data races, no locks needed in simulated code beyond
-//! `Arc<Mutex<...>>` for state shared between a program's main thread and
-//! its handler context (which never run concurrently).
+//! Each sim-thread is a closure on its own OS thread that *blocks* on
+//! [`CoCtx::call`]; the runtime rendezvouses with it through a pair of
+//! channels and resumes at most one thread at a time.
 //!
 //! # Example
 //!
@@ -43,13 +39,6 @@ struct RuntimeGone;
 /// Identifier of a sim-thread within its [`CoRuntime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CoId(usize);
-
-impl CoId {
-    /// The slot index of this thread inside its runtime.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
 
 /// What a sim-thread did when it was last resumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,16 +128,6 @@ where
         CoRuntime { slots: Vec::new() }
     }
 
-    /// Number of threads ever spawned (including finished ones).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Returns `true` if no threads have been spawned.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Spawns a sim-thread running `f`.
     ///
     /// The thread does **not** begin executing until the first
@@ -192,11 +171,6 @@ where
             state: SlotState::Resumable,
         });
         CoId(self.slots.len() - 1)
-    }
-
-    /// Returns `true` if the thread may still be resumed.
-    pub fn is_resumable(&self, id: CoId) -> bool {
-        self.slots[id.0].state == SlotState::Resumable
     }
 
     /// Resumes the thread with `resp` and blocks until it issues its next
@@ -288,7 +262,6 @@ mod tests {
         let mut rt: CoRuntime<(), ()> = CoRuntime::new();
         let id = rt.spawn(|_| {});
         assert_eq!(rt.resume(id, ()), CoEvent::Finished);
-        assert!(!rt.is_resumable(id));
     }
 
     #[test]
@@ -338,7 +311,6 @@ mod tests {
             CoEvent::Panicked(msg) => assert!(msg.contains("boom 7")),
             other => panic!("unexpected {:?}", other),
         }
-        assert!(!rt.is_resumable(id));
     }
 
     #[test]

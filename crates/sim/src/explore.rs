@@ -33,8 +33,10 @@ use crate::json::Json;
 use crate::rng::DetRng;
 
 /// Largest machine a scenario (or a harness's `--nodes`) may ask for. The
-/// machine runs every node of every job on two host threads, so an
-/// unbounded node count asks the host for unbounded threads; the largest
+/// count comes from outside input, a command line or a `--replay` spec, and
+/// memory and host time grow with it: every node carries a NIC, a frame
+/// allocator and two contexts per job. The cap turns a mistyped count into
+/// a usage error instead of a machine that exhausts the host; the largest
 /// machine any committed harness, test or scenario builds has 12 nodes.
 pub const MAX_NODES: usize = 64;
 
@@ -716,7 +718,7 @@ mod tests {
 
     #[test]
     fn parse_bounds_the_node_count() {
-        // Every node of every job is two host threads.
+        // A node count is outside input: past the cap it is a usage error.
         assert_eq!(ScenarioSpec::parse("nodes=64").unwrap().nodes, MAX_NODES);
         for text in ["nodes=65", "nodes=100000", "nodes=18446744073709551615"] {
             let err = ScenarioSpec::parse(text).unwrap_err();

@@ -7,10 +7,8 @@
 //!
 //! * [`event::EventQueue`] — a cancellable, strictly ordered future-event
 //!   list keyed by simulated [`Cycles`];
-//! * [`coro`] — a *sim-thread* runtime that lets simulated programs be
-//!   written as ordinary Rust closures which block on simulator calls, while
-//!   guaranteeing that exactly one sim-thread runs at a time (so simulations
-//!   are fully deterministic);
+//! * [`coro`] — a sim-thread runtime on OS threads, unused by the
+//!   workspace and kept only for perfbench's micro-benchmarks;
 //! * [`rng::DetRng`] — a small, self-contained, seedable PRNG so results do
 //!   not depend on external crate versions;
 //! * [`fault`] — a seeded, deterministic fault-injection plan consulted by

@@ -5,11 +5,14 @@
 //!
 //! Run: `cargo run --release --example crl_dsm`
 
+// `JobSpec` holds an `Arc<dyn Program>`; these programs are single-threaded.
+#![allow(clippy::arc_with_non_send_sync)]
+
 use std::sync::Arc;
 
 use two_case_delivery::apps::lu::{LuApp, LuParams};
 use two_case_delivery::crl::Crl;
-use two_case_delivery::{Envelope, JobSpec, Machine, MachineConfig, Program, UserCtx};
+use two_case_delivery::{Envelope, JobSpec, Machine, MachineConfig, Program, Sim, UserCtx};
 
 /// Every node increments a shared counter region 100 times.
 struct SharedCounter {
@@ -17,30 +20,34 @@ struct SharedCounter {
 }
 
 impl Program for SharedCounter {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        self.crl.create(ctx, 0, &[0]);
-        for _ in 0..100 {
-            self.crl.start_write(ctx, 0);
-            self.crl.update(ctx, 0, |d| d[0] += 1);
-            self.crl.end_write(ctx, 0);
-            ctx.compute(500);
-        }
-        // Spin-read until every increment landed.
-        loop {
-            self.crl.start_read(ctx, 0);
-            let v = self.crl.snapshot(ctx, 0)[0];
-            self.crl.end_read(ctx, 0);
-            if v == 100 * ctx.nodes() as u32 {
-                if ctx.node() == 0 {
-                    println!("  shared counter reached {v} (no lost increments)");
-                }
-                return;
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            self.crl.create(ctx, 0, &[0]).await;
+            for _ in 0..100 {
+                self.crl.start_write(ctx, 0).await;
+                self.crl.update(ctx, 0, |d| d[0] += 1);
+                self.crl.end_write(ctx, 0).await;
+                ctx.compute(500).await;
             }
-            ctx.compute(1_000);
-        }
+            // Spin-read until every increment landed.
+            loop {
+                self.crl.start_read(ctx, 0).await;
+                let v = self.crl.snapshot(ctx, 0)[0];
+                self.crl.end_read(ctx, 0).await;
+                if v == 100 * ctx.nodes() as u32 {
+                    if ctx.node() == 0 {
+                        println!("  shared counter reached {v} (no lost increments)");
+                    }
+                    return;
+                }
+                ctx.compute(1_000).await;
+            }
+        })
     }
-    fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
-        assert!(self.crl.handle(ctx, env));
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            assert!(self.crl.handle(ctx, env).await);
+        })
     }
 }
 

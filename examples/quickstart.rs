@@ -7,9 +7,13 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use std::sync::{Arc, Mutex};
+// `JobSpec` holds an `Arc<dyn Program>`; these programs are single-threaded.
+#![allow(clippy::arc_with_non_send_sync)]
 
-use two_case_delivery::{Envelope, JobSpec, Machine, MachineConfig, Program, UserCtx};
+use std::cell::{Cell, RefCell};
+use std::sync::Arc;
+
+use two_case_delivery::{Envelope, JobSpec, Machine, MachineConfig, Program, Sim, UserCtx};
 
 const ROUNDS: u32 = 1_000;
 const PING: u32 = 1;
@@ -17,51 +21,56 @@ const PONG: u32 = 2;
 
 struct PingPong {
     /// Round-trip latencies measured on node 0.
-    rtts: Mutex<Vec<u64>>,
-    pongs: Mutex<u32>,
+    rtts: RefCell<Vec<u64>>,
+    pongs: Cell<u32>,
 }
 
 impl Program for PingPong {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        if ctx.node() == 0 {
-            // Interrupt-driven side: handlers count pongs while we wait.
-            for i in 0..ROUNDS {
-                let t0 = ctx.now();
-                ctx.send(1, PING, &[i]);
-                while *self.pongs.lock().unwrap() <= i {
-                    ctx.compute(20);
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            if ctx.node() == 0 {
+                // Interrupt-driven side: handlers count pongs while we wait.
+                for i in 0..ROUNDS {
+                    let t0 = ctx.now().await;
+                    ctx.send(1, PING, &[i]).await;
+                    while self.pongs.get() <= i {
+                        ctx.compute(20).await;
+                    }
+                    let rtt = ctx.now().await - t0;
+                    self.rtts.borrow_mut().push(rtt);
                 }
-                self.rtts.lock().unwrap().push(ctx.now() - t0);
-            }
-        } else {
-            // Polling side: disable interrupts and spin on the flag, the
-            // classic closely-orchestrated receive loop of §4.1.
-            ctx.begin_atomic();
-            let mut got = 0;
-            while got < ROUNDS {
-                if ctx.poll() {
-                    got += 1;
-                } else {
-                    ctx.compute(10);
+            } else {
+                // Polling side: disable interrupts and spin on the flag, the
+                // classic closely-orchestrated receive loop of §4.1.
+                ctx.begin_atomic().await;
+                let mut got = 0;
+                while got < ROUNDS {
+                    if ctx.poll().await {
+                        got += 1;
+                    } else {
+                        ctx.compute(10).await;
+                    }
                 }
+                ctx.end_atomic().await;
             }
-            ctx.end_atomic();
-        }
+        })
     }
 
-    fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
-        match env.handler.0 {
-            PING => ctx.send(env.src, PONG, &[]),
-            PONG => *self.pongs.lock().unwrap() += 1,
-            other => panic!("unexpected handler {other}"),
-        }
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            match env.handler.0 {
+                PING => ctx.send(env.src, PONG, &[]).await,
+                PONG => self.pongs.set(self.pongs.get() + 1),
+                other => panic!("unexpected handler {other}"),
+            }
+        })
     }
 }
 
 fn main() {
     let app = Arc::new(PingPong {
-        rtts: Mutex::new(Vec::new()),
-        pongs: Mutex::new(0),
+        rtts: RefCell::new(Vec::new()),
+        pongs: Cell::new(0),
     });
     let mut machine = Machine::new(MachineConfig {
         nodes: 2,
@@ -74,7 +83,7 @@ fn main() {
     let report = machine.run();
 
     let job = report.job("pingpong");
-    let rtts = app.rtts.lock().unwrap();
+    let rtts = app.rtts.borrow();
     let mean = rtts.iter().sum::<u64>() as f64 / rtts.len() as f64;
     println!("two-case delivery quickstart — {} ping-pong rounds", ROUNDS);
     println!("  messages sent:          {}", job.sent);

@@ -71,17 +71,17 @@ cmp results/explore_corpus.json "$tmpdir/explore_a.json" \
 # Behavioral-drift gates: engine/perf work must never change simulated
 # results. Regenerate, with the committed flags, table4 (fast-path send,
 # interrupt and poll costs), table5 (buffered-path extract costs), table6
-# (all five apps) — seconds each — ablate (~15 s at --jobs 2; the only
-# committed result that runs the polling-watchdog dispatch and 1–16-deep
-# NIC queues) and the full-size Figure 9 and 10 sweeps (~30 s each at
-# --jobs 2), and demand byte-identical JSON reports and stdout tables.
+# (all five apps), ablate (the only committed result that runs the
+# polling-watchdog dispatch and 1–16-deep NIC queues) and the full-size
+# Figure 7, 8, 9 and 10 sweeps — a few seconds each at --jobs 4 — and
+# demand byte-identical JSON reports and stdout tables.
 cargo run --offline --release -p fugu-bench --bin table4 -- --json "$tmpdir/table4.json" >"$tmpdir/table4.txt"
 cargo run --offline --release -p fugu-bench --bin table5 -- --json "$tmpdir/table5.json" >"$tmpdir/table5.txt"
-for result in table6 ablate fig9 fig10; do
+for result in table6 ablate fig7 fig8 fig9 fig10; do
   cargo run --offline --release -p fugu-bench --bin "$result" -- \
     --jobs 4 --json "$tmpdir/$result.json" >"$tmpdir/$result.txt"
 done
-for result in table4 table5 table6 ablate fig9 fig10; do
+for result in table4 table5 table6 ablate fig7 fig8 fig9 fig10; do
   for ext in json txt; do
     cmp "results/$result.$ext" "$tmpdir/$result.$ext" \
       || { echo "ci: results/$result.$ext drifted from regenerated output" >&2; exit 1; }
@@ -89,7 +89,7 @@ for result in table4 table5 table6 ablate fig9 fig10; do
 done
 # Profile drift gate: the full-size span profile must reproduce the
 # committed BENCH_PROFILE.json byte for byte, so oracle and trace changes
-# cannot move the latency distributions unnoticed (~50 s at --jobs 2).
+# cannot move the latency distributions unnoticed (~1 s at --jobs 4).
 cargo run --offline --release -p fugu-bench --bin profile -- --jobs 4 --json "$tmpdir/profile.json" >/dev/null
 cmp BENCH_PROFILE.json "$tmpdir/profile.json" \
   || { echo "ci: BENCH_PROFILE.json drifted from regenerated output" >&2; exit 1; }

@@ -37,5 +37,5 @@ pub use udm;
 
 // The most common entry points, re-exported flat for examples and tests.
 pub use udm::{
-    CostModel, Cycles, Envelope, JobSpec, Machine, MachineConfig, Program, RunReport, UserCtx,
+    CostModel, Cycles, Envelope, JobSpec, Machine, MachineConfig, Program, RunReport, Sim, UserCtx,
 };

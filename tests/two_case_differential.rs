@@ -10,12 +10,16 @@
 //! identical in all three. Only the delivery-path counters may differ, and
 //! the forced runs must prove they actually exercised the buffered path.
 
-use std::sync::{Arc, Mutex};
+// `JobSpec` holds an `Arc<dyn Program>`; these programs are single-threaded.
+#![allow(clippy::arc_with_non_send_sync)]
+
+use std::cell::RefCell;
+use std::sync::Arc;
 
 use two_case_delivery::sim::fault::FaultPlan;
 use two_case_delivery::udm::InvariantChecker;
 use two_case_delivery::{
-    CostModel, Envelope, JobSpec, Machine, MachineConfig, Program, RunReport, UserCtx,
+    CostModel, Envelope, JobSpec, Machine, MachineConfig, Program, RunReport, Sim, UserCtx,
 };
 
 const NODES: usize = 4;
@@ -32,14 +36,14 @@ const PER_SENDER: u32 = 40;
 /// software buffer and served from there on the next poll.
 struct DiffApp {
     hold: u64,
-    arrivals: Mutex<Vec<(u32, u32, u32)>>,
+    arrivals: RefCell<Vec<(u32, u32, u32)>>,
 }
 
 impl DiffApp {
     fn new(hold: u64) -> Self {
         DiffApp {
             hold,
-            arrivals: Mutex::new(Vec::new()),
+            arrivals: RefCell::new(Vec::new()),
         }
     }
 
@@ -54,8 +58,7 @@ impl DiffApp {
     /// Arrivals of one sender, in handler-invocation order.
     fn sender_view(&self, sender: u32) -> Vec<(u32, u32)> {
         self.arrivals
-            .lock()
-            .unwrap()
+            .borrow()
             .iter()
             .filter(|(s, _, _)| *s == sender)
             .map(|(_, seq, value)| (*seq, *value))
@@ -64,8 +67,7 @@ impl DiffApp {
 
     fn payload_sum(&self) -> u64 {
         self.arrivals
-            .lock()
-            .unwrap()
+            .borrow()
             .iter()
             .map(|(_, _, v)| u64::from(*v))
             .sum()
@@ -73,41 +75,45 @@ impl DiffApp {
 }
 
 impl Program for DiffApp {
-    fn main(&self, ctx: &mut UserCtx<'_>) {
-        if ctx.node() == 0 {
-            loop {
-                if self.hold > 0 {
-                    // Hold atomicity far past the timeout, then drain the
-                    // backlog — every drained message was revoked into the
-                    // virtual buffer while we were holding.
-                    ctx.begin_atomic();
-                    ctx.compute(self.hold);
-                    while ctx.poll() {}
-                    ctx.end_atomic();
-                } else {
-                    ctx.poll();
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            if ctx.node() == 0 {
+                loop {
+                    if self.hold > 0 {
+                        // Hold atomicity far past the timeout, then drain the
+                        // backlog — every drained message was revoked into the
+                        // virtual buffer while we were holding.
+                        ctx.begin_atomic().await;
+                        ctx.compute(self.hold).await;
+                        while ctx.poll().await {}
+                        ctx.end_atomic().await;
+                    } else {
+                        ctx.poll().await;
+                    }
+                    if self.arrivals.borrow().len() >= Self::expected_total() {
+                        break;
+                    }
+                    ctx.compute(25).await;
                 }
-                if self.arrivals.lock().unwrap().len() >= Self::expected_total() {
-                    break;
+            } else {
+                let me = ctx.node() as u32;
+                for seq in 0..PER_SENDER {
+                    ctx.send(0, 0, &[me, seq, Self::payload(me, seq)]).await;
+                    let gap = 40 + ctx.rng().next_u64() % 400;
+                    ctx.compute(gap).await;
                 }
-                ctx.compute(25);
             }
-        } else {
-            let me = ctx.node() as u32;
-            for seq in 0..PER_SENDER {
-                ctx.send(0, 0, &[me, seq, Self::payload(me, seq)]);
-                let gap = 40 + ctx.rng().next_u64() % 400;
-                ctx.compute(gap);
-            }
-        }
+        })
     }
 
-    fn handler(&self, ctx: &mut UserCtx<'_>, env: &Envelope) {
-        assert_eq!(ctx.node(), 0, "all traffic targets the receiver");
-        let [sender, seq, value] = env.payload[..] else {
-            panic!("malformed payload: {:?}", env.payload);
-        };
-        self.arrivals.lock().unwrap().push((sender, seq, value));
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            assert_eq!(ctx.node(), 0, "all traffic targets the receiver");
+            let [sender, seq, value] = env.payload[..] else {
+                panic!("malformed payload: {:?}", env.payload);
+            };
+            self.arrivals.borrow_mut().push((sender, seq, value));
+        })
     }
 }
 
