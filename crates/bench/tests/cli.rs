@@ -237,3 +237,47 @@ fn help_exits_0() {
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("--json"));
 }
+
+#[test]
+fn fugu_trace_prints_events_without_changing_results() {
+    // `FUGU_TRACE` installs a stderr subscriber in every machine, including
+    // those `parallel_map` builds on its worker threads; an unknown name
+    // draws one warning per process, not one per machine.
+    let run = |trace: Option<&str>| {
+        let json = tmp(&format!("trace-{}.json", trace.is_some()));
+        let mut cmd = fig7();
+        cmd.args(["--quick", "--nodes", "2", "--jobs", "2", "--json"])
+            .arg(&json)
+            .env_remove("FUGU_TRACE");
+        if let Some(names) = trace {
+            cmd.env("FUGU_TRACE", names);
+        }
+        let out = cmd.output().expect("fig7 runs");
+        assert!(
+            out.status.success(),
+            "fig7 with FUGU_TRACE={trace:?} failed"
+        );
+        (
+            take(&json),
+            out.stdout,
+            String::from_utf8(out.stderr).unwrap(),
+        )
+    };
+    let (plain_json, plain_stdout, plain_stderr) = run(None);
+    let (traced_json, traced_stdout, traced_stderr) = run(Some("mode,bogus"));
+    assert!(
+        traced_json == plain_json,
+        "tracing must not move the report"
+    );
+    assert!(
+        traced_stdout == plain_stdout,
+        "tracing must not move the table"
+    );
+    assert!(!plain_stderr.contains("[trace "));
+    assert!(traced_stderr.lines().any(|l| l.starts_with("[trace ")));
+    let warnings: Vec<&str> = traced_stderr
+        .lines()
+        .filter(|l| l.starts_with("warning: FUGU_TRACE: unknown category bogus"))
+        .collect();
+    assert_eq!(warnings.len(), 1, "{warnings:?}");
+}

@@ -51,7 +51,7 @@ pub struct MachineConfig {
     /// Deterministic fault-injection plan (chaos testing). The default plan
     /// is inert and the machine's behaviour — down to the byte in every
     /// report — is identical to a build without fault injection; each
-    /// injection site costs one relaxed atomic load when the plan is inert.
+    /// injection site costs one `bool` read when the plan is inert.
     pub faults: FaultPlan,
 }
 

@@ -2,7 +2,9 @@
 //! configurations produce identical trace streams, subscribers see the
 //! same events the recorder does, and the run report's JSON stays pinned.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use fugu_apps::{NullApp, SynthApp, SynthParams};
 use fugu_sim::fault::FaultPlan;
@@ -133,11 +135,11 @@ fn category_mask_filters_recording() {
 #[test]
 fn subscriber_sees_the_same_events_as_the_recorder() {
     let tracer = Tracer::recorder(usize::MAX, CategoryMask::MSG);
-    let seen = Arc::new(Mutex::new(Vec::new()));
+    let seen = Rc::new(RefCell::new(Vec::new()));
     {
-        let seen = Arc::clone(&seen);
+        let seen = Rc::clone(&seen);
         tracer.subscribe(CategoryMask::MSG, move |at, event| {
-            seen.lock().unwrap().push(TraceRecord {
+            seen.borrow_mut().push(TraceRecord {
                 at,
                 event: event.clone(),
             });
@@ -146,7 +148,7 @@ fn subscriber_sees_the_same_events_as_the_recorder() {
     let m = busy_machine(tracer.clone());
     m.run();
     let recorded = tracer.take_records();
-    assert_eq!(*seen.lock().unwrap(), recorded);
+    assert_eq!(*seen.borrow(), recorded);
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //! A [`FaultPlan`] is a set of knobs, all off by default. A
 //! [`FaultInjector`] is built from a plan plus a seed and handed to every
 //! instrumented layer; each injection point consults it through one method
-//! call that reduces to **a single relaxed atomic load when the plan is
-//! inert** — the same zero-cost-when-off discipline as [`crate::trace`].
+//! call that reduces to **a single `bool` read when the plan is inert** —
+//! the same zero-cost-when-off discipline as [`crate::trace`].
 //! Randomness comes from per-site [`DetRng`] streams
 //! split from the seed, so enabling one fault class does not perturb the
 //! decisions of another.
@@ -46,8 +46,8 @@
 //! assert_eq!(off.on_send(), NetFault::Deliver);
 //! ```
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::rng::DetRng;
 use crate::Cycles;
@@ -322,19 +322,27 @@ struct State {
 
 struct Inner {
     /// The only thing an injection site touches when the plan is inert.
-    active: AtomicBool,
-    state: Mutex<State>,
+    active: bool,
+    state: RefCell<State>,
 }
 
 /// A shared handle to the fault-injection decision state.
 ///
-/// Cloning is cheap (an `Arc` bump); all clones share the plan, the
-/// decision streams and the counters. Identical `(plan, seed)` pairs
+/// Cloning is cheap (a non-atomic `Rc` clone); all clones share the plan,
+/// the decision streams and the counters. Identical `(plan, seed)` pairs
 /// produce identical decision sequences, so a simulation run with faults
 /// is exactly as reproducible as one without.
+///
+/// An injector belongs to the thread that built it; it cannot be sent to
+/// another:
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<fugu_sim::fault::FaultInjector>();
+/// ```
 #[derive(Clone)]
 pub struct FaultInjector {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
 
 impl std::fmt::Debug for FaultInjector {
@@ -370,9 +378,9 @@ impl FaultInjector {
             counts: FaultCounts::default(),
         };
         FaultInjector {
-            inner: Arc::new(Inner {
-                active: AtomicBool::new(active),
-                state: Mutex::new(state),
+            inner: Rc::new(Inner {
+                active,
+                state: RefCell::new(state),
             }),
         }
     }
@@ -382,10 +390,10 @@ impl FaultInjector {
         FaultInjector::new(FaultPlan::default(), 0, 0)
     }
 
-    /// True if any fault class is enabled — one relaxed atomic load.
+    /// True if any fault class is enabled — one `bool` read.
     #[inline]
     pub fn is_active(&self) -> bool {
-        self.inner.active.load(Ordering::Relaxed)
+        self.inner.active
     }
 
     /// Verdict for the next message launched onto the main network.
@@ -397,9 +405,9 @@ impl FaultInjector {
         if !self.is_active() {
             return NetFault::Deliver;
         }
-        let mut st = self.inner.state.lock().unwrap();
+        let st = &mut *self.inner.state.borrow_mut();
         let roll = st.net.f64();
-        let plan = st.plan.clone();
+        let plan = &st.plan;
         if roll < plan.drop {
             st.counts.dropped += 1;
             NetFault::Drop
@@ -419,7 +427,7 @@ impl FaultInjector {
         if !self.is_active() {
             return 0;
         }
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = self.inner.state.borrow_mut();
         let p = st.plan.second_net_delay;
         if p > 0.0 && st.net2.chance(p) {
             st.counts.second_net_delays += 1;
@@ -436,7 +444,7 @@ impl FaultInjector {
         if !self.is_active() {
             return None;
         }
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = self.inner.state.borrow_mut();
         if st.plan.nic_stall <= 0.0 {
             return None;
         }
@@ -460,7 +468,7 @@ impl FaultInjector {
         if !self.is_active() {
             return false;
         }
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = self.inner.state.borrow_mut();
         if st.frame_burst_left.get(node).copied().unwrap_or(0) > 0 {
             st.frame_burst_left[node] -= 1;
             st.counts.frame_fails += 1;
@@ -483,7 +491,7 @@ impl FaultInjector {
         if !self.is_active() {
             return false;
         }
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = self.inner.state.borrow_mut();
         let p = st.plan.handler_fault;
         if p > 0.0 && st.handler.chance(p) {
             st.counts.handler_faults += 1;
@@ -499,7 +507,7 @@ impl FaultInjector {
         if !self.is_active() {
             return 0;
         }
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = self.inner.state.borrow_mut();
         let j = st.plan.quantum_jitter;
         if j == 0 {
             0
@@ -510,7 +518,7 @@ impl FaultInjector {
 
     /// Snapshot of the fault totals injected so far.
     pub fn counts(&self) -> FaultCounts {
-        self.inner.state.lock().unwrap().counts
+        self.inner.state.borrow().counts
     }
 }
 

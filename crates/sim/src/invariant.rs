@@ -56,8 +56,9 @@
 //! assert_eq!((profile.delivered, profile.anomalies), (1, 1));
 //! ```
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::ledger::{MessageLedger, Observed, Tally};
 use crate::span::{self, ProfileReport};
@@ -85,7 +86,7 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Everything the oracle holds, behind its one lock: the ledger, the
+/// Everything the oracle holds, in its one `RefCell`: the ledger, the
 /// delivery rules' state and what both kinds of check found.
 #[derive(Default)]
 struct State {
@@ -280,16 +281,24 @@ impl State {
 /// The trace oracle: one message ledger, checked against the delivery
 /// invariants and the span rules as events arrive.
 ///
-/// Cloning is cheap and clones share state, so a test can keep one handle
-/// while the trace subscription owns another.
+/// Cloning is cheap (a non-atomic `Rc` clone) and clones share state, so a
+/// test can keep one handle while the trace subscription owns another.
+///
+/// Like the [`Tracer`] it watches, a checker belongs to the thread that
+/// built it; it cannot be sent to another:
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<fugu_sim::invariant::InvariantChecker>();
+/// ```
 #[derive(Clone, Default)]
 pub struct InvariantChecker {
-    inner: Arc<Mutex<State>>,
+    inner: Rc<RefCell<State>>,
 }
 
 impl std::fmt::Debug for InvariantChecker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.inner.lock().unwrap();
+        let st = self.inner.borrow();
         f.debug_struct("InvariantChecker")
             .field("violations", &st.violations.len())
             .field("peak_pages", &st.peak_pages)
@@ -306,7 +315,7 @@ impl InvariantChecker {
     /// Additionally enforces the §5.1 bounded-buffering claim: no node's
     /// frame allocation may exceed `bound` pages.
     pub fn with_page_bound(self, bound: u64) -> Self {
-        self.inner.lock().unwrap().page_bound = Some(bound);
+        self.inner.borrow_mut().page_bound = Some(bound);
         self
     }
 
@@ -318,30 +327,30 @@ impl InvariantChecker {
     pub fn attach(&self, tracer: &Tracer) {
         let handle = self.clone();
         tracer.subscribe(MessageLedger::mask(), move |at, ev| {
-            handle.inner.lock().unwrap().on_event(at, ev);
+            handle.inner.borrow_mut().on_event(at, ev);
         });
     }
 
     /// Violations observed so far (empty is the goal).
     pub fn violations(&self) -> Vec<Violation> {
-        self.inner.lock().unwrap().violations.clone()
+        self.inner.borrow().violations.clone()
     }
 
     /// Launch, delivery and per-path counts summed over the ledger.
     pub fn tally(&self) -> Tally {
-        self.inner.lock().unwrap().ledger.tally()
+        self.inner.borrow().ledger.tally()
     }
 
     /// Highest per-node frame count seen in a `PageAlloc` event.
     pub fn peak_pages(&self) -> u64 {
-        self.inner.lock().unwrap().peak_pages
+        self.inner.borrow().peak_pages
     }
 
     /// Messages launched, never declared dropped, and never delivered —
     /// in flight (or lost) when the run ended. A retry protocol makes this
     /// benign; a transport bug makes it grow with the drop rate.
     pub fn undelivered(&self) -> u64 {
-        self.inner.lock().unwrap().ledger.undelivered()
+        self.inner.borrow().ledger.undelivered()
     }
 
     /// Builds the span profile from the ledger, handing the ledger and the
@@ -349,7 +358,7 @@ impl InvariantChecker {
     /// [`Self::undelivered`] read a fresh, empty ledger, so read them
     /// first. Violations and the page peak are kept.
     pub fn finish(&self) -> ProfileReport {
-        let mut st = self.inner.lock().unwrap();
+        let mut st = self.inner.borrow_mut();
         let ledger = std::mem::take(&mut st.ledger);
         ProfileReport::from_ledger(ledger, std::mem::take(&mut st.span_errors))
     }

@@ -31,7 +31,7 @@
 //!
 //! Profiling is pay-for-what-you-watch: nothing here runs unless an oracle
 //! is attached, and detaching is as simple as not attaching — the emission
-//! sites fall back to their single relaxed atomic load.
+//! sites fall back to their single `Cell` read.
 //!
 //! # Example
 //!

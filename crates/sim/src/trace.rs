@@ -9,9 +9,10 @@
 //! * [`TraceEvent`] — one variant per interesting occurrence, grouped into
 //!   [`CategoryMask`] categories so consumers pay only for what they watch;
 //! * [`Tracer`] — a cheaply cloneable handle shared by every instrumented
-//!   component. It can record events into a bounded ring buffer, fan them
-//!   out to subscriber callbacks, or both; when nothing is attached a single
-//!   relaxed atomic load short-circuits every emission site.
+//!   component on the machine's one thread. It can record events into a
+//!   bounded ring buffer, fan them out to subscriber callbacks, or both;
+//!   when nothing is attached a single `Cell` read short-circuits every
+//!   emission site.
 //!
 //! Simulated time is stamped by whoever owns the clock (the machine's event
 //! loop calls [`Tracer::set_time`]) so emission sites do not need to thread
@@ -31,11 +32,11 @@
 //! assert_eq!(records[0].event, TraceEvent::ModeEnter { node: 3, job: 0 });
 //! ```
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::BitOr;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::Cycles;
 
@@ -581,7 +582,7 @@ impl fmt::Display for TraceRecord {
 
 /// A subscriber callback: invoked synchronously with the emission time and
 /// the event, in emission order.
-pub type Subscriber = Box<dyn FnMut(Cycles, &TraceEvent) + Send>;
+type Subscriber = Box<dyn FnMut(Cycles, &TraceEvent)>;
 
 struct Sinks {
     ring_mask: CategoryMask,
@@ -607,44 +608,51 @@ impl Sinks {
 struct Inner {
     /// Union of the ring mask and every subscriber mask; the only thing an
     /// emission site touches when tracing is disabled.
-    mask: AtomicU32,
-    now: AtomicU64,
-    sinks: Mutex<Sinks>,
+    mask: Cell<u32>,
+    now: Cell<Cycles>,
+    sinks: RefCell<Sinks>,
 }
 
 /// A shared handle to a trace sink.
 ///
-/// Cloning is cheap (an `Arc` bump); all clones feed the same ring buffer
-/// and subscriber list. Components hold a clone and call [`Tracer::emit`] or
-/// [`Tracer::emit_with`]; the clock owner calls [`Tracer::set_time`].
+/// Cloning is cheap (a non-atomic `Rc` clone); all clones feed the same
+/// ring buffer and subscriber list. Components hold a clone and call
+/// [`Tracer::emit`] or [`Tracer::emit_with`]; the clock owner calls
+/// [`Tracer::set_time`].
 ///
 /// # Example: counting events with a subscriber
 ///
 /// ```
-/// use std::sync::Arc;
-/// use std::sync::atomic::{AtomicU64, Ordering};
+/// use std::cell::Cell;
+/// use std::rc::Rc;
 /// use fugu_sim::trace::{CategoryMask, TraceEvent, Tracer};
 ///
 /// let tracer = Tracer::disabled();
-/// let seen = Arc::new(AtomicU64::new(0));
-/// let seen2 = Arc::clone(&seen);
-/// tracer.subscribe(CategoryMask::VM, move |_, _| {
-///     seen2.fetch_add(1, Ordering::Relaxed);
-/// });
+/// let seen = Rc::new(Cell::new(0u64));
+/// let seen2 = Rc::clone(&seen);
+/// tracer.subscribe(CategoryMask::VM, move |_, _| seen2.set(seen2.get() + 1));
 /// tracer.emit(TraceEvent::PageAlloc { node: 0, in_use: 1 });
 /// tracer.emit(TraceEvent::ModeEnter { node: 0, job: 0 }); // filtered out: not VM
-/// assert_eq!(seen.load(Ordering::Relaxed), 1);
+/// assert_eq!(seen.get(), 1);
+/// ```
+///
+/// A tracer belongs to the thread that built it; it cannot be sent to
+/// another:
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<fugu_sim::trace::Tracer>();
 /// ```
 #[derive(Clone)]
 pub struct Tracer {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
 
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tracer")
-            .field("mask", &self.inner.mask.load(Ordering::Relaxed))
-            .field("now", &self.inner.now.load(Ordering::Relaxed))
+            .field("mask", &self.inner.mask.get())
+            .field("now", &self.inner.now.get())
             .finish_non_exhaustive()
     }
 }
@@ -659,16 +667,16 @@ impl Tracer {
     fn with_sinks(sinks: Sinks) -> Tracer {
         let mask = sinks.effective_mask();
         Tracer {
-            inner: Arc::new(Inner {
-                mask: AtomicU32::new(mask),
-                now: AtomicU64::new(0),
-                sinks: Mutex::new(sinks),
+            inner: Rc::new(Inner {
+                mask: Cell::new(mask),
+                now: Cell::new(0),
+                sinks: RefCell::new(sinks),
             }),
         }
     }
 
-    /// A tracer with no sinks: every emission reduces to one relaxed atomic
-    /// load. Subscribers can still be attached later.
+    /// A tracer with no sinks: every emission reduces to one `Cell` read.
+    /// Subscribers can still be attached later.
     pub fn disabled() -> Tracer {
         Tracer::with_sinks(Sinks {
             ring_mask: CategoryMask::NONE,
@@ -728,21 +736,16 @@ impl Tracer {
     /// guard on this (or use [`Tracer::emit_with`]).
     #[inline]
     pub fn is_enabled(&self, cats: CategoryMask) -> bool {
-        self.inner.mask.load(Ordering::Relaxed) & cats.bits() != 0
+        self.inner.mask.get() & cats.bits() != 0
     }
 
     /// Stamps the current simulated time onto subsequent emissions.
     #[inline]
     pub fn set_time(&self, now: Cycles) {
-        self.inner.now.store(now, Ordering::Relaxed);
+        self.inner.now.set(now);
     }
 
-    /// The most recently stamped simulated time.
-    pub fn time(&self) -> Cycles {
-        self.inner.now.load(Ordering::Relaxed)
-    }
-
-    /// Emits an event to every interested sink. A no-op (single atomic load)
+    /// Emits an event to every interested sink. A no-op (one `Cell` read)
     /// when no sink matches the event's category.
     pub fn emit(&self, event: TraceEvent) {
         if !self.is_enabled(event.category()) {
@@ -762,9 +765,9 @@ impl Tracer {
     }
 
     fn dispatch(&self, event: TraceEvent) {
-        let at = self.time();
+        let at = self.inner.now.get();
         let cat = event.category();
-        let mut sinks = self.inner.sinks.lock().unwrap();
+        let mut sinks = self.inner.sinks.borrow_mut();
         if sinks.capacity > 0 && sinks.ring_mask.intersects(cat) {
             if sinks.ring.len() == sinks.capacity {
                 sinks.ring.pop_front();
@@ -783,43 +786,32 @@ impl Tracer {
     }
 
     /// Attaches a callback invoked synchronously, in emission order, for
-    /// every event matching `mask`.
+    /// every event matching `mask`. A subscriber must not call back into the
+    /// tracer that invokes it: the sinks stay borrowed for the whole
+    /// dispatch, so such a call panics.
     pub fn subscribe(
         &self,
         mask: CategoryMask,
-        callback: impl FnMut(Cycles, &TraceEvent) + Send + 'static,
+        callback: impl FnMut(Cycles, &TraceEvent) + 'static,
     ) {
-        let mut sinks = self.inner.sinks.lock().unwrap();
+        let mut sinks = self.inner.sinks.borrow_mut();
         sinks.subscribers.push((mask, Box::new(callback)));
-        let mask = sinks.effective_mask();
-        self.inner.mask.store(mask, Ordering::Relaxed);
+        self.inner.mask.set(sinks.effective_mask());
     }
 
     /// Drains and returns the recorded ring-buffer contents, oldest first.
     pub fn take_records(&self) -> Vec<TraceRecord> {
-        self.inner.sinks.lock().unwrap().ring.drain(..).collect()
+        self.inner.sinks.borrow_mut().ring.drain(..).collect()
     }
 
     /// Copies the recorded ring-buffer contents without draining them.
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.inner
-            .sinks
-            .lock()
-            .unwrap()
-            .ring
-            .iter()
-            .cloned()
-            .collect()
+        self.inner.sinks.borrow().ring.iter().cloned().collect()
     }
 
     /// Number of records evicted from the full ring so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.sinks.lock().unwrap().dropped
-    }
-
-    /// The recorder's ring capacity (zero for [`Tracer::disabled`]).
-    pub fn capacity(&self) -> usize {
-        self.inner.sinks.lock().unwrap().capacity
+        self.inner.sinks.borrow().dropped
     }
 }
 
@@ -886,10 +878,10 @@ mod tests {
     fn subscriber_enables_mask_on_disabled_tracer() {
         let t = Tracer::disabled();
         assert!(!t.is_enabled(CategoryMask::MSG));
-        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let seen2 = std::sync::Arc::clone(&seen);
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let seen2 = Rc::clone(&seen);
         t.subscribe(CategoryMask::MSG, move |at, ev| {
-            seen2.lock().unwrap().push((at, ev.clone()));
+            seen2.borrow_mut().push((at, ev.clone()));
         });
         assert!(t.is_enabled(CategoryMask::MSG));
         assert!(!t.is_enabled(CategoryMask::VM));
@@ -900,7 +892,7 @@ mod tests {
             uid: 11,
         });
         t.emit(TraceEvent::PageAlloc { node: 2, in_use: 1 });
-        let seen = seen.lock().unwrap();
+        let seen = seen.borrow();
         assert_eq!(
             &*seen,
             &[(

@@ -3,6 +3,9 @@
 //! drop count is exact, and what survives is exactly the newest suffix of
 //! the matching events.
 
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
 use fugu_sim::prop::forall;
 use fugu_sim::rng::DetRng;
 use fugu_sim::trace::{CategoryMask, TraceEvent, TraceRecord, Tracer};
@@ -95,13 +98,13 @@ fn subscribers_fire_in_attach_order_and_in_emission_order() {
         // interested subscribers must append in attach order, and each
         // subscriber's own entries must be in emission order.
         let tracer = Tracer::disabled();
-        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let masks = [CategoryMask::ALL, CategoryMask::VM, CategoryMask::MSG];
         for (who, mask) in masks.into_iter().enumerate() {
-            let log = std::sync::Arc::clone(&log);
+            let log = Rc::clone(&log);
             let mut idx = 0u64;
             tracer.subscribe(mask, move |at, _| {
-                log.lock().unwrap().push((who, at, idx));
+                log.borrow_mut().push((who, at, idx));
                 idx += 1;
             });
         }
@@ -119,7 +122,7 @@ fn subscribers_fire_in_attach_order_and_in_emission_order() {
             }
             tracer.emit(ev);
         }
-        assert_eq!(*log.lock().unwrap(), expected);
+        assert_eq!(*log.borrow(), expected);
     });
 }
 
@@ -155,11 +158,9 @@ fn overflowing_ring_keeps_newest_suffix_under_filtering() {
 fn subscribers_see_every_matching_event_regardless_of_ring() {
     forall(100, 0x7ACE_0002, |rng| {
         let tracer = Tracer::recorder(4, CategoryMask::NONE);
-        let seen = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let seen2 = std::sync::Arc::clone(&seen);
-        tracer.subscribe(CategoryMask::VM, move |_, _| {
-            seen2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        });
+        let seen = Rc::new(Cell::new(0u64));
+        let seen2 = Rc::clone(&seen);
+        tracer.subscribe(CategoryMask::VM, move |_, _| seen2.set(seen2.get() + 1));
         let n = rng.range_u64(1, 100) as usize;
         let mut vm_events = 0;
         for _ in 0..n {
@@ -169,7 +170,7 @@ fn subscribers_see_every_matching_event_regardless_of_ring() {
             }
             tracer.emit(ev);
         }
-        assert_eq!(seen.load(std::sync::atomic::Ordering::Relaxed), vm_events);
+        assert_eq!(seen.get(), vm_events);
         // Ring mask was NONE, so nothing was recorded and nothing dropped.
         assert!(tracer.records().is_empty());
         assert_eq!(tracer.dropped(), 0);

@@ -38,6 +38,11 @@ for workload in lu_skew barrier_oracle enum_fast; do
   cargo run --offline --release --manifest-path perfbench/Cargo.toml -- \
     --workload "$workload" --seconds 1 >/dev/null
 done
+# The traced run is the only one that subscribes a counting closure,
+# replays the recorded trace through fresh oracles and builds the
+# per-layer ledger (~2 s).
+cargo run --offline --release --manifest-path perfbench/Cargo.toml -- \
+  --workload barrier_oracle --seconds 1 --trace 1 >/dev/null
 # perfbench's unit tests build a RunReport by hand and pin its digest, so
 # a report API change can break them while the runs above still pass.
 cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
