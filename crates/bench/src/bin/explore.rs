@@ -20,7 +20,7 @@
 use std::path::PathBuf;
 
 use fugu_bench::scenario::{run_checked, run_scenario, WORKLOADS};
-use fugu_bench::{parallel_map, Json, Table};
+use fugu_bench::{flag_value, parallel_map, parsed_or_exit, Json, Table};
 use fugu_sim::explore::{generate, shrink, Outcome, RunStatus, ScenarioSpec, ShrinkResult};
 use fugu_sim::rng::DetRng;
 
@@ -63,20 +63,11 @@ fn parse_opts(args: impl IntoIterator<Item = String>) -> Result<ExploreOpts, Str
     };
     let mut budget: Option<u32> = None;
     let mut args = args.into_iter();
-    fn value<T: std::str::FromStr>(
-        flag: &str,
-        args: &mut impl Iterator<Item = String>,
-    ) -> Result<T, String> {
-        args.next()
-            .ok_or_else(|| format!("{flag} needs a value"))?
-            .parse()
-            .map_err(|_| format!("{flag} wants an integer"))
-    }
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--seed" => opts.seed = value("--seed", &mut args)?,
-            "--budget" => budget = Some(value("--budget", &mut args)?),
-            "--jobs" => opts.jobs = value("--jobs", &mut args)?,
+            "--seed" => opts.seed = flag_value("--seed", &mut args)?,
+            "--budget" => budget = Some(flag_value("--budget", &mut args)?),
+            "--jobs" => opts.jobs = flag_value("--jobs", &mut args)?,
             "--json" => {
                 opts.json = Some(PathBuf::from(args.next().ok_or("--json needs a path")?));
             }
@@ -129,18 +120,7 @@ fn replay_main(spec_text: &str) -> i32 {
 }
 
 fn main() {
-    let opts = match parse_opts(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(e) if e == "help" => {
-            println!("{USAGE}");
-            return;
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let opts = parsed_or_exit(parse_opts(std::env::args().skip(1)), USAGE);
     if let Some(spec_text) = &opts.replay {
         std::process::exit(replay_main(spec_text));
     }

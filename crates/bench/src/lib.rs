@@ -118,22 +118,13 @@ impl Opts {
             json: None,
         };
         let mut args = args.into_iter();
-        fn value<T: std::str::FromStr>(
-            flag: &str,
-            args: &mut impl Iterator<Item = String>,
-        ) -> Result<T, String> {
-            args.next()
-                .ok_or_else(|| format!("{flag} needs a value"))?
-                .parse()
-                .map_err(|_| format!("{flag} wants an integer"))
-        }
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--quick" => opts.quick = true,
-                "--nodes" => opts.nodes = value("--nodes", &mut args)?,
-                "--seed" => opts.seed = value("--seed", &mut args)?,
-                "--trials" => opts.trials = value("--trials", &mut args)?,
-                "--jobs" => opts.jobs = value("--jobs", &mut args)?,
+                "--nodes" => opts.nodes = flag_value("--nodes", &mut args)?,
+                "--seed" => opts.seed = flag_value("--seed", &mut args)?,
+                "--trials" => opts.trials = flag_value("--trials", &mut args)?,
+                "--jobs" => opts.jobs = flag_value("--jobs", &mut args)?,
                 "--json" => {
                     opts.json = Some(PathBuf::from(args.next().ok_or("--json needs a path")?));
                 }
@@ -156,17 +147,40 @@ impl Opts {
     /// Parses argv. On `--help` prints usage and exits 0; on any parse
     /// error prints the error plus usage to stderr and exits 2.
     pub fn parse(default_nodes: usize) -> Opts {
-        match Opts::try_parse(default_nodes, std::env::args().skip(1)) {
-            Ok(opts) => opts,
-            Err(e) if e == "help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
+        parsed_or_exit(
+            Opts::try_parse(default_nodes, std::env::args().skip(1)),
+            USAGE,
+        )
+    }
+}
+
+/// Takes the value after `flag` off `args` and parses it as an integer.
+/// The error names the flag: "`flag` needs a value" or "`flag` wants an
+/// integer".
+pub fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<T, String> {
+    args.next()
+        .ok_or_else(|| format!("{flag} needs a value"))?
+        .parse()
+        .map_err(|_| format!("{flag} wants an integer"))
+}
+
+/// Unwraps a harness's parsed options or exits: the error `"help"` prints
+/// `usage` to stdout and exits 0; any other error prints `error: <e>` and
+/// `usage` to stderr and exits 2.
+pub fn parsed_or_exit<T>(parsed: Result<T, String>, usage: &str) -> T {
+    match parsed {
+        Ok(opts) => opts,
+        Err(e) if e == "help" => {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            eprintln!("{usage}");
+            std::process::exit(2);
         }
     }
 }

@@ -115,6 +115,55 @@ fn zero_nodes_exits_2_with_usage() {
     assert!(!stderr.contains("panicked"));
 }
 
+fn explore() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_explore"))
+}
+
+#[test]
+fn explore_unknown_flag_exits_2_with_usage() {
+    let out = explore().arg("--bogus").output().expect("explore runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error: unknown option --bogus"), "{stderr}");
+    assert!(stderr.contains("usage: explore"), "{stderr}");
+    assert!(
+        stderr.contains("--replay SPEC"),
+        "usage must list the flags"
+    );
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn explore_missing_value_exits_2_with_usage() {
+    for (flag, message) in [
+        ("--budget", "--budget needs a value"),
+        ("--json", "--json needs a path"),
+        ("--replay", "--replay needs a scenario spec"),
+    ] {
+        let out = explore().arg(flag).output().expect("explore runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{flag}: {stderr}");
+        assert!(stderr.contains("usage: explore"), "{flag}: {stderr}");
+    }
+    let out = explore()
+        .args(["--seed", "x"])
+        .output()
+        .expect("explore runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--seed wants an integer"));
+}
+
+#[test]
+fn explore_help_exits_0() {
+    let out = explore().arg("--help").output().expect("explore runs");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("usage: explore"), "{stdout}");
+    assert!(stdout.contains("--replay SPEC"), "{stdout}");
+    assert!(out.stderr.is_empty());
+}
+
 #[test]
 fn replay_of_an_unrunnable_spec_exits_2() {
     for spec in ["skew=150", "timeslice=0", "faults=frame-burst=4294967296"] {

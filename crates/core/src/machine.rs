@@ -17,20 +17,25 @@
 //!   atomicity and switches the process to buffered mode.
 //!
 //! Execution model: there is one thread of control, the caller's. Each
-//! process on each node has two sim-threads, a main context and a handler
-//! context, and each is an `async` future ([`Sim`]) that the machine
-//! polls with a no-op waker. A context runs until it awaits a
+//! process on each node has two sim-threads, each an `async` future
+//! ([`Sim`](crate::Sim)) that the machine polls with a no-op waker: its
+//! `main`, and one `handler` future per delivered message, built when the
+//! message is taken and run to completion (an upcall, §3). The handler
+//! context's [`UserCtx`] outlives its dispatches: each future borrows it
+//! and hands it back when it finishes. A future runs until it awaits a
 //! machine call; the call goes through a one-slot exchange, the machine
-//! services it, and either polls the context again with the answer or
-//! parks it (a `compute` block, a `block`, an idle handler). The machine's
-//! event loop processes network arrivals, compute completions, atomicity
-//! timeouts and quantum switches; each node's processor is a resource on
-//! which kernel work preempts user work, exactly one activity computes at
-//! a time, and preempted computation resumes with its remaining cycles
-//! intact.
+//! services it, and either polls the future again with the answer or
+//! parks it (a `compute` block, a `block`, a main polling its handler).
+//! The machine's event loop processes network arrivals, compute
+//! completions, atomicity timeouts and quantum switches; each node's
+//! processor is a resource on which kernel work preempts user work,
+//! exactly one activity computes at a time, and preempted computation
+//! resumes with its remaining cycles intact.
 
 use std::collections::{HashMap, VecDeque};
+use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
@@ -46,19 +51,15 @@ use fugu_sim::Cycles;
 
 use crate::config::{JobSpec, MachineConfig};
 use crate::report::{JobReport, NodeReport, RunReport};
-use crate::user::{CtxKind, Envelope, Exchange, Sim, SimCall, SimResp, UserCtx};
+use crate::user::{CtxKind, Envelope, Exchange, SimCall, SimResp, UserCtx};
 
 /// Events in the machine's global future-event list.
 #[derive(Debug)]
 enum Ev {
     /// A message reaches a node's network interface.
     Arrive { node: NodeId, msg: Message },
-    /// A thread's `compute` block completes.
-    AdvanceDone {
-        node: NodeId,
-        job: usize,
-        which: CtxKind,
-    },
+    /// The node's running `compute` block ([`NodeState::active`]) completes.
+    AdvanceDone { node: NodeId },
     /// The atomicity timer on a node expired: revoke interrupt disable.
     AtomTimeout { node: NodeId },
     /// Gang-scheduler quantum boundary on a node.
@@ -74,31 +75,38 @@ enum Ev {
 enum TState {
     /// Runnable: a response is ready to deliver at next dispatch.
     Ready(SimResp),
-    /// Occupying the processor in a `compute` block scheduled over
-    /// `[start, until)`.
-    ActiveCompute {
-        start: Cycles,
-        until: Cycles,
-        event: EventId,
-    },
+    /// Occupying the processor in the node's [`NodeState::active`] compute.
+    Computing,
     /// Preempted or descheduled mid-`compute`.
     PausedCompute { remaining: Cycles },
-    /// Blocked on a wake key.
-    Blocked(u32),
-    /// Blocked on a wake key with a deadline; the pending
+    /// Main thread blocked on a wake key. With a `deadline`, the pending
     /// [`Ev::BlockTimeout`] is cancelled if the wake arrives first.
-    BlockedTimeout { key: u32, event: EventId },
+    Blocked { key: u32, deadline: Option<EventId> },
     /// Main thread waiting for a `poll`-dispatched handler to complete.
     WaitingPoll,
-    /// Handler context idle, awaiting the next upcall.
-    AwaitUpcall,
-    /// Thread's future completed.
+    /// Future completed: a finished main, or a handler between messages.
     Done,
 }
 
+/// A sim-thread's future. It hands its context back when it finishes, so
+/// the handler context survives from one message to the next.
+type Task = Pin<Box<dyn Future<Output = UserCtx>>>;
+
 struct ThreadSlot {
-    task: Sim<'static>,
+    /// `None` once the future has finished.
+    task: Option<Task>,
     state: TState,
+}
+
+/// The `compute` block occupying a node's processor over `[start, until)`.
+#[derive(Debug, Clone, Copy)]
+struct Compute {
+    job: usize,
+    which: CtxKind,
+    start: Cycles,
+    until: Cycles,
+    /// The pending [`Ev::AdvanceDone`].
+    event: EventId,
 }
 
 /// A handler dispatch in flight on a process.
@@ -141,7 +149,10 @@ struct Proc {
     /// User-level atomicity intent (persists across descheduling; mirrored
     /// into the NIC's interrupt-disable bit while scheduled).
     atomic: bool,
+    /// The handler dispatch in flight; `None` when the handler is idle.
     upcall: Option<Upcall>,
+    /// The handler context while idle; the running dispatch holds it.
+    handler_ctx: Option<UserCtx>,
     wake_permits: HashMap<u32, u32>,
     /// Demand-zero heap pages already faulted in.
     heap_pages: std::collections::HashSet<u32>,
@@ -162,8 +173,8 @@ impl Proc {
 /// Per-node machine state.
 struct NodeState {
     nic: Nic,
-    /// When the processor is next free. During an `ActiveCompute` this is
-    /// the compute's end time (the CPU is committed through it).
+    /// When the processor is next free. While a compute runs this is its
+    /// end time (the CPU is committed through it).
     free_at: Cycles,
     cur_job: usize,
     /// Messages held in the network fabric because the NIC queue is full.
@@ -172,8 +183,8 @@ struct NodeState {
     /// order when the window's [`Ev::StallEnd`] fires.
     stall_q: VecDeque<Message>,
     timer_ev: Option<EventId>,
-    /// The thread currently occupying the CPU with an `ActiveCompute`.
-    active: Option<(usize, CtxKind)>,
+    /// The compute currently occupying the CPU.
+    active: Option<Compute>,
     procs: Vec<Proc>,
     frames: FrameAllocator,
     report: NodeReport,
@@ -366,31 +377,27 @@ impl Machine {
             };
             let program = Arc::clone(&spec.program);
             let mut ctx_main = ctx(CtxKind::Main, 0);
-            let main: Sim<'static> = Box::pin(async move { program.main(&mut ctx_main).await });
-            let program = Arc::clone(&spec.program);
-            let mut ctx_handler = ctx(CtxKind::Handler, 1);
-            let handler: Sim<'static> = Box::pin(async move {
-                loop {
-                    let env = ctx_handler.await_upcall().await;
-                    program.handler(&mut ctx_handler, &env).await;
-                }
+            let main: Task = Box::pin(async move {
+                program.main(&mut ctx_main).await;
+                ctx_main
             });
             self.nodes[n].procs.push(Proc {
                 // A future runs nothing until its first poll, whose
                 // response it never reads, so a main starts as any ready
-                // thread does; `run` parks the handler.
+                // thread does.
                 main: ThreadSlot {
-                    task: main,
+                    task: Some(main),
                     state: TState::Ready(SimResp::Ok),
                 },
                 handler: ThreadSlot {
-                    task: handler,
-                    state: TState::AwaitUpcall,
+                    task: None,
+                    state: TState::Done,
                 },
                 mode: DeliveryMode::Fast,
                 vbuf: VirtualBuffer::new(self.cfg.costs.page_size_bytes),
                 atomic: false,
                 upcall: None,
+                handler_ctx: Some(ctx(CtxKind::Handler, 1)),
                 wake_permits: HashMap::new(),
                 heap_pages: std::collections::HashSet::new(),
             });
@@ -421,9 +428,8 @@ impl Machine {
             self.jobs.len(),
             self.cfg.nodes,
         );
-        // Prime each node: schedule its first quantum boundary, park every
-        // handler context in its dispatch loop, and start the initially
-        // scheduled process.
+        // Prime each node: schedule its first quantum boundary and start the
+        // initially scheduled process.
         for n in 0..self.cfg.nodes {
             self.nodes[n].cur_job = sched.job_at(n, 0);
             let gid = self.jobs[self.nodes[n].cur_job].gid;
@@ -441,9 +447,6 @@ impl Machine {
             if self.jobs.len() > 1 {
                 let at = sched.next_switch(n, 0);
                 self.queue.schedule(at, Ev::Quantum { node: n });
-            }
-            for j in 0..self.jobs.len() {
-                self.run_burst(n, j, CtxKind::Handler, SimResp::Ok);
             }
         }
         self.sched = Some(sched);
@@ -471,7 +474,7 @@ impl Machine {
             self.events_processed += 1;
             match ev {
                 Ev::Arrive { node, msg } => self.on_arrive(node, msg),
-                Ev::AdvanceDone { node, job, which } => self.on_advance_done(node, job, which),
+                Ev::AdvanceDone { node } => self.on_advance_done(node),
                 Ev::AtomTimeout { node } => self.on_atom_timeout(node),
                 Ev::Quantum { node } => self.on_quantum(node),
                 Ev::BlockTimeout { node, job, key } => self.on_block_timeout(node, job, key),
@@ -486,21 +489,26 @@ impl Machine {
     /// as deterministic JSON so a wedged chaos run can be debugged from
     /// its panic message alone.
     fn diagnostic_dump(&self) -> Json {
-        let thread_state = |s: &TState| -> String {
-            match s {
-                TState::Ready(_) => "ready".into(),
-                TState::ActiveCompute { until, .. } => format!("active-compute until={until}"),
-                TState::PausedCompute { remaining } => {
-                    format!("paused-compute remaining={remaining}")
-                }
-                TState::Blocked(key) => format!("blocked key={key:#x}"),
-                TState::BlockedTimeout { key, .. } => format!("blocked-timeout key={key:#x}"),
-                TState::WaitingPoll => "waiting-poll".into(),
-                TState::AwaitUpcall => "await-upcall".into(),
-                TState::Done => "done".into(),
-            }
-        };
         let nodes = self.nodes.iter().enumerate().map(|(n, node)| {
+            let thread_state = |s: &TState| -> String {
+                match s {
+                    TState::Ready(_) => "ready".into(),
+                    TState::Computing => {
+                        let until = node.active.map_or(0, |c| c.until);
+                        format!("active-compute until={until}")
+                    }
+                    TState::PausedCompute { remaining } => {
+                        format!("paused-compute remaining={remaining}")
+                    }
+                    TState::Blocked {
+                        key,
+                        deadline: None,
+                    } => format!("blocked key={key:#x}"),
+                    TState::Blocked { key, .. } => format!("blocked-timeout key={key:#x}"),
+                    TState::WaitingPoll => "waiting-poll".into(),
+                    TState::Done => "done".into(),
+                }
+            };
             let procs = node.procs.iter().enumerate().map(|(j, p)| {
                 Json::object([
                     ("job", Json::from(self.jobs[j].spec.name.as_str())),
@@ -583,19 +591,15 @@ impl Machine {
         self.schedule_node(n);
     }
 
-    fn on_advance_done(&mut self, n: NodeId, job: usize, which: CtxKind) {
-        debug_assert_eq!(self.nodes[n].active, Some((job, which)));
+    fn on_advance_done(&mut self, n: NodeId) {
         let node = &mut self.nodes[n];
-        let slot = slot_mut(&mut node.procs[job], which);
-        match slot.state {
-            TState::ActiveCompute { until, .. } => {
-                debug_assert_eq!(until, self.queue.now());
-                node.free_at = until;
-                slot.state = TState::Ready(SimResp::Ok);
-            }
-            ref other => panic!("AdvanceDone for thread in state {other:?}"),
-        }
-        node.active = None;
+        let c = node
+            .active
+            .take()
+            .expect("AdvanceDone with no compute running");
+        debug_assert_eq!(c.until, self.queue.now());
+        node.free_at = c.until;
+        slot_mut(&mut node.procs[c.job], c.which).state = TState::Ready(SimResp::Ok);
         self.schedule_node(n);
     }
 
@@ -612,10 +616,9 @@ impl Machine {
             // Polling-watchdog variant (§2): instead of revoking to
             // buffered mode, force the deferred message-available
             // interrupt through, breaking the atomic section. Falls back
-            // to revocation when the handler context is unavailable.
-            let can_force = self.nodes[n].nic.message_available()
-                && matches!(self.nodes[n].procs[j].handler.state, TState::AwaitUpcall)
-                && self.nodes[n].procs[j].upcall.is_none();
+            // to revocation when a handler is already running.
+            let can_force =
+                self.nodes[n].nic.message_available() && self.nodes[n].procs[j].upcall.is_none();
             if can_force {
                 self.jobs[j].report.watchdog_fires += 1;
                 self.tracer
@@ -685,7 +688,10 @@ impl Machine {
     fn on_block_timeout(&mut self, n: NodeId, j: usize, key: u32) {
         let proc = &mut self.nodes[n].procs[j];
         match proc.main.state {
-            TState::BlockedTimeout { key: k, .. } if k == key => {
+            TState::Blocked {
+                key: k,
+                deadline: Some(_),
+            } if k == key => {
                 proc.main.state = TState::Ready(SimResp::Bool(false));
             }
             ref other => panic!("BlockTimeout(key={key:#x}) fired for thread in state {other:?}"),
@@ -730,14 +736,12 @@ impl Machine {
                     && !proc.vbuf.is_empty()
                     && !proc.atomic
                     && proc.upcall.is_none()
-                    && matches!(proc.handler.state, TState::AwaitUpcall)
                 {
                     self.preempt_active(n);
                     let start = self.nodes[n].free_at.max(self.queue.now());
-                    let env = self
-                        .take_buffered(n, j, start, true)
+                    self.take_buffered(n, j, start, true)
                         .expect("vbuf nonempty");
-                    self.run_burst(n, j, CtxKind::Handler, SimResp::Upcall(env));
+                    self.run_burst(n, j, CtxKind::Handler, SimResp::Ok);
                     continue;
                 }
             }
@@ -763,8 +767,7 @@ impl Machine {
             if matches!(
                 self.nodes[n].nic.head_disposition(),
                 Some(HeadDisposition::UserInterrupt)
-            ) && matches!(self.nodes[n].procs[j].handler.state, TState::AwaitUpcall)
-                && self.nodes[n].procs[j].upcall.is_none()
+            ) && self.nodes[n].procs[j].upcall.is_none()
             {
                 // Injected handler page fault: the upcall would fault on
                 // entry, so the OS charges the fault and switches the
@@ -799,7 +802,7 @@ impl Machine {
                 _ => break,
             };
             let slot = slot_mut(&mut self.nodes[n].procs[j], which);
-            // `Done` is a placeholder until run_burst or resume_compute sets
+            // `Done` is a placeholder until run_burst or start_compute sets
             // the real state.
             match std::mem::replace(&mut slot.state, TState::Done) {
                 TState::Ready(resp) => {
@@ -809,7 +812,7 @@ impl Machine {
                     self.run_burst(n, j, which, resp);
                     continue;
                 }
-                TState::PausedCompute { remaining } => self.resume_compute(n, j, which, remaining),
+                TState::PausedCompute { remaining } => self.start_compute(n, j, which, remaining),
                 other => slot.state = other,
             }
             break;
@@ -817,27 +820,23 @@ impl Machine {
         self.reconcile_timer(n);
     }
 
-    /// Reschedules a paused compute on the now-free processor.
-    fn resume_compute(&mut self, n: NodeId, j: usize, which: CtxKind, remaining: Cycles) {
-        let now = self.queue.now();
+    /// Puts a thread's `cycles` of computation on the processor from the
+    /// end of committed work: a new `compute` block, or a paused one
+    /// resuming.
+    fn start_compute(&mut self, n: NodeId, job: usize, which: CtxKind, cycles: Cycles) {
         let node = &mut self.nodes[n];
-        let start = node.free_at.max(now);
-        let until = start + remaining;
+        let start = node.free_at.max(self.queue.now());
+        let until = start + cycles;
         node.free_at = until;
-        let event = self.queue.schedule(
-            until,
-            Ev::AdvanceDone {
-                node: n,
-                job: j,
-                which,
-            },
-        );
-        slot_mut(&mut self.nodes[n].procs[j], which).state = TState::ActiveCompute {
+        let event = self.queue.schedule(until, Ev::AdvanceDone { node: n });
+        node.active = Some(Compute {
+            job,
+            which,
             start,
             until,
             event,
-        };
-        self.nodes[n].active = Some((j, which));
+        });
+        slot_mut(&mut node.procs[job], which).state = TState::Computing;
     }
 
     /// Pauses the node's active compute (if any), crediting the unspent
@@ -845,27 +844,16 @@ impl Machine {
     /// preemption point (never earlier than work already committed before
     /// the compute began).
     fn preempt_active(&mut self, n: NodeId) {
-        let Some((j, w)) = self.nodes[n].active.take() else {
+        let Some(c) = self.nodes[n].active.take() else {
             return;
         };
-        let t = self.queue.now();
+        self.queue.cancel(c.event);
+        let p = self.queue.now().clamp(c.start, c.until);
         let node = &mut self.nodes[n];
-        let slot = slot_mut(&mut node.procs[j], w);
-        match slot.state {
-            TState::ActiveCompute {
-                start,
-                until,
-                event,
-            } => {
-                self.queue.cancel(event);
-                let p = t.clamp(start, until);
-                slot.state = TState::PausedCompute {
-                    remaining: until - p,
-                };
-                node.free_at = p;
-            }
-            ref other => panic!("active thread in state {other:?}"),
-        }
+        slot_mut(&mut node.procs[c.job], c.which).state = TState::PausedCompute {
+            remaining: c.until - p,
+        };
+        node.free_at = p;
     }
 
     // ==================================================================
@@ -894,8 +882,9 @@ impl Machine {
             let t = node.free_at.max(now);
             let frames = &mut node.frames;
             let proc = &mut node.procs[j];
-            // The clone is O(1): the payload is Arc-shared, so the fallback
-            // path below can still consume `msg` without a deep copy here.
+            // The clone is O(1): the payload is an `Rc<[u32]>`, so the
+            // fallback path below can still consume `msg` without a deep
+            // copy here.
             cost = match proc.vbuf.insert(msg.clone(), frames) {
                 Ok(outcome) => {
                     if outcome.allocated_page {
@@ -1017,8 +1006,8 @@ impl Machine {
         // comes on top. An empty body therefore costs exactly Table 4's
         // interrupt total (87 cycles at hard atomicity).
         let entry = self.cfg.costs.rx_interrupt.pre() + self.cfg.costs.null_handler;
-        let env = self.take_fast(n, j, start, entry, Some(UpcallKind::Interrupt));
-        self.run_burst(n, j, CtxKind::Handler, SimResp::Upcall(env));
+        self.take_fast(n, j, start, entry, Some(UpcallKind::Interrupt));
+        self.run_burst(n, j, CtxKind::Handler, SimResp::Ok);
     }
 
     /// Whether process `j` on node `n` reads the software buffer rather
@@ -1030,7 +1019,8 @@ impl Machine {
 
     /// Fast case: disposes the head message straight out of the NIC,
     /// charging `entry` plus the per-word reads from `start`. With an
-    /// `upcall` the handler is entered in an atomic section.
+    /// `upcall` the handler is entered in an atomic section (see
+    /// [`Machine::begin_upcall`]).
     fn take_fast(
         &mut self,
         n: NodeId,
@@ -1049,7 +1039,7 @@ impl Machine {
         if let Some(kind) = upcall {
             // Handlers begin in an atomic section.
             node.nic.kernel_set_uac(UacMask::INTERRUPT_DISABLE);
-            node.procs[j].upcall = Some(Upcall { kind, start, uid });
+            self.begin_upcall(n, j, Upcall { kind, start, uid }, envelope(&msg));
         }
         self.jobs[j].report.delivered_fast += 1;
         let (node, job) = (n, j);
@@ -1074,8 +1064,8 @@ impl Machine {
 
     /// Buffered case: pops the process's software buffer, charging the
     /// Table 5 extraction (plus the swap-in of a paged-out message) from
-    /// `start`, and enters the handler if `upcall`. `None` when the buffer
-    /// is empty.
+    /// `start`, and enters the handler if `upcall` (see
+    /// [`Machine::begin_upcall`]). `None` when the buffer is empty.
     fn take_buffered(
         &mut self,
         n: NodeId,
@@ -1093,7 +1083,7 @@ impl Machine {
         }
         if upcall {
             let kind = UpcallKind::Buffered;
-            node.procs[j].upcall = Some(Upcall { kind, start, uid });
+            self.begin_upcall(n, j, Upcall { kind, start, uid }, envelope(&msg));
         }
         self.tracer
             .emit_with(CategoryMask::BUFFER, || TraceEvent::BufferExtract {
@@ -1105,6 +1095,25 @@ impl Machine {
             });
         self.maybe_unsuspend(n, j);
         Some(envelope(&msg))
+    }
+
+    /// Records a handler dispatch on process `j` and builds its future,
+    /// which lends the handler context to `program.handler` for `env` and
+    /// returns it when the handler finishes. The caller runs the future
+    /// with [`Machine::run_burst`]; like a main's, its first poll reads no
+    /// response.
+    fn begin_upcall(&mut self, n: NodeId, j: usize, upcall: Upcall, env: Envelope) {
+        let program = Arc::clone(&self.jobs[j].spec.program);
+        let proc = &mut self.nodes[n].procs[j];
+        let mut ctx = proc
+            .handler_ctx
+            .take()
+            .expect("an idle handler holds its context");
+        proc.upcall = Some(upcall);
+        proc.handler.task = Some(Box::pin(async move {
+            program.handler(&mut ctx, &env).await;
+            ctx
+        }));
     }
 
     /// Switches a process to buffered mode (the uniform response to all
@@ -1141,11 +1150,14 @@ impl Machine {
         let mut resp = first;
         loop {
             self.exchange.resp.set(Some(resp));
-            let task = &mut slot_mut(&mut self.nodes[n].procs[j], which).task;
+            let slot = slot_mut(&mut self.nodes[n].procs[j], which);
+            let task = slot.task.as_mut().expect("a running thread has a future");
             let mut cx = Context::from_waker(Waker::noop());
             match catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx))) {
-                Ok(Poll::Ready(())) => {
-                    self.on_thread_finished(n, j, which);
+                Ok(Poll::Ready(ctx)) => {
+                    slot.task = None;
+                    slot.state = TState::Done;
+                    self.on_thread_finished(n, j, which, ctx);
                     return;
                 }
                 Ok(Poll::Pending) => {
@@ -1170,14 +1182,13 @@ impl Machine {
         }
     }
 
-    fn on_thread_finished(&mut self, n: NodeId, j: usize, which: CtxKind) {
+    fn on_thread_finished(&mut self, n: NodeId, j: usize, which: CtxKind, ctx: UserCtx) {
         match which {
-            CtxKind::Handler => panic!(
-                "handler context of job '{}' on node {} exited its dispatch loop",
-                self.jobs[j].spec.name, n
-            ),
+            CtxKind::Handler => {
+                self.nodes[n].procs[j].handler_ctx = Some(ctx);
+                self.on_handler_complete(n, j);
+            }
             CtxKind::Main => {
-                self.nodes[n].procs[j].main.state = TState::Done;
                 let t = self.nodes[n].free_at.max(self.queue.now());
                 let job = &mut self.jobs[j];
                 job.mains_remaining -= 1;
@@ -1199,24 +1210,7 @@ impl Machine {
             SimCall::Now => Some(SimResp::Time(self.nodes[n].free_at)),
 
             SimCall::Compute(c) => {
-                let node = &mut self.nodes[n];
-                let start = node.free_at;
-                let until = start + c;
-                node.free_at = until;
-                let event = self.queue.schedule(
-                    until,
-                    Ev::AdvanceDone {
-                        node: n,
-                        job: j,
-                        which,
-                    },
-                );
-                slot_mut(&mut node.procs[j], which).state = TState::ActiveCompute {
-                    start,
-                    until,
-                    event,
-                };
-                node.active = Some((j, which));
+                self.start_compute(n, j, which, c);
                 None
             }
 
@@ -1272,54 +1266,37 @@ impl Machine {
                 Some(SimResp::Ok)
             }
 
-            SimCall::Block(key) => {
-                assert_eq!(which, CtxKind::Main, "handlers must not block");
-                let proc = &mut self.nodes[n].procs[j];
-                if proc.take_permit(key) {
-                    Some(SimResp::Ok)
-                } else {
-                    proc.main.state = TState::Blocked(key);
-                    None
-                }
-            }
-
-            SimCall::BlockTimeout { key, timeout } => {
-                assert_eq!(which, CtxKind::Main, "handlers must not block");
+            SimCall::Block { key, timeout } => {
                 if self.nodes[n].procs[j].take_permit(key) {
-                    Some(SimResp::Bool(true))
-                } else {
-                    let deadline = self.nodes[n].free_at.max(self.queue.now()) + timeout;
-                    let event = self.queue.schedule(
-                        deadline,
+                    return Some(SimResp::Bool(true));
+                }
+                let deadline = timeout.map(|timeout| {
+                    let at = self.nodes[n].free_at.max(self.queue.now()) + timeout;
+                    self.queue.schedule(
+                        at,
                         Ev::BlockTimeout {
                             node: n,
                             job: j,
                             key,
                         },
-                    );
-                    self.nodes[n].procs[j].main.state = TState::BlockedTimeout { key, event };
-                    None
-                }
+                    )
+                });
+                self.nodes[n].procs[j].main.state = TState::Blocked { key, deadline };
+                None
             }
 
             SimCall::Wake(key) => {
-                // A wake on a deadline-block cancels its pending timeout.
-                let timed = match self.nodes[n].procs[j].main.state {
-                    TState::Blocked(k) if k == key => Some(None),
-                    TState::BlockedTimeout { key: k, event } if k == key => Some(Some(event)),
-                    _ => None,
-                };
-                match timed {
-                    Some(None) => {
-                        self.nodes[n].procs[j].main.state = TState::Ready(SimResp::Ok);
+                let proc = &mut self.nodes[n].procs[j];
+                match proc.main.state {
+                    TState::Blocked { key: k, deadline } if k == key => {
+                        // A wake on a deadline-block cancels its pending
+                        // timeout.
+                        if let Some(event) = deadline {
+                            self.queue.cancel(event);
+                        }
+                        proc.main.state = TState::Ready(SimResp::Bool(true));
                     }
-                    Some(Some(event)) => {
-                        self.queue.cancel(event);
-                        self.nodes[n].procs[j].main.state = TState::Ready(SimResp::Bool(true));
-                    }
-                    None => {
-                        *self.nodes[n].procs[j].wake_permits.entry(key).or_insert(0) += 1;
-                    }
+                    _ => *proc.wake_permits.entry(key).or_insert(0) += 1,
                 }
                 Some(SimResp::Ok)
             }
@@ -1371,23 +1348,14 @@ impl Machine {
             }
 
             SimCall::PollDispatch => {
-                assert_eq!(which, CtxKind::Main, "handler context cannot poll-dispatch");
-                let Some(env) = self.poll_take(n, j, true) else {
+                if self.poll_take(n, j, true).is_none() {
                     return Some(SimResp::Bool(false));
-                };
+                }
                 // Park the polling main *before* the handler runs: the
                 // handler may complete synchronously inside this call, and
                 // its completion is what re-readies the main thread.
                 self.nodes[n].procs[j].main.state = TState::WaitingPoll;
-                self.run_burst(n, j, CtxKind::Handler, SimResp::Upcall(env));
-                None
-            }
-
-            SimCall::AwaitUpcall => {
-                assert_eq!(which, CtxKind::Handler);
-                // Completion of the previous dispatch.
-                self.on_handler_complete(n, j);
-                self.nodes[n].procs[j].handler.state = TState::AwaitUpcall;
+                self.run_burst(n, j, CtxKind::Handler, SimResp::Ok);
                 None
             }
         }
@@ -1516,9 +1484,10 @@ impl Machine {
     }
 
     fn on_handler_complete(&mut self, n: NodeId, j: usize) {
-        let Some(Upcall { kind, start, uid }) = self.nodes[n].procs[j].upcall.take() else {
-            return; // `run` parking the handler: nothing to complete
-        };
+        let Upcall { kind, start, uid } = self.nodes[n].procs[j]
+            .upcall
+            .take()
+            .expect("a finished handler was dispatched");
         if kind == UpcallKind::Interrupt {
             self.nodes[n].free_at += self.cfg.costs.rx_interrupt.post();
         }

@@ -7,8 +7,12 @@
 //! invoked for every incoming message, either via simulated user-level
 //! interrupt or from a polling loop.
 //!
-//! Both are `async`: each returns a [`Sim`] future that the machine polls
-//! on its own thread, one context at a time. Every `UserCtx` method that
+//! Both are `async` and return a [`Sim`] future that the machine polls on
+//! its own thread, one future at a time. `main` runs once per node. A
+//! `handler` future is built for each delivered message and runs to
+//! completion, the upcall of §3; every dispatch on a node gets the same
+//! handler-context `UserCtx`, so its state (such as [`UserCtx::rng`])
+//! carries over from one message to the next. Every `UserCtx` method that
 //! acts on the machine is an `async fn`; awaiting it hands one request to
 //! the machine through a one-slot exchange and resumes with the answer.
 //!
@@ -83,25 +87,20 @@ pub(crate) enum SimCall {
     BeginAtomic,
     /// Leave an atomic section.
     EndAtomic,
-    /// Deschedule this thread until [`SimCall::Wake`] on the same key.
-    Block(u32),
-    /// Like [`SimCall::Block`] but with a deadline: responds `Bool(true)`
-    /// if woken by [`SimCall::Wake`], `Bool(false)` if `timeout` cycles
-    /// elapse first (the wake permit is then left banked for a later
-    /// block). Used by retry protocols under fault injection.
-    BlockTimeout {
-        /// Wake key, as for [`SimCall::Block`].
+    /// Deschedule the main thread until [`SimCall::Wake`] on `key`, or
+    /// until `timeout` cycles pass if there is one. Responds `Bool(true)`
+    /// when woken (or a banked permit was taken), `Bool(false)` on timeout;
+    /// a wake after the timeout stays banked for a later block.
+    Block {
+        /// Wake key.
         key: u32,
-        /// Cycles to wait before giving up.
-        timeout: Cycles,
+        /// Cycles to wait before giving up; `None` waits forever.
+        timeout: Option<Cycles>,
     },
     /// Wake the main thread if blocked on the key (otherwise bank a permit).
     Wake(u32),
     /// Read the current simulated time.
     Now,
-    /// Handler context only: report completion of the previous handler and
-    /// wait for the next dispatch.
-    AwaitUpcall,
 }
 
 /// Responses paired with [`SimCall`]s.
@@ -109,14 +108,12 @@ pub(crate) enum SimCall {
 pub(crate) enum SimResp {
     /// Generic acknowledgement.
     Ok,
-    /// Boolean result (`TrySend`, `PollDispatch`).
+    /// Boolean result (`TrySend`, `PollDispatch`, `Block`).
     Bool(bool),
     /// Current simulated time.
     Time(Cycles),
     /// Extracted message, if any.
     Extract(Option<Envelope>),
-    /// A message dispatched to the handler context.
-    Upcall(Envelope),
 }
 
 /// The one-slot request/response cell between the machine and the context
@@ -147,10 +144,12 @@ pub trait Program: 'static {
     /// every node.
     fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a>;
 
-    /// Message handler, invoked with interrupts disabled (an atomic
-    /// section), either by a *message-available* user interrupt, by a
-    /// polling loop, or — transparently — from the software buffer in
-    /// buffered mode.
+    /// Message handler, invoked once per message with interrupts disabled
+    /// (an atomic section), either by a *message-available* user
+    /// interrupt, by a polling loop, or — transparently — from the
+    /// software buffer in buffered mode. Its future runs to completion
+    /// before the process takes another message; `ctx` is the same
+    /// handler context on every dispatch.
     ///
     /// The default implementation panics: programs that receive messages
     /// must override it.
@@ -402,7 +401,7 @@ impl UserCtx {
     /// and must not block, per the UDM model).
     pub async fn block(&mut self, key: u32) {
         assert_eq!(self.kind, CtxKind::Main, "handlers must not block");
-        self.call_ok(SimCall::Block(key)).await;
+        self.call_bool(SimCall::Block { key, timeout: None }).await;
     }
 
     /// Like [`UserCtx::block`] but gives up after `timeout` cycles. Returns
@@ -419,7 +418,11 @@ impl UserCtx {
     /// Panics when called from a handler (handlers must not block).
     pub async fn block_timeout(&mut self, key: u32, timeout: Cycles) -> bool {
         assert_eq!(self.kind, CtxKind::Main, "handlers must not block");
-        self.call_bool(SimCall::BlockTimeout { key, timeout }).await
+        self.call_bool(SimCall::Block {
+            key,
+            timeout: Some(timeout),
+        })
+        .await
     }
 
     /// Whether the machine is running with an active fault-injection plan.
@@ -434,14 +437,5 @@ impl UserCtx {
     /// Wakes the main thread blocked on `key` (or banks a permit).
     pub async fn wake(&mut self, key: u32) {
         self.call_ok(SimCall::Wake(key)).await;
-    }
-
-    /// Handler context's dispatch loop: reports completion of the previous
-    /// handler and waits for the next message.
-    pub(crate) async fn await_upcall(&mut self) -> Envelope {
-        match self.call(SimCall::AwaitUpcall).await {
-            SimResp::Upcall(e) => e,
-            other => unreachable!("bad response {other:?}"),
-        }
     }
 }

@@ -492,6 +492,121 @@ fn early_wake_is_banked_not_lost() {
     assert_eq!(r.job("ew").delivered_fast, 1);
 }
 
+/// Node 1's main makes a deadline-block that a handler wakes in time, one
+/// that times out, and then a plain block whose wake arrived after that
+/// timeout. Each handler wakes the key named by its handler word.
+#[derive(Default)]
+struct TimedBlocks {
+    /// (first block_timeout, second block_timeout, cycles the second waited,
+    /// cycles the final block waited).
+    seen: Cell<Option<(bool, bool, u64, u64)>>,
+}
+
+impl Program for TimedBlocks {
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            if ctx.node() == 0 {
+                ctx.compute(1_000).await;
+                ctx.send(1, 1, &[]).await;
+                // Lands long after node 1's second deadline has passed.
+                ctx.compute(3_000_000).await;
+                ctx.send(1, 2, &[]).await;
+                return;
+            }
+            let first = ctx.block_timeout(1, 1_000_000).await;
+            // Run well past the first deadline: had its cancelled event
+            // fired, the machine would panic here.
+            ctx.compute(2_000_000).await;
+            let t0 = ctx.now().await;
+            let second = ctx.block_timeout(2, 5_000).await;
+            let waited = ctx.now().await - t0;
+            // The key-2 wake arrives during this compute and is banked.
+            ctx.compute(2_000_000).await;
+            let t1 = ctx.now().await;
+            ctx.block(2).await;
+            let blocked = ctx.now().await - t1;
+            self.seen.set(Some((first, second, waited, blocked)));
+        })
+    }
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            ctx.wake(env.handler.0).await;
+        })
+    }
+}
+
+#[test]
+fn block_timeout_wakes_times_out_and_banks_late_wakes() {
+    let p = Arc::new(TimedBlocks::default());
+    let mut m = machine(2);
+    m.add_job(JobSpec::new("tb", Arc::clone(&p) as Arc<dyn Program>));
+    let r = m.run();
+    assert_eq!(r.job("tb").delivered_fast, 2);
+    let (first, second, waited, blocked) = p.seen.get().expect("node 1's main finished");
+    assert!(first, "a wake before the deadline returns true");
+    assert!(!second, "an unwoken deadline-block returns false");
+    assert!(waited >= 5_000, "timed out after {waited} < 5000 cycles");
+    assert_eq!(
+        blocked, 0,
+        "the late wake was banked, so block returns at once"
+    );
+}
+
+/// Node 0 sends node 1 several messages; node 1's handler draws from its
+/// context's rng on each dispatch.
+#[derive(Default)]
+struct HandlerDraws {
+    draws: RefCell<Vec<u64>>,
+}
+
+const DRAW_MSGS: usize = 6;
+
+impl Program for HandlerDraws {
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            if ctx.node() == 0 {
+                for _ in 0..DRAW_MSGS {
+                    ctx.send(1, 0, &[]).await;
+                    ctx.compute(500).await;
+                }
+            } else {
+                for _ in 0..DRAW_MSGS {
+                    ctx.block(0).await;
+                }
+            }
+        })
+    }
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            let x = ctx.rng().next_u64();
+            self.draws.borrow_mut().push(x);
+            ctx.wake(0).await;
+        })
+    }
+}
+
+#[test]
+fn handler_rng_stream_persists_across_dispatches() {
+    let run = || {
+        let p = Arc::new(HandlerDraws::default());
+        let mut m = machine(2);
+        m.add_job(JobSpec::new("draws", Arc::clone(&p) as Arc<dyn Program>));
+        m.run();
+        p.draws.take()
+    };
+    let a = run();
+    assert_eq!(a.len(), DRAW_MSGS);
+    let mut distinct = a.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(
+        distinct.len(),
+        DRAW_MSGS,
+        "a dispatch repeated a draw: {a:?}"
+    );
+    assert_eq!(a, run(), "same seed, different handler draws");
+}
+
 // ======================================================================
 // Backpressure: tiny NIC queue
 // ======================================================================

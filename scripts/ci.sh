@@ -7,6 +7,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Retired-API gate: perfbench still times the OS-thread sim-thread runtime
+# (`fugu_sim::coro`) and names the trace oracle by its old `span::Profiler`
+# alias, so both stay defined; no workspace source may use them again.
+# Their own definitions (coro.rs, span.rs's re-export) are exempt.
+if grep -rnE 'fugu_sim::coro|CoRuntime|\bProfiler\b' crates src examples tests --include='*.rs' \
+  | grep -v -e '^crates/sim/src/coro.rs:' -e '^crates/sim/src/span.rs:.* as Profiler;$'; then
+  echo "ci: a workspace source names fugu_sim::coro, CoRuntime or span::Profiler" >&2
+  exit 1
+fi
+
 cargo build --offline --release
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
