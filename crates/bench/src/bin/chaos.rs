@@ -1,14 +1,14 @@
 //! Chaos harness: sweeps deterministic fault injection over every paper
-//! application and asserts the delivery guarantees hold.
+//! application ([`AppKind::ALL`]) and asserts the delivery guarantees hold.
 //!
-//! Every application × fault-rate × trial cell is a [`ScenarioSpec`](fugu_sim::explore::ScenarioSpec)
-//! ([`chaos_spec`]) run by the same library runner as `explore`
-//! ([`run_scenario`]): the application at the explorer's data-set tier 1
-//! with `--quick` and tier 2 otherwise, on the explorer's default machine,
-//! under one fault knob scaled into a plan that exercises every injection
-//! site at once (drops, duplicates, transit delays, NIC stalls,
-//! frame-allocation failures, forced handler faults, quantum jitter). The
-//! harness checks:
+//! Every application × fault-rate × trial cell is a
+//! [`ScenarioSpec`](fugu_bench::explore::ScenarioSpec) ([`chaos_spec`])
+//! run by the same library runner as `explore` ([`run_scenario`]): the
+//! application at the explorer's data-set tier 1 with `--quick` and tier 2
+//! otherwise, on the explorer's default machine, under one fault knob
+//! scaled into a plan that exercises every injection site at once (drops,
+//! duplicates, transit delays, NIC stalls, frame-allocation failures,
+//! forced handler faults, quantum jitter). The harness checks:
 //!
 //! - **a clean oracle verdict** at every fault rate: zero invariant
 //!   violations (conservation, per-channel FIFO, drain progress, buffering
@@ -28,12 +28,9 @@
 //! produces byte-identical output (and `--json` report) on every
 //! invocation.
 
+use fugu_bench::explore::RunStatus;
 use fugu_bench::scenario::{chaos_spec, run_scenario};
-use fugu_bench::{mcycles, parallel_map, pct, write_report, Json, Opts, Table};
-use fugu_sim::explore::RunStatus;
-
-/// The applications swept, in reporting order.
-const APPS: [&str; 5] = ["barnes", "water", "lu", "barrier", "enum"];
+use fugu_bench::{mcycles, parallel_map, pct, write_report, AppKind, Json, Opts, Table};
 
 /// One application × fault-rate sweep cell, aggregated over trials.
 #[derive(Default)]
@@ -114,14 +111,14 @@ fn main() {
     } else {
         &[0.0, 0.005, 0.01, 0.02]
     };
-    let cells: Vec<(&'static str, f64)> = APPS
+    let cells: Vec<(&'static str, f64)> = AppKind::ALL
         .iter()
-        .flat_map(|&app| rates.iter().map(move |&r| (app, r)))
+        .flat_map(|app| rates.iter().map(move |&r| (app.name(), r)))
         .collect();
 
     println!(
         "Chaos sweep — {} apps × {} fault rates × {} trial(s), {} nodes, seed {}",
-        APPS.len(),
+        AppKind::ALL.len(),
         rates.len(),
         opts.trials,
         opts.nodes,

@@ -3,7 +3,7 @@
 //! Searches the two-case-delivery scenario space in the FoundationDB
 //! simulation-testing mold: scenarios (machine shape × workload × fault
 //! plan × scheduling perturbations) are generated from one seed via
-//! [`fugu_sim::explore::generate`], each is run by the library's scenario
+//! [`fugu_bench::explore::generate`], each is run by the library's scenario
 //! runner ([`fugu_bench::scenario`], shared with `chaos`) under the full
 //! oracle stack — invariant checker, span profiler and report/trace
 //! cross-check, plus byte-identical replay: every 16th scenario (and every
@@ -17,11 +17,14 @@
 //! invocations produce byte-identical corpus-summary JSON regardless of
 //! `--jobs`. See `docs/TESTING.md`.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
+use fugu_bench::explore::{
+    generate, shrink, Corpus, Outcome, RunStatus, ScenarioSpec, ShrinkResult,
+};
 use fugu_bench::scenario::{run_checked, run_scenario, WORKLOADS};
 use fugu_bench::{flag_value, parallel_map, parsed_or_exit, Json, Table};
-use fugu_sim::explore::{generate, shrink, Outcome, RunStatus, ScenarioSpec, ShrinkResult};
 use fugu_sim::rng::DetRng;
 
 /// Schema of the corpus-summary report.
@@ -85,11 +88,8 @@ fn parse_opts(args: impl IntoIterator<Item = String>) -> Result<ExploreOpts, Str
 
 /// The equivalence class used to decide a shrunk variant reproduces "the
 /// same" failure: how the run ended plus the set of violation kinds.
-fn failure_key(o: &Outcome) -> (RunStatus, Vec<String>) {
-    let mut kinds: Vec<String> = o.violations.iter().map(|(k, _)| k.clone()).collect();
-    kinds.sort();
-    kinds.dedup();
-    (o.status, kinds)
+fn failure_key(o: &Outcome) -> (RunStatus, BTreeSet<&str>) {
+    (o.status, o.violation_kinds())
 }
 
 fn replay_main(spec_text: &str) -> i32 {
@@ -134,7 +134,7 @@ fn main() {
     );
     let mut rng = DetRng::new(opts.seed);
     let mut specs: Vec<(usize, ScenarioSpec)> = (0..opts.budget as usize)
-        .map(|i| (i, generate(&mut rng, WORKLOADS)))
+        .map(|i| (i, generate(&mut rng)))
         .collect();
     if opts.quick {
         for (_, s) in &mut specs {
@@ -159,7 +159,7 @@ fn main() {
         run_checked(spec, idx % REPLAY_CHECK_STRIDE == 0).expect("generated workloads are known")
     });
 
-    let mut corpus = fugu_sim::explore::Corpus::new();
+    let mut corpus = Corpus::new();
     let mut failures: Vec<Outcome> = Vec::new();
     for outcome in outcomes {
         if outcome.failed() {
@@ -170,7 +170,7 @@ fn main() {
 
     // Shrink one representative per distinct failure class.
     let mut shrunk: Vec<(Outcome, ShrinkResult)> = Vec::new();
-    let mut seen_keys: Vec<(RunStatus, Vec<String>)> = Vec::new();
+    let mut seen_keys = Vec::new();
     for failure in &failures {
         let key = failure_key(failure);
         if seen_keys.contains(&key) {
@@ -198,7 +198,7 @@ fn main() {
     ]);
     for o in corpus.entries() {
         t.row(vec![
-            o.signature().to_string(),
+            o.signature(),
             o.status.as_str().to_string(),
             o.spec.size().to_string(),
             o.cycles.to_string(),
@@ -246,17 +246,9 @@ fn main() {
         println!("  repro: fugu explore --replay '{}'", result.spec);
         failure_points.push(Json::object([
             ("status", Json::from(original.status.as_str())),
-            ("signature", Json::from(original.signature().to_string())),
+            ("signature", Json::from(original.signature())),
             ("detail", Json::from(original.detail.clone())),
-            (
-                "violations",
-                Json::array(original.violations.iter().map(|(kind, detail)| {
-                    Json::object([
-                        ("kind", Json::from(kind.as_str())),
-                        ("detail", Json::from(detail.as_str())),
-                    ])
-                })),
-            ),
+            ("violations", original.violations_json()),
             ("spec", Json::from(original.spec.render())),
             ("spec_size", Json::from(original.spec.size())),
             ("shrunk_spec", Json::from(result.spec.render())),

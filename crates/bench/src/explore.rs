@@ -13,32 +13,26 @@
 //!   replayed from a shell;
 //! * [`generate`] draws scenarios from a [`DetRng`], so a corpus is a pure
 //!   function of one seed;
-//! * each run's [`Outcome`] is reduced to a behavioral [`Signature`]
-//!   (delivery-path mix, revocation count, overflow depth, violation
-//!   categories) and the [`Corpus`] keeps only the first scenario per
-//!   signature, spending the budget on *new* behaviors;
+//! * each run's [`Outcome`] is reduced to a behavioral
+//!   [signature](Outcome::signature) (delivery-path mix, revocation count,
+//!   overflow depth, violation categories) and the [`Corpus`] keeps only
+//!   the first scenario per signature, spending the budget on *new*
+//!   behaviors;
 //! * failures are [`shrink`]-ed by replaying structurally smaller variants
 //!   until a local minimum is reached, yielding a minimal repro.
 //!
-//! The module is machine-agnostic: it knows the shape of a scenario and of
-//! an outcome, but running a scenario (building a machine, attaching the
-//! oracle stack) is the driver's job — see `fugu-bench`'s `explore` binary,
-//! which is documented in `docs/TESTING.md`.
+//! [`crate::scenario`] turns a spec into a machine, lists the workloads
+//! the generator draws from and runs a spec under the oracle stack; the
+//! `explore` binary drives the search (docs/TESTING.md).
 
 use std::collections::BTreeSet;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-use crate::fault::FaultPlan;
-use crate::json::Json;
-use crate::rng::DetRng;
+use fugu_sim::fault::FaultPlan;
+use fugu_sim::rng::DetRng;
 
-/// Largest machine a scenario (or a harness's `--nodes`) may ask for. The
-/// count comes from outside input, a command line or a `--replay` spec, and
-/// memory and host time grow with it: every node carries a NIC, a frame
-/// allocator and two contexts per job. The cap turns a mistyped count into
-/// a usage error instead of a machine that exhausts the host; the largest
-/// machine any committed harness, test or scenario builds has 12 nodes.
-pub const MAX_NODES: usize = 64;
+use crate::scenario::WORKLOADS;
+use crate::{Json, MAX_NODES};
 
 /// One workload the generator may pick, with the property that decides
 /// whether lossy-network faults are safe to combine with it.
@@ -49,7 +43,7 @@ pub const MAX_NODES: usize = 64;
 /// deadlock, which tests nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkloadInfo {
-    /// Name the driver resolves to a program (e.g. `"synth"`, `"barrier"`).
+    /// Name the runner resolves to a program (e.g. `"synth"`, `"barrier"`).
     pub name: &'static str,
     /// Whether the workload's protocol survives dropped messages.
     pub loss_tolerant: bool,
@@ -80,9 +74,9 @@ pub struct ScenarioSpec {
     /// `true` selects the polling-watchdog expiry policy instead of
     /// revocation (the paper's §2 citation of Maquelin et al.).
     pub watchdog: bool,
-    /// Workload name (resolved by the driver against its app registry).
+    /// Workload name, resolved by [`crate::scenario`].
     pub workload: String,
-    /// Workload intensity step (driver-defined; 0 is the smallest).
+    /// Workload data-set tier (0 is the smallest).
     pub scale: u32,
     /// Whether a background null job shares the machine.
     pub bg_null: bool,
@@ -233,7 +227,7 @@ impl fmt::Display for ScenarioSpec {
 /// rendered specs short and exactly round-trippable.
 const PROBS: &[f64] = &[0.005, 0.01, 0.02, 0.05, 0.1, 0.25];
 
-/// Draws one scenario from `rng`.
+/// Draws one scenario from `rng`, over the workloads in [`WORKLOADS`].
 ///
 /// Every knob is sampled independently; knobs spanning orders of magnitude
 /// (timeslice, frame budget, delay lengths) use
@@ -241,16 +235,8 @@ const PROBS: &[f64] = &[0.005, 0.01, 0.02, 0.05, 0.1, 0.25];
 /// ones. The lossy `drop` class is only enabled for workloads marked
 /// [`WorkloadInfo::loss_tolerant`] — dropping a message a protocol cannot
 /// recover turns the run into a guaranteed deadlock, which tests nothing.
-///
-/// # Panics
-///
-/// Panics if `workloads` is empty.
-pub fn generate(rng: &mut DetRng, workloads: &[WorkloadInfo]) -> ScenarioSpec {
-    assert!(
-        !workloads.is_empty(),
-        "generate needs at least one workload"
-    );
-    let w = *rng.pick(workloads);
+pub fn generate(rng: &mut DetRng) -> ScenarioSpec {
+    let w = *rng.pick(WORKLOADS);
     let mut faults = FaultPlan::default();
     if w.loss_tolerant && rng.chance(0.25) {
         faults.drop = *rng.pick(&PROBS[..4]);
@@ -341,9 +327,8 @@ impl RunStatus {
 
 /// Everything the oracle stack observed about one scenario run.
 ///
-/// The driver fills this in from the machine's run report and the invariant
-/// checker; the explorer only inspects it through [`Outcome::failed`] and
-/// [`Outcome::signature`].
+/// [`crate::scenario::run_scenario`] fills this in from the machine's run
+/// report and the trace oracle.
 #[derive(Debug, Clone)]
 pub struct Outcome {
     /// The scenario that was run.
@@ -379,20 +364,42 @@ impl Outcome {
         !self.violations.is_empty() || self.status != RunStatus::Completed
     }
 
-    /// The behavioral coverage signature used for corpus deduplication.
-    pub fn signature(&self) -> Signature {
-        let mut kinds: Vec<String> = self.violations.iter().map(|(k, _)| k.clone()).collect();
-        kinds.sort();
-        kinds.dedup();
-        Signature {
-            workload: self.spec.workload.clone(),
-            status: self.status,
-            buffered_octile: octile(self.buffered, self.fast + self.buffered),
-            revocation_mag: magnitude(self.revocations),
-            overflow_mag: magnitude(self.peak_pages),
-            suspended: self.suspensions > 0,
-            violation_kinds: kinds,
+    /// The distinct invariant-violation kinds, sorted.
+    pub fn violation_kinds(&self) -> BTreeSet<&str> {
+        self.violations.iter().map(|(k, _)| k.as_str()).collect()
+    }
+
+    /// The behavioral coverage signature used for corpus deduplication:
+    /// two scenarios with the same signature exercised the same
+    /// qualitative behavior, so the corpus keeps only one. It names the
+    /// workload, how the run ended, the buffered share of deliveries in
+    /// eighths (`buf`), the orders of magnitude of the revocation count
+    /// (`rev`) and of the peak buffer depth (`pg`), `:susp` if overflow
+    /// control ever globally suspended a job, and the violation kinds.
+    pub fn signature(&self) -> String {
+        let mut out = format!(
+            "{}/{}/buf{}:rev{}:pg{}{}",
+            self.spec.workload,
+            self.status.as_str(),
+            octile(self.buffered, self.fast + self.buffered),
+            magnitude(self.revocations),
+            magnitude(self.peak_pages),
+            if self.suspensions > 0 { ":susp" } else { "" },
+        );
+        for kind in self.violation_kinds() {
+            write!(out, ":{kind}").expect("writing to a String cannot fail");
         }
+        out
+    }
+
+    /// The violations as a JSON array of `{kind, detail}` objects.
+    pub fn violations_json(&self) -> Json {
+        Json::array(self.violations.iter().map(|(kind, detail)| {
+            Json::object([
+                ("kind", Json::from(kind.as_str())),
+                ("detail", Json::from(detail.as_str())),
+            ])
+        }))
     }
 
     /// Serializes the outcome for the corpus-summary report.
@@ -402,7 +409,7 @@ impl Outcome {
             ("size", Json::from(self.spec.size())),
             ("status", Json::from(self.status.as_str())),
             ("detail", Json::from(self.detail.clone())),
-            ("signature", Json::from(self.signature().to_string())),
+            ("signature", Json::from(self.signature())),
             ("cycles", Json::from(self.cycles)),
             ("launched", Json::from(self.launched)),
             ("delivered", Json::from(self.delivered)),
@@ -411,15 +418,7 @@ impl Outcome {
             ("revocations", Json::from(self.revocations)),
             ("peak_pages", Json::from(self.peak_pages)),
             ("suspensions", Json::from(self.suspensions)),
-            (
-                "violations",
-                Json::array(self.violations.iter().map(|(kind, detail)| {
-                    Json::object([
-                        ("kind", Json::from(kind.as_str())),
-                        ("detail", Json::from(detail.as_str())),
-                    ])
-                })),
-            ),
+            ("violations", self.violations_json()),
         ])
     }
 }
@@ -434,50 +433,11 @@ fn magnitude(n: u64) -> u32 {
     64 - n.leading_zeros()
 }
 
-/// A behavioral coverage signature: two scenarios with the same signature
-/// exercised the same qualitative behavior, so the corpus keeps only one.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Signature {
-    /// Workload name (coverage is tracked per workload).
-    pub workload: String,
-    /// How the run ended.
-    pub status: RunStatus,
-    /// Buffered share of deliveries, bucketed into eighths.
-    pub buffered_octile: u8,
-    /// Order of magnitude of the revocation count.
-    pub revocation_mag: u32,
-    /// Order of magnitude of the peak buffer depth.
-    pub overflow_mag: u32,
-    /// Whether overflow control ever globally suspended a job.
-    pub suspended: bool,
-    /// Sorted, deduplicated invariant-violation kinds.
-    pub violation_kinds: Vec<String>,
-}
-
-impl fmt::Display for Signature {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}/{}/buf{}:rev{}:pg{}{}",
-            self.workload,
-            self.status.as_str(),
-            self.buffered_octile,
-            self.revocation_mag,
-            self.overflow_mag,
-            if self.suspended { ":susp" } else { "" },
-        )?;
-        for kind in &self.violation_kinds {
-            write!(f, ":{kind}")?;
-        }
-        Ok(())
-    }
-}
-
 /// The deduplicated set of behaviorally novel outcomes.
 #[derive(Debug, Default)]
 pub struct Corpus {
     entries: Vec<Outcome>,
-    seen: BTreeSet<Signature>,
+    seen: BTreeSet<String>,
     runs: u64,
     duplicates: u64,
 }
@@ -516,8 +476,8 @@ impl Corpus {
         self.duplicates
     }
 
-    /// Serializes the corpus body (the driver wraps it with schema, seed
-    /// and budget so the whole file is reproducible).
+    /// Serializes the corpus body (the `explore` binary wraps it with
+    /// schema, seed and budget so the whole file is reproducible).
     pub fn to_json(&self) -> Json {
         Json::object([
             ("runs", Json::from(self.runs)),
@@ -551,8 +511,8 @@ pub struct ShrinkResult {
 /// smaller scenario until a fixpoint or until `budget` replays are spent.
 ///
 /// `still_fails` must be deterministic (replay the variant and compare the
-/// failure); the driver keeps the original failure's signature and requires
-/// the variant to reproduce an equivalent one.
+/// failure); the `explore` binary keeps the original failure's status and
+/// violation kinds and requires the variant to reproduce the same ones.
 pub fn shrink(
     original: &ScenarioSpec,
     budget: u32,
@@ -640,19 +600,17 @@ fn shrink_candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::panic_message;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Arc;
+    use udm::{JobSpec, Machine, MachineConfig, Program, Sim, UserCtx};
 
-    const WORKLOADS: &[WorkloadInfo] = &[
-        WorkloadInfo {
-            name: "synth",
-            loss_tolerant: false,
-            pow2_nodes: false,
-        },
-        WorkloadInfo {
-            name: "barrier",
-            loss_tolerant: true,
-            pow2_nodes: true,
-        },
-    ];
+    fn workload(name: &str) -> WorkloadInfo {
+        *WORKLOADS
+            .iter()
+            .find(|w| w.name == name)
+            .expect("generated workloads are listed")
+    }
 
     fn busy_spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -731,8 +689,8 @@ mod tests {
         let mut a = DetRng::new(42);
         let mut b = DetRng::new(42);
         for _ in 0..200 {
-            let sa = generate(&mut a, WORKLOADS);
-            let sb = generate(&mut b, WORKLOADS);
+            let sa = generate(&mut a);
+            let sb = generate(&mut b);
             assert_eq!(sa, sb);
             // Every generated spec survives the textual round trip exactly.
             assert_eq!(ScenarioSpec::parse(&sa.render()).unwrap(), sa);
@@ -744,9 +702,13 @@ mod tests {
         let mut rng = DetRng::new(7);
         let mut tolerant_drops = 0u32;
         for _ in 0..500 {
-            let spec = generate(&mut rng, WORKLOADS);
+            let spec = generate(&mut rng);
             if spec.faults.drop > 0.0 {
-                assert_eq!(spec.workload, "barrier", "drop on a lossy-intolerant app");
+                assert!(
+                    workload(&spec.workload).loss_tolerant,
+                    "drop on lossy-intolerant {}",
+                    spec.workload
+                );
                 tolerant_drops += 1;
             }
         }
@@ -756,15 +718,15 @@ mod tests {
     #[test]
     fn pow2_workloads_get_pow2_nodes() {
         let mut rng = DetRng::new(3);
-        let mut barrier_runs = 0u32;
+        let mut pow2_runs = 0u32;
         for _ in 0..300 {
-            let spec = generate(&mut rng, WORKLOADS);
-            if spec.workload == "barrier" {
-                assert!(spec.nodes.is_power_of_two(), "nodes {}", spec.nodes);
-                barrier_runs += 1;
+            let spec = generate(&mut rng);
+            if workload(&spec.workload).pow2_nodes {
+                assert!(spec.nodes.is_power_of_two(), "{spec}");
+                pow2_runs += 1;
             }
         }
-        assert!(barrier_runs > 50, "generator starves a workload");
+        assert!(pow2_runs > 50, "generator starves the pow2 workloads");
     }
 
     #[test]
@@ -781,6 +743,43 @@ mod tests {
             RunStatus::classify("index out of range"),
             RunStatus::Panicked
         );
+    }
+
+    /// A one-node main that blocks forever, or spins in 1000-cycle
+    /// computes.
+    struct Stuck {
+        spin: bool,
+    }
+
+    impl Program for Stuck {
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                if self.spin {
+                    loop {
+                        ctx.compute(1_000).await;
+                    }
+                }
+                ctx.block(0x5EE9).await;
+            })
+        }
+    }
+
+    /// Classification reads the machine's own panic texts, so rewording
+    /// either panic in the machine fails here.
+    #[test]
+    fn classification_matches_the_machines_panics() {
+        for (spin, expected) in [(false, RunStatus::Deadlock), (true, RunStatus::MaxCycles)] {
+            let mut m = Machine::new(MachineConfig {
+                nodes: 1,
+                max_cycles: 10_000,
+                ..MachineConfig::default()
+            });
+            m.add_job(JobSpec::new("stuck", Arc::new(Stuck { spin })));
+            let payload =
+                catch_unwind(AssertUnwindSafe(move || m.run())).expect_err("the run should panic");
+            let message = panic_message(payload);
+            assert_eq!(RunStatus::classify(&message), expected, "{message}");
+        }
     }
 
     fn outcome(spec: ScenarioSpec, buffered: u64, violations: Vec<(String, String)>) -> Outcome {
@@ -829,8 +828,11 @@ mod tests {
             0,
             vec![("fifo-order".to_string(), "uid 5 after 7".to_string())],
         );
-        assert_ne!(clean.signature(), dirty.signature());
-        assert!(dirty.signature().to_string().contains("fifo-order"));
+        assert_eq!(clean.signature(), "synth/completed/buf0:rev0:pg1");
+        assert_eq!(
+            dirty.signature(),
+            "synth/completed/buf0:rev0:pg1:fifo-order"
+        );
         assert!(dirty.failed());
         assert!(!clean.failed());
     }

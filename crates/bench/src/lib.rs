@@ -40,6 +40,7 @@
 //! Data-set scaling versus the paper is recorded in EXPERIMENTS.md; the
 //! JSON schema is documented in docs/OBSERVABILITY.md.
 
+pub mod explore;
 pub mod scenario;
 
 use std::path::PathBuf;
@@ -49,9 +50,16 @@ use fugu_apps::{
     BarnesApp, BarnesParams, BarrierApp, BarrierParams, EnumApp, EnumParams, LuApp, LuParams,
     NullApp, SynthApp, SynthParams, WaterApp, WaterParams,
 };
-use fugu_sim::explore::MAX_NODES;
 pub use fugu_sim::json::Json;
 use udm::{CostModel, Cycles, JobSpec, Machine, MachineConfig, RunReport};
+
+/// Largest machine a scenario (or a harness's `--nodes`) may ask for. The
+/// count comes from outside input, a command line or a `--replay` spec, and
+/// memory and host time grow with it: every node carries a NIC, a frame
+/// allocator and two contexts per job. The cap turns a mistyped count into
+/// a usage error instead of a machine that exhausts the host; the largest
+/// machine any committed harness, test or scenario builds has 12 nodes.
+pub const MAX_NODES: usize = 64;
 
 /// Schema identifier stamped into every `--json` report.
 pub const BENCH_SCHEMA: &str = "fugu-bench/v1";

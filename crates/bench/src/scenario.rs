@@ -1,8 +1,8 @@
 //! The scenario runner shared by `explore` and `chaos`.
 //!
-//! [`run_scenario`] builds a machine from a [`ScenarioSpec`]
-//! ([`MachineConfig::from_scenario`]), instantiates the spec's workload and
-//! runs it under the full oracle stack, all read from the one trace oracle
+//! [`run_scenario`] builds a machine from a [`ScenarioSpec`], instantiates
+//! the spec's workload (one of [`WORKLOADS`], or `barnes`/`water`) and runs
+//! it under the full oracle stack, all read from the one trace oracle
 //! ([`InvariantChecker`]) and its message ledger:
 //!
 //! - delivery invariants: conservation, per-channel FIFO, drain progress,
@@ -19,17 +19,18 @@
 //! byte-identical replay check. Any spec, and so any failure, replays from
 //! a shell as `explore --replay '<spec>'` (docs/TESTING.md).
 
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fugu_apps::{
     BarnesApp, BarrierApp, BarrierParams, EnumApp, EnumParams, LuApp, NullApp, SynthApp,
     SynthParams, WaterApp,
 };
-use fugu_sim::explore::{Outcome, RunStatus, ScenarioSpec, WorkloadInfo};
 use fugu_sim::fault::FaultPlan;
 use fugu_sim::ledger::Tally;
-use udm::{InvariantChecker, Machine, MachineConfig, RunReport};
+use udm::{CostModel, InvariantChecker, Machine, MachineConfig, RunReport};
 
+use crate::explore::{Outcome, RunStatus, ScenarioSpec, WorkloadInfo};
 use crate::{barnes_params, lu_params, water_params, Opts};
 
 /// Workloads the explorer's generator draws from, in draw order. `synth`
@@ -78,6 +79,36 @@ pub struct ScenarioRun {
     /// CRL request retries fired by the timeout protocol; `None` for
     /// workloads that do not run over CRL and for a run that panicked.
     pub crl_retries: Option<u64>,
+}
+
+/// The machine a spec describes. The spec's knobs override the paper's
+/// defaults: machine shape (`nodes`, `frames`), scheduler timing
+/// (`timeslice`, `skew`, `watchdog`), the atomicity timeout, the fault plan
+/// and the seed. The overflow-control watermarks scale with the frame
+/// budget (the defaults assume 256 frames; a generated 8-frame machine
+/// would otherwise start life below its own advise watermark), keeping
+/// `overflow_suspend <= overflow_advise` for every budget.
+fn machine_config(spec: &ScenarioSpec) -> MachineConfig {
+    let mut costs = CostModel::hard_atomicity();
+    costs.timeslice = spec.timeslice;
+    costs.atomicity_timeout = spec.atom_timeout;
+    costs.frames_per_node = spec.frames;
+    MachineConfig {
+        nodes: spec.nodes,
+        costs,
+        skew: spec.skew_pct as f64 / 100.0,
+        seed: spec.seed,
+        // Generated timeslices reach 2M cycles and lossy plans retry; a
+        // generous ceiling keeps runaway scenarios bounded without tripping
+        // on legitimately slow ones (observed end times are tens of
+        // Mcycles).
+        max_cycles: 1 << 33,
+        overflow_advise: (spec.frames / 16).clamp(2, 16),
+        overflow_suspend: (spec.frames / 64).clamp(1, 4),
+        polling_watchdog: spec.watchdog,
+        faults: spec.faults.clone(),
+        ..MachineConfig::default()
+    }
 }
 
 /// The `enum` workload's search at data-set tier `scale`.
@@ -172,12 +203,7 @@ fn add_workload(m: &mut Machine, spec: &ScenarioSpec) -> Result<Probe, String> {
 ///
 /// Returns a message if the spec names an unknown workload.
 pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
-    let mut cfg = MachineConfig::from_scenario(spec);
-    // Generated timeslices reach 2M cycles and lossy plans retry; a
-    // generous ceiling keeps runaway scenarios bounded without tripping on
-    // legitimately slow ones (observed end times are tens of Mcycles).
-    cfg.max_cycles = 1 << 33;
-    let mut m = Machine::new(cfg);
+    let mut m = Machine::new(machine_config(spec));
     let oracle = InvariantChecker::new().with_page_bound(spec.frames);
     oracle.attach(m.tracer());
 
@@ -260,11 +286,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
             out.crl_retries = crl_retries;
         }
         Err(payload) => {
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".to_string());
+            let message = panic_message(payload);
             outcome.status = RunStatus::classify(&message);
             let brief: String = message
                 .lines()
@@ -278,6 +300,15 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
     }
     out.outcome.violations = violations;
     Ok(out)
+}
+
+/// The message a caught panic carried.
+pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// Compares what the run report counted against the same counts summed
@@ -356,6 +387,49 @@ pub fn chaos_spec(app: &str, rate: f64, trial: u32, opts: &Opts) -> ScenarioSpec
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn machine_config_applies_every_knob() {
+        let spec = ScenarioSpec::parse(
+            "seed=99:nodes=3:timeslice=120000:skew=25:frames=64:atimeout=777:\
+             watchdog=1:faults=dup=0.25,jitter=400",
+        )
+        .unwrap();
+        let cfg = machine_config(&spec);
+        assert_eq!(cfg.nodes, 3);
+        assert_eq!(cfg.seed, 99);
+        assert_eq!(cfg.costs.timeslice, 120_000);
+        assert_eq!(cfg.costs.atomicity_timeout, 777);
+        assert_eq!(cfg.costs.frames_per_node, 64);
+        assert_eq!(cfg.skew, 0.25);
+        assert!(cfg.polling_watchdog);
+        assert_eq!(cfg.faults.duplicate, 0.25);
+        assert_eq!(cfg.faults.quantum_jitter, 400);
+        assert_eq!(cfg.max_cycles, 1 << 33);
+    }
+
+    #[test]
+    fn machine_config_scales_watermarks_in_order() {
+        for frames in [1u64, 8, 16, 64, 256, 512, 4096] {
+            let spec = ScenarioSpec {
+                frames,
+                ..ScenarioSpec::default()
+            };
+            let cfg = machine_config(&spec);
+            assert!(
+                cfg.overflow_suspend <= cfg.overflow_advise,
+                "frames {frames}: suspend {} > advise {}",
+                cfg.overflow_suspend,
+                cfg.overflow_advise
+            );
+            assert!(cfg.overflow_suspend >= 1);
+        }
+        // The paper's default budget reproduces the default watermarks.
+        let cfg = machine_config(&ScenarioSpec::default());
+        let def = MachineConfig::default();
+        assert_eq!(cfg.overflow_advise, def.overflow_advise);
+        assert_eq!(cfg.overflow_suspend, def.overflow_suspend);
+    }
 
     #[test]
     fn cross_check_compares_each_delivery_case() {

@@ -74,37 +74,6 @@ impl Default for MachineConfig {
 }
 
 impl MachineConfig {
-    /// Builds a configuration from an explorer
-    /// [`ScenarioSpec`](fugu_sim::explore::ScenarioSpec).
-    ///
-    /// The spec's knobs override the paper's defaults: machine shape
-    /// (`nodes`, `frames`), scheduler timing (`timeslice`, `skew`,
-    /// `watchdog`), the atomicity timeout, the fault plan and the seed.
-    /// The overflow-control watermarks scale with the frame budget (the
-    /// defaults assume 256 frames; a generated 8-frame machine would
-    /// otherwise start life below its own advise watermark), keeping
-    /// `overflow_suspend <= overflow_advise` for every budget.
-    ///
-    /// Workload interpretation (`workload`, `scale`, `bg_null`) is the
-    /// driver's job — this constructor covers everything machine-shaped.
-    pub fn from_scenario(spec: &fugu_sim::explore::ScenarioSpec) -> MachineConfig {
-        let mut costs = CostModel::hard_atomicity();
-        costs.timeslice = spec.timeslice;
-        costs.atomicity_timeout = spec.atom_timeout;
-        costs.frames_per_node = spec.frames;
-        MachineConfig {
-            nodes: spec.nodes,
-            costs,
-            skew: spec.skew_pct as f64 / 100.0,
-            seed: spec.seed,
-            overflow_advise: (spec.frames / 16).clamp(2, 16),
-            overflow_suspend: (spec.frames / 64).clamp(1, 4),
-            polling_watchdog: spec.watchdog,
-            faults: spec.faults.clone(),
-            ..MachineConfig::default()
-        }
-    }
-
     /// Cost of moving one page over the second network to backing store
     /// (round trip: request out, acknowledgement back), derived from the
     /// second network's timing and the page size.
@@ -151,53 +120,5 @@ impl JobSpec {
     pub fn background(mut self) -> Self {
         self.background = true;
         self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fugu_sim::explore::ScenarioSpec;
-
-    #[test]
-    fn from_scenario_applies_every_knob() {
-        let spec = ScenarioSpec::parse(
-            "seed=99:nodes=3:timeslice=120000:skew=25:frames=64:atimeout=777:\
-             watchdog=1:faults=dup=0.25,jitter=400",
-        )
-        .unwrap();
-        let cfg = MachineConfig::from_scenario(&spec);
-        assert_eq!(cfg.nodes, 3);
-        assert_eq!(cfg.seed, 99);
-        assert_eq!(cfg.costs.timeslice, 120_000);
-        assert_eq!(cfg.costs.atomicity_timeout, 777);
-        assert_eq!(cfg.costs.frames_per_node, 64);
-        assert_eq!(cfg.skew, 0.25);
-        assert!(cfg.polling_watchdog);
-        assert_eq!(cfg.faults.duplicate, 0.25);
-        assert_eq!(cfg.faults.quantum_jitter, 400);
-    }
-
-    #[test]
-    fn scaled_watermarks_stay_ordered() {
-        for frames in [1u64, 8, 16, 64, 256, 512, 4096] {
-            let spec = ScenarioSpec {
-                frames,
-                ..ScenarioSpec::default()
-            };
-            let cfg = MachineConfig::from_scenario(&spec);
-            assert!(
-                cfg.overflow_suspend <= cfg.overflow_advise,
-                "frames {frames}: suspend {} > advise {}",
-                cfg.overflow_suspend,
-                cfg.overflow_advise
-            );
-            assert!(cfg.overflow_suspend >= 1);
-        }
-        // The paper's default budget reproduces the default watermarks.
-        let cfg = MachineConfig::from_scenario(&ScenarioSpec::default());
-        let def = MachineConfig::default();
-        assert_eq!(cfg.overflow_advise, def.overflow_advise);
-        assert_eq!(cfg.overflow_suspend, def.overflow_suspend);
     }
 }

@@ -465,11 +465,13 @@ impl Machine {
                     self.diagnostic_dump().render_pretty()
                 );
             };
-            assert!(
-                t <= self.cfg.max_cycles,
-                "simulation exceeded max_cycles = {}",
-                self.cfg.max_cycles
-            );
+            if t > self.cfg.max_cycles {
+                panic!(
+                    "simulation exceeded max_cycles = {}\nmachine state dump:\n{}",
+                    self.cfg.max_cycles,
+                    self.diagnostic_dump().render_pretty()
+                );
+            }
             self.tracer.set_time(t);
             self.events_processed += 1;
             match ev {
@@ -1395,17 +1397,8 @@ impl Machine {
             });
         // The sender has paid the full launch cost by this point; the fault
         // injector decides what the *network* does with the message.
-        match self.faults.on_send() {
-            NetFault::Deliver => {
-                let arrival = self.net.inject(self.nodes[n].free_at, &stamped);
-                self.queue.schedule(
-                    arrival,
-                    Ev::Arrive {
-                        node: dst,
-                        msg: stamped,
-                    },
-                );
-            }
+        let (copies, extra) = match self.faults.on_send() {
+            NetFault::Deliver => (1, 0),
             NetFault::Drop => {
                 // Never injected: no in-flight accounting, no arrival.
                 self.tracer
@@ -1414,6 +1407,7 @@ impl Machine {
                         dst,
                         uid,
                     });
+                (0, 0)
             }
             NetFault::Duplicate => {
                 self.tracer
@@ -1422,16 +1416,7 @@ impl Machine {
                         dst,
                         uid,
                     });
-                for _ in 0..2 {
-                    let arrival = self.net.inject(self.nodes[n].free_at, &stamped);
-                    self.queue.schedule(
-                        arrival,
-                        Ev::Arrive {
-                            node: dst,
-                            msg: stamped.clone(),
-                        },
-                    );
-                }
+                (2, 0)
             }
             NetFault::Delay(extra) => {
                 self.tracer
@@ -1441,17 +1426,12 @@ impl Machine {
                         uid,
                         extra,
                     });
-                let arrival = self
-                    .net
-                    .inject_delayed(self.nodes[n].free_at, &stamped, extra);
-                self.queue.schedule(
-                    arrival,
-                    Ev::Arrive {
-                        node: dst,
-                        msg: stamped,
-                    },
-                );
+                (1, extra)
             }
+        };
+        for msg in std::iter::repeat_n(stamped, copies) {
+            let arrival = self.net.inject_delayed(self.nodes[n].free_at, &msg, extra);
+            self.queue.schedule(arrival, Ev::Arrive { node: dst, msg });
         }
     }
 

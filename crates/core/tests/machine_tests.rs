@@ -1395,6 +1395,35 @@ fn main_blocked_forever_is_a_simulation_deadlock() {
 }
 
 #[test]
+fn run_past_max_cycles_panics_with_the_machine_dump() {
+    struct Spinner;
+    impl Program for Spinner {
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                loop {
+                    ctx.compute(1_000).await;
+                }
+            })
+        }
+    }
+    let mut m = Machine::new(MachineConfig {
+        nodes: 1,
+        max_cycles: 10_000,
+        ..Default::default()
+    });
+    m.add_job(JobSpec::new("spinner", Arc::new(Spinner)));
+    let msg = run_panic_message(m);
+    let mut lines = msg.lines();
+    assert_eq!(
+        lines.next(),
+        Some("simulation exceeded max_cycles = 10000"),
+        "{msg}"
+    );
+    assert_eq!(lines.next(), Some("machine state dump:"), "{msg}");
+    assert!(msg.contains("active-compute until="), "{msg}");
+}
+
+#[test]
 fn machine_dropped_without_run_returns_promptly_and_runs_nothing() {
     struct Untouched {
         ran: Cell<bool>,

@@ -114,7 +114,7 @@ impl FaultPlan {
     }
 
     /// Number of enabled fault classes (the knobs, not injected counts).
-    pub(crate) fn active_classes(&self) -> u64 {
+    pub fn active_classes(&self) -> u64 {
         [
             self.drop > 0.0,
             self.duplicate > 0.0,

@@ -29,9 +29,7 @@
 //! * [`json`] — a dependency-free, deterministic JSON serializer for the
 //!   harnesses' schema-versioned reports;
 //! * [`prop`] — a tiny seeded property-testing driver for the workspace's
-//!   randomized model tests;
-//! * [`explore`] — seeded scenario generation, behavioral-coverage
-//!   deduplication and failure shrinking for the `fugu-explore` harness.
+//!   randomized model tests.
 //!
 //! # Example
 //!
@@ -50,7 +48,6 @@
 
 pub mod coro;
 pub mod event;
-pub mod explore;
 pub mod fault;
 pub mod invariant;
 pub mod json;

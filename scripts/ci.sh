@@ -16,6 +16,14 @@ if grep -rnE 'fugu_sim::coro|CoRuntime|\bProfiler\b' crates src examples tests -
   echo "ci: a workspace source names fugu_sim::coro, CoRuntime or span::Profiler" >&2
   exit 1
 fi
+# The scenario model (spec, generator, machine mapping, runner) lives in
+# fugu-bench alone; the engine crates, the apps and the top-level tests
+# must not name it.
+if grep -rnE 'ScenarioSpec|from_scenario|fugu_sim::explore' \
+  crates/{sim,core,net,nic,glaze,crl,apps} src examples tests --include='*.rs'; then
+  echo "ci: a source outside crates/bench names the scenario model" >&2
+  exit 1
+fi
 
 cargo build --offline --release
 tmpdir="$(mktemp -d)"
