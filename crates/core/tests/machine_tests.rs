@@ -9,6 +9,7 @@ use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use fugu_sim::fault::FaultPlan;
+use fugu_sim::trace::{CategoryMask, TraceEvent, Tracer};
 use udm::{
     CostModel, CtxKind, Envelope, JobSpec, Machine, MachineConfig, NicConfig, Program, RunReport,
     Sim, UserCtx,
@@ -772,6 +773,59 @@ fn identical_configs_produce_identical_runs() {
         assert_eq!(na.quantum_switches, nb.quantum_switches);
         assert_eq!(na.peak_frames, nb.peak_frames);
     }
+}
+
+/// The trace oracle's message ledger indexes its records by uid, which is
+/// sound only because the machine stamps launch uids from one counter,
+/// densely from 1, across every node and job, and a fault-injected copy
+/// reuses its original's uid instead of drawing a new one.
+#[test]
+fn launch_uids_are_dense_from_one() {
+    struct Spray;
+    impl Program for Spray {
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                let (me, n) = (ctx.node(), ctx.nodes());
+                for i in 0..25 {
+                    for dst in (0..n).filter(|&d| d != me) {
+                        ctx.send(dst, 0, &[i]).await;
+                    }
+                    ctx.compute(400).await;
+                }
+            })
+        }
+        fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {})
+        }
+    }
+    let tracer = Tracer::recorder(usize::MAX, CategoryMask::MSG | CategoryMask::FAULT);
+    let mut m = Machine::new(MachineConfig {
+        nodes: 4,
+        skew: 0.2,
+        faults: FaultPlan::parse("drop=0.1,dup=0.1,delay=0.1").unwrap(),
+        seed: 21,
+        ..Default::default()
+    });
+    m.set_tracer(tracer.clone());
+    m.add_job(JobSpec::new("a", Arc::new(Spray)));
+    m.add_job(JobSpec::new("b", Arc::new(Spray)));
+    let r = m.run();
+    let sent = r.job("a").sent + r.job("b").sent;
+    assert_eq!(sent, 2 * 4 * 3 * 25);
+    let records = tracer.take_records();
+    let launched: Vec<u64> = records
+        .iter()
+        .filter_map(|rec| match rec.event {
+            TraceEvent::MsgLaunch { uid, .. } => Some(uid),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(launched, (1..=sent).collect::<Vec<_>>());
+    // The plan fired all three message faults.
+    let fired = |f: fn(&TraceEvent) -> bool| records.iter().any(|rec| f(&rec.event));
+    assert!(fired(|e| matches!(e, TraceEvent::FaultDrop { .. })));
+    assert!(fired(|e| matches!(e, TraceEvent::FaultDuplicate { .. })));
+    assert!(fired(|e| matches!(e, TraceEvent::FaultDelay { .. })));
 }
 
 // ======================================================================

@@ -2,7 +2,7 @@
 //!
 //! Unused by the workspace: the machine runs its sim-threads as `async`
 //! futures on its own thread (see `udm::machine`). This module stays only
-//! because `perfbench/src/micro.rs` still times it, until ROADMAP item 5
+//! because `perfbench/src/micro.rs` still times it, until ROADMAP item 3
 //! cuts that tie and deletes it.
 //!
 //! Each sim-thread is a closure on its own OS thread that *blocks* on

@@ -57,10 +57,9 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::ledger::{MessageLedger, Observed, Tally};
+use crate::ledger::{grown, MessageLedger, Observed, Tally};
 use crate::span::{self, ProfileReport};
 use crate::trace::{TraceEvent, Tracer};
 use crate::Cycles;
@@ -86,15 +85,24 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// The delivery rules' state for one destination node.
+#[derive(Default)]
+struct NodeRules {
+    /// Highest uid delivered here per (src, job) channel, as
+    /// `last_uid[src][job]`.
+    last_uid: Vec<Vec<u64>>,
+    /// Consecutive extraction-free quanta per buffered job.
+    strikes: Vec<u32>,
+}
+
 /// Everything the oracle holds, in its one `RefCell`: the ledger, the
-/// delivery rules' state and what both kinds of check found.
+/// delivery rules' state and what both kinds of check found. Every table
+/// grows on demand, so a new oracle allocates nothing but its handle.
 #[derive(Default)]
 struct State {
     ledger: MessageLedger,
-    /// Highest uid delivered per (src, dst, job) channel.
-    last_uid: HashMap<(usize, usize, usize), u64>,
-    /// Consecutive extraction-free quanta per buffered (node, job).
-    strikes: HashMap<(usize, usize), u32>,
+    /// Indexed by destination node.
+    nodes: Vec<NodeRules>,
     page_bound: Option<u64>,
     /// Highest per-node frame count seen in a `PageAlloc` event.
     peak_pages: u64,
@@ -108,8 +116,29 @@ impl State {
         self.violations.push(Violation { at, kind, detail });
     }
 
-    fn deliver(&mut self, at: Cycles, node: usize, job: usize, uid: u64, how: &str) {
-        let Some(rec) = self.ledger.get(uid) else {
+    /// Clears `job`'s drain strikes at `node`.
+    fn reset_strikes(&mut self, node: usize, job: usize) {
+        if let Some(s) = self
+            .nodes
+            .get_mut(node)
+            .and_then(|n| n.strikes.get_mut(job))
+        {
+            *s = 0;
+        }
+    }
+
+    /// Checks a delivery of `uid` that the ledger just folded in as
+    /// `observed`.
+    fn deliver(
+        &mut self,
+        at: Cycles,
+        observed: Observed,
+        node: usize,
+        job: usize,
+        uid: u64,
+        how: &str,
+    ) {
+        let Some(i) = observed.position() else {
             self.violate(
                 at,
                 "unknown-delivery",
@@ -117,6 +146,7 @@ impl State {
             );
             return;
         };
+        let rec = self.ledger.record(i);
         let (src, dst, ljob) = (rec.src, rec.dst, rec.src_job);
         // A declared duplicate may arrive twice.
         let allowed = 1 + u32::from(rec.duplicated);
@@ -151,17 +181,17 @@ impl State {
         // FIFO per (src, dst, job): uids are stamped in launch order, so
         // deliveries on a channel must see non-decreasing uids (equal only
         // for the second copy of a declared duplicate).
-        let chan = (src, dst, job);
-        let last = self.last_uid.get(&chan).copied().unwrap_or(0);
-        if uid < last {
-            self.violate(
-                at,
-                "fifo-order",
-                format!("channel {src}->{dst} job {job}: uid={uid} delivered after uid={last}"),
-            );
-        } else {
-            self.last_uid.insert(chan, uid);
+        let last = grown(grown(&mut grown(&mut self.nodes, dst).last_uid, src), job);
+        if uid >= *last {
+            *last = uid;
+            return;
         }
+        let last = *last;
+        self.violate(
+            at,
+            "fifo-order",
+            format!("channel {src}->{dst} job {job}: uid={uid} delivered after uid={last}"),
+        );
     }
 
     fn on_event(&mut self, at: Cycles, ev: &TraceEvent) {
@@ -171,17 +201,17 @@ impl State {
         let observed = self.ledger.observe(at, ev);
         span::check_event(&self.ledger, observed, at, ev, &mut self.span_errors);
         match *ev {
-            TraceEvent::MsgLaunch { uid, .. } if observed == Observed::Repeat => {
+            TraceEvent::MsgLaunch { uid, .. } if matches!(observed, Observed::Repeat(_)) => {
                 self.violate(at, "uid-reuse", format!("uid={uid} launched twice"));
             }
             TraceEvent::FastUpcall { node, job, uid, .. } => {
-                self.deliver(at, node, job, uid, "fast upcall");
+                self.deliver(at, observed, node, job, uid, "fast upcall");
             }
             TraceEvent::PollDelivery { node, job, uid, .. } => {
-                self.deliver(at, node, job, uid, "poll delivery");
+                self.deliver(at, observed, node, job, uid, "poll delivery");
             }
             TraceEvent::BufferInsert { node, uid, .. } => {
-                let Some(rec) = self.ledger.get(uid) else {
+                let Some(i) = observed.position() else {
                     self.violate(
                         at,
                         "unknown-delivery",
@@ -189,6 +219,7 @@ impl State {
                     );
                     return;
                 };
+                let rec = self.ledger.record(i);
                 let (inserts, dropped) = (rec.inserts, rec.dropped);
                 let allowed = 1 + u32::from(rec.duplicated);
                 if inserts > allowed {
@@ -216,12 +247,10 @@ impl State {
                         ),
                     );
                 }
-                self.strikes.insert((node, job), 0);
-                self.deliver(at, node, job, uid, "buffered extract");
+                self.reset_strikes(node, job);
+                self.deliver(at, observed, node, job, uid, "buffered extract");
             }
-            TraceEvent::ModeEnter { node, job } => {
-                self.strikes.insert((node, job), 0);
-            }
+            TraceEvent::ModeEnter { node, job } => self.reset_strikes(node, job),
             TraceEvent::ModeExit { node, job } => {
                 let residual = self.ledger.buffered(node, job);
                 if residual != 0 {
@@ -234,7 +263,7 @@ impl State {
                         ),
                     );
                 }
-                self.strikes.insert((node, job), 0);
+                self.reset_strikes(node, job);
             }
             TraceEvent::QuantumSwitch {
                 node,
@@ -246,7 +275,7 @@ impl State {
                 // is a strike toward a drain-progress livelock.
                 let pending = self.ledger.buffered(node, job);
                 if pending > 0 {
-                    let s = self.strikes.entry((node, job)).or_insert(0);
+                    let s = grown(&mut grown(&mut self.nodes, node).strikes, job);
                     *s += 1;
                     let s = *s;
                     if s == DRAIN_STRIKE_LIMIT {

@@ -8,14 +8,18 @@
 //! `QuantumSwitch`) and the messages resident in its software buffer, in
 //! insert order.
 //!
+//! Each event costs array indexing, not hashing. The machine stamps launch
+//! uids from one counter, densely from 1, so the records are found through
+//! a vector indexed by uid; per-node state is a vector indexed by node.
+//! Both grow on demand (the uid index only on a launch), so an empty
+//! ledger allocates nothing.
+//!
 //! The ledger applies no rules. The one oracle that owns it,
 //! [`crate::invariant::InvariantChecker`], does: it folds each event in
 //! once, then checks conservation, FIFO order and drain progress against
 //! the records, and the span checks of [`crate::span`] against the same
 //! records. [`Tally`] sums the records' counts for harnesses that
 //! cross-check a run report against the trace.
-
-use std::collections::HashMap;
 
 use crate::trace::{CategoryMask, TraceEvent};
 use crate::Cycles;
@@ -164,16 +168,27 @@ pub struct Tally {
 pub(crate) enum Observed {
     /// The event names no message; at most per-node state changed.
     Untracked,
-    /// The event advanced its message's record.
-    Fresh,
-    /// The event contradicts the message's record: it repeats a step the
-    /// record holds (a second launch, arrival, delivery, insert or
+    /// The event advanced the record at this position.
+    Fresh(usize),
+    /// The event contradicts the record at this position: it repeats a
+    /// step the record holds (a second launch, arrival, delivery, insert or
     /// retirement) or comes out of order (an extract before any insert, a
     /// retirement before delivery). The record keeps its first sightings
     /// and is now anomalous.
-    Repeat,
+    Repeat(usize),
     /// The event names a uid that was never launched.
     Orphan(u64),
+}
+
+impl Observed {
+    /// Position of the record the event named, for
+    /// `MessageLedger::record`; `None` if it named no launched message.
+    pub fn position(self) -> Option<usize> {
+        match self {
+            Observed::Fresh(i) | Observed::Repeat(i) => Some(i),
+            Observed::Untracked | Observed::Orphan(_) => None,
+        }
+    }
 }
 
 /// Per-node lifecycle context.
@@ -189,16 +204,40 @@ struct NodeState {
 
 /// Every launched message's lifecycle plus per-node scheduling and buffer
 /// state, folded from the trace stream.
+///
+/// Uid contract: the machine stamps launch uids from one counter, densely
+/// from 1, so the uid index is a vector indexed by uid. It costs 4 bytes
+/// per uid up to the largest uid launched, and only a launch grows it: a
+/// lookup of any uid, `u64::MAX` included, reports a never-launched uid as
+/// an orphan and allocates nothing. A launch uid of `u32::MAX` or more is
+/// outside the contract and panics. Per-node state is a vector indexed by
+/// node, grown on demand, so an empty ledger owns no allocation.
 #[derive(Debug, Default)]
 pub(crate) struct MessageLedger {
     /// Records in launch order.
     records: Vec<MessageSpan>,
-    /// uid → position in `records`.
-    index: HashMap<u64, usize>,
-    nodes: HashMap<usize, NodeState>,
+    /// Indexed by uid: the uid's position in `records` plus 1, or 0 (or no
+    /// slot at all) if it was never launched.
+    index: Vec<u32>,
+    /// Indexed by node.
+    nodes: Vec<NodeState>,
     /// Buffer extracts of launched messages, counted in their records'
     /// `deliveries` too.
     extracts: u64,
+}
+
+/// The position in the records of `uid`, if it was launched.
+fn position(index: &[u32], uid: u64) -> Option<usize> {
+    let slot = *index.get(usize::try_from(uid).ok()?)?;
+    (slot as usize).checked_sub(1)
+}
+
+/// `v[i]`, first growing `v` with default entries if it is too short.
+pub(crate) fn grown<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if i >= v.len() {
+        v.resize_with(i + 1, T::default);
+    }
+    &mut v[i]
 }
 
 impl MessageLedger {
@@ -216,6 +255,11 @@ impl MessageLedger {
     }
 
     /// Folds one event at simulated time `at` into the ledger.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a `MsgLaunch` whose uid breaks the uid contract (see
+    /// `MessageLedger`).
     pub fn observe(&mut self, at: Cycles, event: &TraceEvent) -> Observed {
         let mut running = None;
         let uid = match *event {
@@ -225,16 +269,23 @@ impl MessageLedger {
                 dst,
                 words,
                 uid,
-            } if !self.index.contains_key(&uid) => {
-                self.index.insert(uid, self.records.len());
+            } if position(&self.index, uid).is_none() => {
+                assert!(
+                    uid < u64::from(u32::MAX),
+                    "MsgLaunch uid {uid} breaks the message ledger's uid contract: \
+                     launch uids run densely from 1 and stay below 2^32 - 1"
+                );
+                // One record per distinct uid below the bound leaves fewer
+                // than `u32::MAX` records, so the position plus 1 fits.
+                *grown(&mut self.index, uid as usize) = self.records.len() as u32 + 1;
                 self.records
                     .push(MessageSpan::new(uid, node, dst, job, words, at));
-                return Observed::Fresh;
+                return Observed::Fresh(self.records.len() - 1);
             }
             TraceEvent::QuantumSwitch { node, to_job, .. } => {
-                let state = self.nodes.entry(node).or_default();
+                let state = grown(&mut self.nodes, node);
                 for &(uid, _) in &state.resident {
-                    let Some(&i) = self.index.get(&uid) else {
+                    let Some(i) = position(&self.index, uid) else {
                         continue;
                     };
                     let span = &mut self.records[i];
@@ -246,15 +297,11 @@ impl MessageLedger {
                 return Observed::Untracked;
             }
             TraceEvent::BufferInsert { node, job, uid, .. } => {
-                self.nodes
-                    .entry(node)
-                    .or_default()
-                    .resident
-                    .push((uid, job));
+                grown(&mut self.nodes, node).resident.push((uid, job));
                 uid
             }
             TraceEvent::BufferExtract { node, uid, .. } => {
-                let state = self.nodes.entry(node).or_default();
+                let state = grown(&mut self.nodes, node);
                 if let Some(pos) = state.resident.iter().position(|&(u, _)| u == uid) {
                     state.resident.remove(pos);
                 }
@@ -270,7 +317,7 @@ impl MessageLedger {
             | TraceEvent::FaultDuplicate { uid, .. } => uid,
             _ => return Observed::Untracked,
         };
-        let Some(&i) = self.index.get(&uid) else {
+        let Some(i) = position(&self.index, uid) else {
             return Observed::Orphan(uid);
         };
         let span = &mut self.records[i];
@@ -334,29 +381,29 @@ impl MessageLedger {
             _ => false,
         };
         if fresh {
-            Observed::Fresh
+            Observed::Fresh(i)
         } else {
             span.anomalous = true;
-            Observed::Repeat
+            Observed::Repeat(i)
         }
     }
 
-    /// The record of `uid`, if it was launched.
-    pub fn get(&self, uid: u64) -> Option<&MessageSpan> {
-        self.index.get(&uid).map(|&i| &self.records[i])
+    /// The record at `position`, as named by an [`Observed`].
+    pub fn record(&self, position: usize) -> &MessageSpan {
+        &self.records[position]
     }
 
     /// True if a message `uid` sits in `node`'s software buffer.
     pub fn is_resident(&self, node: usize, uid: u64) -> bool {
         self.nodes
-            .get(&node)
+            .get(node)
             .is_some_and(|s| s.resident.iter().any(|&(u, _)| u == uid))
     }
 
     /// Messages sitting in `node`'s software buffer for `job`.
     pub fn buffered(&self, node: usize, job: usize) -> usize {
         self.nodes
-            .get(&node)
+            .get(node)
             .map_or(0, |s| s.resident.iter().filter(|&&(_, j)| j == job).count())
     }
 
@@ -395,31 +442,80 @@ impl MessageLedger {
 mod tests {
     use super::*;
 
-    #[test]
-    fn repeated_step_marks_the_record_anomalous() {
-        let mut ledger = MessageLedger::default();
-        let launch = TraceEvent::MsgLaunch {
+    fn launch(uid: u64) -> TraceEvent {
+        TraceEvent::MsgLaunch {
             node: 0,
             job: 0,
             dst: 1,
             words: 3,
-            uid: 1,
-        };
-        assert_eq!(ledger.observe(0, &launch), Observed::Fresh);
-        let upcall = TraceEvent::FastUpcall {
+            uid,
+        }
+    }
+
+    fn upcall(uid: u64) -> TraceEvent {
+        TraceEvent::FastUpcall {
             node: 1,
             job: 0,
             words: 3,
-            uid: 1,
-        };
-        assert_eq!(ledger.observe(12, &upcall), Observed::Fresh);
-        assert_eq!(ledger.observe(13, &upcall), Observed::Repeat);
-        let span = ledger.get(1).unwrap();
+            uid,
+        }
+    }
+
+    #[test]
+    fn repeated_step_marks_the_record_anomalous() {
+        let mut ledger = MessageLedger::default();
+        assert_eq!(ledger.observe(0, &launch(1)), Observed::Fresh(0));
+        assert_eq!(ledger.observe(12, &upcall(1)), Observed::Fresh(0));
+        assert_eq!(ledger.observe(13, &upcall(1)), Observed::Repeat(0));
+        let span = ledger.record(0);
         assert_eq!(
             (span.deliver, span.deliveries, span.anomalous),
             (Some(12), 2, true)
         );
         let tally = ledger.tally();
         assert_eq!((tally.launched, tally.delivered, tally.fast), (1, 2, 2));
+    }
+
+    #[test]
+    fn never_launched_uids_are_orphans_and_do_not_grow_the_index() {
+        let mut ledger = MessageLedger::default();
+        assert_eq!(ledger.observe(0, &upcall(7)), Observed::Orphan(7));
+        assert!(ledger.index.is_empty());
+        ledger.observe(1, &launch(2));
+        let len = ledger.index.len();
+        for uid in [0, 1, 3, 1 << 40, u64::MAX] {
+            assert_eq!(ledger.observe(2, &upcall(uid)), Observed::Orphan(uid));
+            let arrive = TraceEvent::MsgArrive {
+                node: 1,
+                qlen: 1,
+                uid,
+            };
+            assert_eq!(ledger.observe(2, &arrive), Observed::Orphan(uid));
+        }
+        assert_eq!(ledger.index.len(), len);
+        assert_eq!(ledger.tally().launched, 1);
+    }
+
+    #[test]
+    fn a_launch_after_a_uid_gap_is_found_and_the_gap_stays_empty() {
+        let mut ledger = MessageLedger::default();
+        ledger.observe(0, &launch(1));
+        assert_eq!(ledger.observe(5, &launch(100)), Observed::Fresh(1));
+        assert_eq!(ledger.observe(9, &upcall(100)), Observed::Fresh(1));
+        assert_eq!(ledger.record(1).uid, 100);
+        assert!(ledger.index[2..100].iter().all(|&slot| slot == 0));
+        for uid in 2..100 {
+            assert_eq!(ledger.observe(10, &upcall(uid)), Observed::Orphan(uid));
+        }
+        assert_eq!(ledger.observe(11, &upcall(1)), Observed::Fresh(0));
+        let uids: Vec<u64> = ledger.into_spans().iter().map(|s| s.uid).collect();
+        assert_eq!(uids, [1, 100]);
+    }
+
+    #[test]
+    #[should_panic(expected = "breaks the message ledger's uid contract")]
+    fn a_launch_uid_outside_the_contract_panics() {
+        let mut ledger = MessageLedger::default();
+        ledger.observe(0, &launch(u64::from(u32::MAX)));
     }
 }

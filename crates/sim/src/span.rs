@@ -70,7 +70,7 @@ pub use crate::ledger::{DeliveryPath, MessageSpan};
 
 /// The one trace oracle under its old name, kept only because the
 /// `perfbench` harness still names it; it goes when perfbench drops its
-/// ties to engine internals (ROADMAP item 1). Workspace code names
+/// ties to engine internals (ROADMAP item 3). Workspace code names
 /// [`InvariantChecker`](crate::invariant::InvariantChecker).
 pub use crate::invariant::InvariantChecker as Profiler;
 
@@ -336,20 +336,18 @@ pub(crate) fn check_event(
         (Observed::Orphan(uid), _) => {
             errors.push(format!("[{at}] uid {uid} without a launch: {event:?}"));
         }
-        (Observed::Fresh, &TraceEvent::MsgArrive { node, uid, .. }) => {
-            if let Some(span) = ledger.get(uid).filter(|s| s.dst != node) {
+        (Observed::Fresh(i), &TraceEvent::MsgArrive { node, uid, .. }) => {
+            let dst = ledger.record(i).dst;
+            if dst != node {
                 errors.push(format!(
-                    "[{at}] uid {uid} arrived at node {node}, launched toward {}",
-                    span.dst
+                    "[{at}] uid {uid} arrived at node {node}, launched toward {dst}"
                 ));
             }
         }
         // The span just closed: check it while the stream is still
         // flowing, not at teardown.
-        (Observed::Fresh, &TraceEvent::HandlerDone { uid, .. }) => {
-            if let Some(span) = ledger.get(uid) {
-                check_span(span, errors);
-            }
+        (Observed::Fresh(i), &TraceEvent::HandlerDone { .. }) => {
+            check_span(ledger.record(i), errors);
         }
         _ => {}
     }

@@ -175,7 +175,11 @@ pub enum TraceEvent {
         dst: usize,
         /// Total message length in words (header + payload).
         words: usize,
-        /// Machine-wide unique message id, stamped at launch.
+        /// Machine-wide unique message id, stamped at launch from one
+        /// counter, so uids run densely from 1. The trace oracle indexes
+        /// its message records by uid, at 4 bytes per uid up to the
+        /// largest launched, and panics on a launch uid of `u32::MAX` or
+        /// more.
         uid: u64,
     },
     /// A message reached `node`'s NIC input queue.

@@ -46,6 +46,10 @@ cmp "$tmpdir/chaos_a.json" "$tmpdir/chaos_b.json" \
 # model in the test file (same pop order / now / cancel semantics). Covered
 # by the workspace run; re-run by name for a standalone failure line.
 cargo test --offline -q -p fugu-sim --test event_differential
+# Differential property test: the uid-indexed trace oracle vs a hash-keyed
+# reference model in the test file (same violations, tally and span
+# report). Covered by the workspace run; re-run by name likewise.
+cargo test --offline -q -p fugu-sim --test ledger_differential
 # Host-time benchmark smoke: perfbench is a separate package, so build it
 # here too or a crate API change that breaks it would pass. Every
 # invocation first checks the RunReport digests in perfbench/golden.json at
