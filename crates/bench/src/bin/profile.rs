@@ -109,9 +109,9 @@ fn profile(scenario: Scenario, opts: &Opts) -> (u64, ProfileReport) {
             let end = span.end().expect("attributed spans have an end");
             assert_eq!(
                 attr.total(),
-                end - span.launch,
+                end - span.launch(),
                 "{name}: attribution must sum to end-to-end latency (uid {})",
-                span.uid
+                span.uid()
             );
         }
     }

@@ -32,7 +32,7 @@
 //! exactly one activity computes at a time, and preempted computation
 //! resumes with its remaining cycles intact.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
@@ -153,20 +153,34 @@ struct Proc {
     upcall: Option<Upcall>,
     /// The handler context while idle; the running dispatch holds it.
     handler_ctx: Option<UserCtx>,
-    wake_permits: HashMap<u32, u32>,
+    /// `(key, count)` of the wakes banked for keys the main thread was not
+    /// blocked on, one entry per key with a nonzero count. A process banks
+    /// on only a handful of keys, so a linear scan beats hashing.
+    wake_permits: Vec<(u32, u32)>,
     /// Demand-zero heap pages already faulted in.
-    heap_pages: std::collections::HashSet<u32>,
+    heap_pages: BTreeSet<u32>,
 }
 
 impl Proc {
+    /// Banks a wake permit for `key`.
+    fn bank_permit(&mut self, key: u32) {
+        match self.wake_permits.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, count)) => *count += 1,
+            None => self.wake_permits.push((key, 1)),
+        }
+    }
+
     /// Consumes a banked wake permit for `key`, if there is one.
     fn take_permit(&mut self, key: u32) -> bool {
-        let permits = self.wake_permits.entry(key).or_insert(0);
-        let banked = *permits > 0;
-        if banked {
-            *permits -= 1;
+        let Some(i) = self.wake_permits.iter().position(|&(k, _)| k == key) else {
+            return false;
+        };
+        let count = &mut self.wake_permits[i].1;
+        *count -= 1;
+        if *count == 0 {
+            self.wake_permits.swap_remove(i);
         }
-        banked
+        true
     }
 }
 
@@ -398,8 +412,8 @@ impl Machine {
                 atomic: false,
                 upcall: None,
                 handler_ctx: Some(ctx(CtxKind::Handler, 1)),
-                wake_permits: HashMap::new(),
-                heap_pages: std::collections::HashSet::new(),
+                wake_permits: Vec::new(),
+                heap_pages: BTreeSet::new(),
             });
         }
         self.jobs.push(JobState {
@@ -1298,7 +1312,7 @@ impl Machine {
                         }
                         proc.main.state = TState::Ready(SimResp::Bool(true));
                     }
-                    _ => *proc.wake_permits.entry(key).or_insert(0) += 1,
+                    _ => proc.bank_permit(key),
                 }
                 Some(SimResp::Ok)
             }

@@ -553,6 +553,83 @@ fn block_timeout_wakes_times_out_and_banks_late_wakes() {
     );
 }
 
+/// While node 1's main computes, handlers bank wakes on keys A, B and A.
+/// Then two blocks on A and one on B return at once, and a block on A
+/// waits for a later wake. A deadline-block on A in between must time out
+/// although B still holds a permit, so a permit taken for the wrong key
+/// fails the test, and so does one merged into another key or lost.
+#[derive(Default)]
+struct BankedKeys {
+    /// Cycles each block waited, in order: A, A, the A probe, B, the last A.
+    waits: RefCell<Vec<u64>>,
+    /// Whether the A probe was woken (it must time out instead).
+    probe_woken: Cell<Option<bool>>,
+}
+
+impl BankedKeys {
+    const A: u32 = 7;
+    const B: u32 = 9;
+}
+
+impl Program for BankedKeys {
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            let (a, b) = (BankedKeys::A, BankedKeys::B);
+            if ctx.node() == 0 {
+                for key in [a, b, a] {
+                    ctx.send(1, key, &[]).await;
+                }
+                ctx.compute(1_000_000).await;
+                ctx.send(1, a, &[]).await;
+                return;
+            }
+            ctx.compute(50_000).await;
+            for (i, key) in [a, a, a, b, a].into_iter().enumerate() {
+                let t0 = ctx.now().await;
+                if i == 2 {
+                    self.probe_woken
+                        .set(Some(ctx.block_timeout(key, 5_000).await));
+                } else {
+                    ctx.block(key).await;
+                }
+                let waited = ctx.now().await - t0;
+                self.waits.borrow_mut().push(waited);
+            }
+        })
+    }
+    fn handler<'a>(&'a self, ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            ctx.wake(env.handler.0).await;
+        })
+    }
+}
+
+#[test]
+fn wake_permits_are_banked_per_key() {
+    let p = Arc::new(BankedKeys::default());
+    let mut m = machine(2);
+    m.add_job(JobSpec::new("bk", Arc::clone(&p) as Arc<dyn Program>));
+    let r = m.run();
+    assert_eq!(r.job("bk").delivered_fast, 4);
+    let waits = p.waits.borrow().clone();
+    assert_eq!(waits.len(), 5, "node 1's main finished: {waits:?}");
+    assert_eq!(
+        (waits[0], waits[1], waits[3]),
+        (0, 0, 0),
+        "two banked A permits and one banked B permit return at once: {waits:?}"
+    );
+    assert_eq!(
+        p.probe_woken.get(),
+        Some(false),
+        "no third A permit was banked"
+    );
+    assert!(waits[2] >= 5_000, "the A probe timed out: {waits:?}");
+    assert!(
+        waits[4] >= 500_000,
+        "the last block on A waits for node 0's later wake: {waits:?}"
+    );
+}
+
 /// Node 0 sends node 1 several messages; node 1's handler draws from its
 /// context's rng on each dispatch.
 #[derive(Default)]

@@ -189,13 +189,13 @@ fn profiler_stitches_every_delivered_message_on_a_fault_free_run() {
         let end = span.end().unwrap();
         assert_eq!(
             attr.total(),
-            end - span.launch,
+            end - span.launch(),
             "attribution must sum to end-to-end latency for uid {}",
-            span.uid
+            span.uid()
         );
-        match span.path {
+        match span.path() {
             Some(DeliveryPath::Fast) => assert_eq!(attr.sched + attr.vbuf, 0),
-            Some(DeliveryPath::Buffered) => assert!(span.insert.is_some()),
+            Some(DeliveryPath::Buffered) => assert!(span.insert().is_some()),
             None => unreachable!("attributed spans carry a path"),
         }
     }

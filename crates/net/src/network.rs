@@ -6,8 +6,6 @@
 //! properties the paper's results rest on — bounded delivery delay and
 //! FIFO order between any pair of nodes — without simulating the mesh.
 
-use std::collections::HashMap;
-
 use fugu_sim::Cycles;
 
 use crate::msg::{Message, NodeId};
@@ -58,6 +56,10 @@ impl Default for NetworkConfig {
 /// the machine can model backpressure on the sender when a receiver stops
 /// draining its interface.
 ///
+/// Both tables are vectors indexed by node, grown on demand when an inject
+/// first names a node, so a new network allocates nothing and asking about
+/// a node never injected to allocates nothing either.
+///
 /// # Example
 ///
 /// ```
@@ -72,10 +74,13 @@ impl Default for NetworkConfig {
 #[derive(Debug)]
 pub struct Network {
     config: NetworkConfig,
-    /// Last arrival time scheduled per (src, dst) channel, for FIFO order.
-    last_arrival: HashMap<(NodeId, NodeId), Cycles>,
-    /// Messages currently between injection and delivery, per destination.
-    in_flight: HashMap<NodeId, u64>,
+    /// `floor[dst][src]`: the earliest cycle the next message on the
+    /// (src, dst) channel may arrive, one past the last arrival scheduled
+    /// on it (0 before the first), for FIFO order.
+    floor: Vec<Vec<Cycles>>,
+    /// Messages currently between injection and delivery, per destination
+    /// (as long as `floor`).
+    in_flight: Vec<u64>,
 }
 
 impl Network {
@@ -83,8 +88,8 @@ impl Network {
     pub fn new(config: NetworkConfig) -> Self {
         Network {
             config,
-            last_arrival: HashMap::new(),
-            in_flight: HashMap::new(),
+            floor: Vec::new(),
+            in_flight: Vec::new(),
         }
     }
 
@@ -107,11 +112,18 @@ impl Network {
     pub fn inject_delayed(&mut self, now: Cycles, msg: &Message, extra: Cycles) -> Cycles {
         let transit =
             self.config.base_latency + self.config.cycles_per_word * msg.len_words() as Cycles;
-        let channel = (msg.src(), msg.dst());
-        let fifo_floor = self.last_arrival.get(&channel).map(|&t| t + 1).unwrap_or(0);
-        let arrival = (now + transit + extra).max(fifo_floor);
-        self.last_arrival.insert(channel, arrival);
-        *self.in_flight.entry(msg.dst()).or_insert(0) += 1;
+        let (src, dst) = (msg.src(), msg.dst());
+        if dst >= self.in_flight.len() {
+            self.floor.resize_with(dst + 1, Vec::new);
+            self.in_flight.resize(dst + 1, 0);
+        }
+        let row = &mut self.floor[dst];
+        if src >= row.len() {
+            row.resize(src + 1, 0);
+        }
+        let arrival = (now + transit + extra).max(row[src]);
+        row[src] = arrival + 1;
+        self.in_flight[dst] += 1;
         arrival
     }
 
@@ -124,15 +136,15 @@ impl Network {
     pub fn deliver(&mut self, dst: NodeId) {
         let n = self
             .in_flight
-            .get_mut(&dst)
+            .get_mut(dst)
+            .filter(|n| **n > 0)
             .expect("deliver without matching inject");
-        assert!(*n > 0, "deliver without matching inject");
         *n -= 1;
     }
 
     /// Messages currently in flight toward `dst`.
     pub fn in_flight(&self, dst: NodeId) -> u64 {
-        self.in_flight.get(&dst).copied().unwrap_or(0)
+        self.in_flight.get(dst).copied().unwrap_or(0)
     }
 }
 

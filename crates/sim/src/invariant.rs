@@ -147,10 +147,10 @@ impl State {
             return;
         };
         let rec = self.ledger.record(i);
-        let (src, dst, ljob) = (rec.src, rec.dst, rec.src_job);
+        let (src, dst, ljob) = (rec.src(), rec.dst(), rec.src_job());
         // A declared duplicate may arrive twice.
-        let allowed = 1 + u32::from(rec.duplicated);
-        let (dropped, deliveries) = (rec.dropped, rec.deliveries);
+        let allowed = 1 + u32::from(rec.duplicated());
+        let (dropped, deliveries) = (rec.dropped(), rec.deliveries());
         if dst != node || ljob != job {
             self.violate(
                 at,
@@ -220,8 +220,8 @@ impl State {
                     return;
                 };
                 let rec = self.ledger.record(i);
-                let (inserts, dropped) = (rec.inserts, rec.dropped);
-                let allowed = 1 + u32::from(rec.duplicated);
+                let (inserts, dropped) = (rec.inserts(), rec.dropped());
+                let allowed = 1 + u32::from(rec.duplicated());
                 if inserts > allowed {
                     self.violate(
                         at,

@@ -83,21 +83,21 @@ impl MessageSpan {
     /// buffered residency) — exactly the conditions
     /// [`ProfileReport::errors`] reports.
     pub fn attribution(&self) -> Option<Attribution> {
-        if self.anomalous {
+        if self.anomalous() {
             return None;
         }
-        let arrive = self.arrive?;
-        let deliver = self.deliver?;
+        let arrive = self.arrive()?;
+        let deliver = self.deliver()?;
         let end = self.end()?;
-        let net = arrive.checked_sub(self.launch)?;
-        let (nic, sched, vbuf) = match self.path? {
+        let net = arrive.checked_sub(self.launch())?;
+        let (nic, sched, vbuf) = match self.path()? {
             DeliveryPath::Fast => (deliver.checked_sub(arrive)?, 0, 0),
             DeliveryPath::Buffered => {
-                let insert = self.insert?;
+                let insert = self.insert()?;
                 let nic = insert.checked_sub(arrive)?;
                 let residency = deliver.checked_sub(insert)?;
-                let vbuf = residency.checked_sub(self.sched_wait)?;
-                (nic, self.sched_wait, vbuf)
+                let vbuf = residency.checked_sub(self.sched_wait())?;
+                (nic, self.sched_wait(), vbuf)
             }
         };
         let handler = end.checked_sub(deliver)?;
@@ -296,14 +296,14 @@ impl ProfileReport {
         let mut report = ProfileReport {
             launched: spans.len() as u64,
             in_flight,
-            anomalies: spans.iter().filter(|s| s.anomalous).count() as u64,
+            anomalies: spans.iter().filter(|s| s.anomalous()).count() as u64,
             errors,
             ..ProfileReport::default()
         };
         for span in spans.iter().filter(|s| s.delivered()) {
             // Spans delivered without a handler (peek-style extracts) were
             // never closed by a HandlerDone: check them now.
-            if span.done.is_none() {
+            if span.done().is_none() {
                 check_span(span, &mut report.errors);
             }
             report.delivered += 1;
@@ -311,7 +311,7 @@ impl ProfileReport {
                 continue; // anomalous or inconsistent: already reported
             };
             report.stitched += 1;
-            match span.path {
+            match span.path() {
                 Some(DeliveryPath::Fast) => report.fast.record(&attr),
                 Some(DeliveryPath::Buffered) => report.buffered.record(&attr),
                 None => unreachable!("attribution requires a path"),
@@ -337,7 +337,7 @@ pub(crate) fn check_event(
             errors.push(format!("[{at}] uid {uid} without a launch: {event:?}"));
         }
         (Observed::Fresh(i), &TraceEvent::MsgArrive { node, uid, .. }) => {
-            let dst = ledger.record(i).dst;
+            let dst = ledger.record(i).dst();
             if dst != node {
                 errors.push(format!(
                     "[{at}] uid {uid} arrived at node {node}, launched toward {dst}"
@@ -357,10 +357,10 @@ pub(crate) fn check_event(
 /// complete, monotone event chain whose five-way attribution sums
 /// *exactly* to its end-to-end latency.
 fn check_span(span: &MessageSpan, errors: &mut Vec<String>) {
-    if span.anomalous {
+    if span.anomalous() {
         return;
     }
-    let (uid, launch) = (span.uid, span.launch);
+    let (uid, launch) = (span.uid(), span.launch());
     let Some(end) = span.end() else {
         return;
     };
@@ -368,7 +368,11 @@ fn check_span(span: &MessageSpan, errors: &mut Vec<String>) {
         None => errors.push(format!(
             "[{end}] uid {uid} closed with an inconsistent chain: launch={launch} \
              arrive={:?} insert={:?} deliver={:?} done={:?} sched_wait={}",
-            span.arrive, span.insert, span.deliver, span.done, span.sched_wait
+            span.arrive(),
+            span.insert(),
+            span.deliver(),
+            span.done(),
+            span.sched_wait()
         )),
         Some(attr) if attr.total() != end - launch => errors.push(format!(
             "[{end}] uid {uid} attribution {} != end-to-end latency {} \
@@ -509,7 +513,7 @@ mod tests {
             }
         );
         assert_eq!(attr.total(), 20);
-        assert!(report.spans[0].path == Some(DeliveryPath::Buffered));
+        assert!(report.spans[0].path() == Some(DeliveryPath::Buffered));
     }
 
     #[test]

@@ -61,13 +61,13 @@ fn slice(name: &str, ts: u64, dur: u64, pid: usize, span: &MessageSpan) -> Json 
             (
                 "args",
                 Json::object([
-                    ("uid", Json::from(span.uid)),
-                    ("words", Json::from(span.words as u64)),
+                    ("uid", Json::from(span.uid())),
+                    ("words", Json::from(span.words() as u64)),
                     (
                         "path",
-                        Json::from(span.path.map(|p| p.name()).unwrap_or("in-flight")),
+                        Json::from(span.path().map(|p| p.name()).unwrap_or("in-flight")),
                     ),
-                    ("swapped", Json::from(span.swapped)),
+                    ("swapped", Json::from(span.swapped())),
                 ]),
             ),
         ],
@@ -117,8 +117,14 @@ pub fn chrome_trace(spans: &[MessageSpan], nodes: usize) -> Json {
     }
     for span in spans {
         // The send itself, on the source node's track.
-        events.push(slice("launch", span.launch, ANCHOR_WIDTH, span.src, span));
-        let Some(arrive) = span.arrive else {
+        events.push(slice(
+            "launch",
+            span.launch(),
+            ANCHOR_WIDTH,
+            span.src(),
+            span,
+        ));
+        let Some(arrive) = span.arrive() else {
             continue; // dropped or still in the fabric: nothing else to draw
         };
         // One flow arrow per network crossing: starts inside the launch
@@ -126,45 +132,45 @@ pub fn chrome_trace(spans: &[MessageSpan], nodes: usize) -> Json {
         events.push(event(
             "msg",
             "s",
-            span.launch,
-            span.src,
-            [("id", Json::from(span.uid))],
+            span.launch(),
+            span.src(),
+            [("id", Json::from(span.uid()))],
         ));
         events.push(event(
             "msg",
             "f",
             arrive,
-            span.dst,
-            [("id", Json::from(span.uid)), ("bp", Json::from("e"))],
+            span.dst(),
+            [("id", Json::from(span.uid())), ("bp", Json::from("e"))],
         ));
         // NIC residency: arrival until the message left the NIC (upcall
         // on the fast path, kernel insert on the buffered path).
-        let nic_end = span.insert.or(span.deliver);
+        let nic_end = span.insert().or(span.deliver());
         events.push(slice(
             "nic",
             arrive,
             nic_end.map_or(ANCHOR_WIDTH, |e| e.saturating_sub(arrive)),
-            span.dst,
+            span.dst(),
             span,
         ));
         // Software-buffer residency (buffered case only).
-        if let Some(insert) = span.insert {
+        if let Some(insert) = span.insert() {
             events.push(slice(
                 "vbuf",
                 insert,
-                span.deliver
+                span.deliver()
                     .map_or(ANCHOR_WIDTH, |d| d.saturating_sub(insert)),
-                span.dst,
+                span.dst(),
                 span,
             ));
         }
         // Handler execution, when one ran.
-        if let (Some(deliver), Some(done)) = (span.deliver, span.done) {
+        if let (Some(deliver), Some(done)) = (span.deliver(), span.done()) {
             events.push(slice(
                 "handler",
                 deliver,
                 done.saturating_sub(deliver),
-                span.dst,
+                span.dst(),
                 span,
             ));
         }

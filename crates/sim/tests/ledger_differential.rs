@@ -570,18 +570,26 @@ type SpanView = (
 
 fn view_of_span(s: &MessageSpan) -> SpanView {
     (
-        (s.uid, s.src, s.dst, s.src_job, s.dst_job, s.words, s.launch),
-        [s.arrive, s.insert, s.deliver, s.done],
         (
-            s.path,
-            s.via_poll,
-            s.swapped,
-            s.sched_wait,
-            s.anomalous,
-            s.dropped,
-            s.duplicated,
+            s.uid(),
+            s.src(),
+            s.dst(),
+            s.src_job(),
+            s.dst_job(),
+            s.words(),
+            s.launch(),
         ),
-        (s.deliveries, s.inserts, s.attribution()),
+        [s.arrive(), s.insert(), s.deliver(), s.done()],
+        (
+            s.path(),
+            s.via_poll(),
+            s.swapped(),
+            s.sched_wait(),
+            s.anomalous(),
+            s.dropped(),
+            s.duplicated(),
+        ),
+        (s.deliveries(), s.inserts(), s.attribution()),
     )
 }
 

@@ -50,6 +50,10 @@ cargo test --offline -q -p fugu-sim --test event_differential
 # reference model in the test file (same violations, tally and span
 # report). Covered by the workspace run; re-run by name likewise.
 cargo test --offline -q -p fugu-sim --test ledger_differential
+# Differential property test: the node-indexed network tables vs a
+# hash-keyed reference model of the arrival rule and in-flight counts.
+# Covered by the workspace run; re-run by name likewise.
+cargo test --offline -q -p fugu-net --test proptest_net arrivals_and_in_flight_match_a_hash_keyed_reference
 # Host-time benchmark smoke: perfbench is a separate package, so build it
 # here too or a crate API change that breaks it would pass. Every
 # invocation first checks the RunReport digests in perfbench/golden.json at
