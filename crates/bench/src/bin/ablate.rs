@@ -17,7 +17,7 @@
 #![allow(clippy::arc_with_non_send_sync)]
 
 use fugu_apps::{NullApp, SynthApp, SynthParams};
-use fugu_bench::{machine, parallel_map, pct, write_report, Json, Opts, Table};
+use fugu_bench::{job_vs_null, parallel_map, pct, write_report, Json, Opts, Table};
 use udm::{CostModel, JobSpec, Machine, MachineConfig, NicConfig};
 
 fn main() {
@@ -28,12 +28,7 @@ fn main() {
     println!("Ablation 1 — atomicity timeout vs buffering (synth-100, T_betw = 275)");
     let timeouts = [1_000u64, 4_000, 8_192, 32_000, 128_000];
     let results = parallel_map(opts.jobs, &timeouts, |&timeout| {
-        let costs = CostModel {
-            atomicity_timeout: timeout,
-            ..CostModel::hard_atomicity()
-        };
-        let mut m = machine(opts.nodes, 0.01, opts.seed, costs);
-        m.add_job(SynthApp::spec(
+        let synth = SynthApp::spec(
             opts.nodes,
             SynthParams {
                 group: 100,
@@ -41,9 +36,12 @@ fn main() {
                 t_betw: 275,
                 handler_stall: 193,
             },
-        ));
-        m.add_job(NullApp::spec());
-        let r = m.run();
+        );
+        let costs = CostModel {
+            atomicity_timeout: timeout,
+            ..CostModel::hard_atomicity()
+        };
+        let r = job_vs_null(synth, 0.01, costs, &opts, 0).run();
         let j = r.job("synth");
         (j.buffered_fraction(), j.atomicity_timeouts)
     });
@@ -112,7 +110,17 @@ fn main() {
     println!("Ablation 3 — schedule quality as recovery mechanism (synth-1000)");
     let skews = [0u32, 1, 5, 20, 40];
     let results = parallel_map(opts.jobs, &skews, |&skew_pct| {
-        let r = run_synth_with_skew(1_000, 275, skew_pct as f64 / 100.0, &opts);
+        let synth = SynthApp::spec(
+            opts.nodes,
+            SynthParams {
+                group: 1_000,
+                groups: if opts.quick { 2 } else { 6 },
+                t_betw: 275,
+                handler_stall: 193,
+            },
+        );
+        let skew = skew_pct as f64 / 100.0;
+        let r = job_vs_null(synth, skew, CostModel::hard_atomicity(), &opts, 0).run();
         let j = r.job("synth");
         (j.buffered_fraction(), r.peak_buffer_pages())
     });
@@ -228,19 +236,4 @@ impl udm::Program for SluggishPoller {
             self.received.set(self.received.get() + 1);
         })
     }
-}
-
-fn run_synth_with_skew(group: u32, t_betw: u64, skew: f64, opts: &Opts) -> udm::RunReport {
-    let mut m = machine(opts.nodes, skew, opts.seed, CostModel::hard_atomicity());
-    m.add_job(SynthApp::spec(
-        opts.nodes,
-        SynthParams {
-            group,
-            groups: if opts.quick { 2 } else { 6 },
-            t_betw,
-            handler_stall: 193,
-        },
-    ));
-    m.add_job(NullApp::spec());
-    m.run()
 }

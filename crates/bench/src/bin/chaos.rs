@@ -30,13 +30,11 @@
 
 use fugu_bench::explore::RunStatus;
 use fugu_bench::scenario::{chaos_spec, run_scenario};
-use fugu_bench::{mcycles, parallel_map, pct, write_report, AppKind, Json, Opts, Table};
+use fugu_bench::{mcycles, parallel_map, pct, write_report, AppKind, Json, Opts, Table, Workload};
 
 /// One application × fault-rate sweep cell, aggregated over trials.
 #[derive(Default)]
 struct Cell {
-    app: &'static str,
-    rate: f64,
     /// Per-trial application results (see `ScenarioRun::result`).
     values: Vec<Option<u64>>,
     /// Whether the app runs over CRL, so its result must be bit-identical
@@ -59,22 +57,17 @@ struct Cell {
     failed_trial: Option<u32>,
 }
 
-fn run_cell(app: &'static str, rate: f64, opts: &Opts) -> Cell {
-    let mut cell = Cell {
-        app,
-        rate,
-        ..Cell::default()
-    };
+fn run_cell(app: AppKind, rate: f64, opts: &Opts) -> Cell {
+    let mut cell = Cell::default();
     for trial in 0..opts.trials {
-        let run = run_scenario(&chaos_spec(app, rate, trial, opts))
-            .expect("every chaos app is a known workload");
+        let run = run_scenario(&chaos_spec(Workload::App(app), rate, trial, opts));
         let o = &run.outcome;
         if let Some(r) = &run.report {
             let faults = |key| match r.metrics.get(key) {
                 Some(&Json::UInt(n)) => n,
                 _ => 0,
             };
-            cell.buffered += r.job(app).buffered_fraction() / opts.trials as f64;
+            cell.buffered += r.job(app.name()).buffered_fraction() / opts.trials as f64;
             cell.dropped += faults("faults.dropped");
             cell.duplicated += faults("faults.duplicated");
         }
@@ -111,9 +104,9 @@ fn main() {
     } else {
         &[0.0, 0.005, 0.01, 0.02]
     };
-    let cells: Vec<(&'static str, f64)> = AppKind::ALL
+    let cells: Vec<(AppKind, f64)> = AppKind::ALL
         .iter()
-        .flat_map(|app| rates.iter().map(move |&r| (app.name(), r)))
+        .flat_map(|&app| rates.iter().map(move |&r| (app, r)))
         .collect();
 
     println!(
@@ -129,7 +122,9 @@ fn main() {
     // default hook's backtraces are noise.
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let results = parallel_map(opts.jobs, &cells, |&(app, rate)| run_cell(app, rate, &opts));
+    let results = parallel_map(opts.jobs, &cells, |&(app, rate)| {
+        (app, rate, run_cell(app, rate, &opts))
+    });
     std::panic::set_hook(hook);
 
     let mut failures: Vec<String> = Vec::new();
@@ -146,11 +141,11 @@ fn main() {
         "result",
         "verdict",
     ]);
-    for cell in &results {
+    for &(app, rate, ref cell) in &results {
         // The rate-0.0 cell of the same app is the reference result.
-        let baseline = results
+        let (_, _, baseline) = results
             .iter()
-            .find(|c| c.app == cell.app && c.rate == 0.0)
+            .find(|&&(a, r, _)| a == app && r == 0.0)
             .expect("rate 0.0 is always swept");
         let mut verdict = Vec::new();
         if cell.violations > 0 {
@@ -162,7 +157,7 @@ fn main() {
         failures.extend(
             cell.problems
                 .iter()
-                .map(|p| format!("{} @ rate {}: {p}", cell.app, cell.rate)),
+                .map(|p| format!("{} @ rate {rate}: {p}", app.name())),
         );
         let mut repro_trial = cell.failed_trial;
         // Transparent recovery: every trial of a CRL app at every rate
@@ -171,20 +166,22 @@ fn main() {
         if let (true, Some(trial)) = (cell.exact, mismatch) {
             verdict.push("RESULT".to_string());
             failures.push(format!(
-                "{} @ rate {}: result {:?} != fault-free {:?}",
-                cell.app, cell.rate, cell.values, baseline.values[0]
+                "{} @ rate {rate}: result {:?} != fault-free {:?}",
+                app.name(),
+                cell.values,
+                baseline.values[0]
             ));
             repro_trial.get_or_insert(trial as u32);
         }
         if let Some(trial) = repro_trial {
-            let spec = chaos_spec(cell.app, cell.rate, trial, &opts);
+            let spec = chaos_spec(Workload::App(app), rate, trial, &opts);
             let last = failures.last_mut().expect("a failing cell reported why");
             last.push_str(&format!("\n    repro: explore --replay '{spec}'"));
         }
         let ok = verdict.is_empty();
         t.row(vec![
-            cell.app.to_string(),
-            format!("{:.3}", cell.rate),
+            app.name().to_string(),
+            format!("{rate:.3}"),
             mcycles(cell.end_time),
             pct(cell.buffered),
             cell.retries.to_string(),
@@ -202,8 +199,8 @@ fn main() {
             },
         ]);
         points.push(Json::object([
-            ("app", Json::from(cell.app)),
-            ("rate", Json::from(cell.rate)),
+            ("app", Json::from(app.name())),
+            ("rate", Json::from(rate)),
             ("end_time", Json::from(cell.end_time)),
             ("buffered_fraction", Json::from(cell.buffered)),
             ("retries", Json::from(cell.retries)),
@@ -223,8 +220,8 @@ fn main() {
     let top = rates.last().copied().unwrap_or(0.0);
     let top_retries: u64 = results
         .iter()
-        .filter(|c| c.rate == top)
-        .map(|c| c.retries)
+        .filter(|&&(_, r, _)| r == top)
+        .map(|(_, _, c)| c.retries)
         .sum();
     if top > 0.0 && top_retries == 0 {
         failures.push(format!("no CRL retries fired at fault rate {top}"));

@@ -23,8 +23,8 @@ use std::path::PathBuf;
 use fugu_bench::explore::{
     generate, shrink, Corpus, Outcome, RunStatus, ScenarioSpec, ShrinkResult,
 };
-use fugu_bench::scenario::{run_checked, run_scenario, WORKLOADS};
-use fugu_bench::{flag_value, parallel_map, parsed_or_exit, Json, Table};
+use fugu_bench::scenario::{run_checked, run_scenario};
+use fugu_bench::{flag_value, parallel_map, parsed_or_exit, Json, Table, Workload};
 use fugu_sim::rng::DetRng;
 
 /// Schema of the corpus-summary report.
@@ -101,21 +101,14 @@ fn replay_main(spec_text: &str) -> i32 {
         }
     };
     println!("replaying {spec}");
-    match run_checked(&spec, true) {
-        Ok(outcome) => {
-            print!("{}", outcome.to_json().render_pretty());
-            if outcome.failed() {
-                eprintln!("scenario FAILED ({})", outcome.status.as_str());
-                1
-            } else {
-                println!("scenario passed");
-                0
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
+    let outcome = run_checked(&spec, true);
+    print!("{}", outcome.to_json().render_pretty());
+    if outcome.failed() {
+        eprintln!("scenario FAILED ({})", outcome.status.as_str());
+        1
+    } else {
+        println!("scenario passed");
+        0
     }
 }
 
@@ -129,7 +122,7 @@ fn main() {
         "exploring {} scenarios from seed {} ({} workloads, {} host thread(s))",
         opts.budget,
         opts.seed,
-        WORKLOADS.len(),
+        Workload::DRAWN.len(),
         opts.jobs
     );
     let mut rng = DetRng::new(opts.seed);
@@ -156,7 +149,7 @@ fn main() {
         std::panic::set_hook(Box::new(|_| {}));
     }
     let outcomes = parallel_map(opts.jobs, &specs, |(idx, spec)| {
-        run_checked(spec, idx % REPLAY_CHECK_STRIDE == 0).expect("generated workloads are known")
+        run_checked(spec, idx % REPLAY_CHECK_STRIDE == 0)
     });
 
     let mut corpus = Corpus::new();
@@ -178,9 +171,7 @@ fn main() {
         }
         seen_keys.push(key.clone());
         let result = shrink(&failure.spec, SHRINK_BUDGET, |candidate| {
-            run_scenario(candidate)
-                .map(|run| failure_key(&run.outcome) == key)
-                .unwrap_or(false)
+            failure_key(&run_scenario(candidate).outcome) == key
         });
         shrunk.push((failure.clone(), result));
     }

@@ -8,7 +8,7 @@
 //! small fraction; enum buffers linearly with skew.
 
 use fugu_bench::{
-    parallel_map, pct, run_vs_null, skew_points, write_report, AppKind, Json, Opts, Table,
+    parallel_map, pct, skew_points, vs_null, write_report, AppKind, Json, Opts, Table,
 };
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         let mut frac = 0.0;
         let mut peak_pages = 0u64;
         for trial in 0..opts.trials {
-            let r = run_vs_null(kind, skew, &opts, trial);
+            let r = vs_null(kind, skew, &opts, trial).run();
             frac += r.job(kind.name()).buffered_fraction();
             peak_pages = peak_pages.max(r.peak_buffer_pages());
         }

@@ -8,8 +8,7 @@
 //! only buffering overhead); the CRL applications fall in between.
 
 use fugu_bench::{
-    parallel_map, run_standalone, run_vs_null, skew_points, write_report, AppKind, Json, Opts,
-    Table,
+    parallel_map, skew_points, standalone, vs_null, write_report, AppKind, Json, Opts, Table,
 };
 
 fn main() {
@@ -37,14 +36,15 @@ fn main() {
             .flat_map(|&kind| skews.iter().map(move |&skew| Point::VsNull(kind, skew))),
     );
     let results = parallel_map(opts.jobs, &sweep, |p| match *p {
-        Point::Standalone(kind) => run_standalone(kind, &opts, 0)
+        Point::Standalone(kind) => standalone(kind, &opts, 0)
+            .run()
             .job(kind.name())
             .completion
             .expect("completes") as f64,
         Point::VsNull(kind, skew) => {
             let mut completion = 0.0;
             for trial in 0..opts.trials {
-                let r = run_vs_null(kind, skew, &opts, trial);
+                let r = vs_null(kind, skew, &opts, trial).run();
                 completion += r.job(kind.name()).completion.expect("completes") as f64;
             }
             eprintln!("  [{} skew {:.0}% done]", kind.name(), 100.0 * skew);

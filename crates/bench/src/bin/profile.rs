@@ -24,14 +24,13 @@
 
 use std::path::PathBuf;
 
-use fugu_apps::NullApp;
 use fugu_bench::{
-    machine, multiprogram_costs, parallel_map, pct, write_report, AppKind, Json, Opts, Table,
+    parallel_map, pct, standalone, vs_null, write_report, AppKind, Json, Opts, Table,
 };
 use fugu_sim::span::{PathProfile, ProfileReport};
 use fugu_sim::trace::Tracer;
 use fugu_sim::trace_export::chrome_trace;
-use udm::{CostModel, InvariantChecker, Machine};
+use udm::{InvariantChecker, Machine};
 
 /// Spans exported into the Perfetto trace (a fixed cap keeps the artifact
 /// reviewable; the profile JSON still aggregates every span).
@@ -64,21 +63,11 @@ impl Scenario {
 
     fn machine(self, opts: &Opts) -> Machine {
         match self {
-            // Table 6 conditions: the application standalone, zero skew.
-            Scenario::Standalone(kind) => {
-                let mut m = machine(opts.nodes, 0.0, opts.seed, CostModel::hard_atomicity());
-                m.add_job(kind.job(opts.nodes, opts.quick));
-                m
-            }
-            // Fig. 7/8 conditions: barrier against null at 10% skew, so a
-            // healthy share of messages takes the second case and the
-            // buffered-path columns are populated.
-            Scenario::BarrierVsNull => {
-                let mut m = machine(opts.nodes, 0.1, opts.seed, multiprogram_costs());
-                m.add_job(AppKind::Barrier.job(opts.nodes, opts.quick));
-                m.add_job(NullApp::spec());
-                m
-            }
+            Scenario::Standalone(kind) => standalone(kind, opts, 0),
+            // Barrier against null at 10% skew, so a healthy share of
+            // messages takes the second case and the buffered-path columns
+            // are populated.
+            Scenario::BarrierVsNull => vs_null(AppKind::Barrier, 0.1, opts, 0),
         }
     }
 }

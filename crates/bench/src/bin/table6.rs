@@ -6,7 +6,7 @@
 //! message counts are smaller while the per-application ordering and the
 //! `T_betw`/`T_hand` regimes should match.
 
-use fugu_bench::{parallel_map, run_standalone, write_report, AppKind, Json, Opts, Table};
+use fugu_bench::{parallel_map, standalone, write_report, AppKind, Json, Opts, Table};
 
 fn main() {
     let opts = Opts::parse(8);
@@ -22,7 +22,7 @@ fn main() {
         let mut msgs = 0.0;
         let mut t_hand = 0.0;
         for trial in 0..opts.trials {
-            let r = run_standalone(kind, &opts, trial);
+            let r = standalone(kind, &opts, trial).run();
             let j = r.job(kind.name());
             cycles += j.completion.expect("foreground job completes") as f64;
             msgs += j.sent as f64;

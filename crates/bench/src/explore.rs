@@ -21,9 +21,8 @@
 //! * failures are [`shrink`]-ed by replaying structurally smaller variants
 //!   until a local minimum is reached, yielding a minimal repro.
 //!
-//! [`crate::scenario`] turns a spec into a machine, lists the workloads
-//! the generator draws from and runs a spec under the oracle stack; the
-//! `explore` binary drives the search (docs/TESTING.md).
+//! [`crate::scenario`] turns a spec into a machine and runs it under the
+//! oracle stack; the `explore` binary drives the search (docs/TESTING.md).
 
 use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
@@ -31,26 +30,10 @@ use std::fmt::{self, Write as _};
 use fugu_sim::fault::FaultPlan;
 use fugu_sim::rng::DetRng;
 
-use crate::scenario::WORKLOADS;
-use crate::{Json, MAX_NODES};
+use crate::{Json, Workload, MAX_NODES};
 
-/// One workload the generator may pick, with the property that decides
-/// whether lossy-network faults are safe to combine with it.
-///
-/// Workloads whose protocols tolerate message loss (acknowledgement/retry,
-/// loss-tolerant barrier tokens) can be run under `drop` faults; a workload
-/// that blocks forever on a lost reply would turn every drop into a
-/// deadlock, which tests nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkloadInfo {
-    /// Name the runner resolves to a program (e.g. `"synth"`, `"barrier"`).
-    pub name: &'static str,
-    /// Whether the workload's protocol survives dropped messages.
-    pub loss_tolerant: bool,
-    /// Whether the workload requires a power-of-two node count (the
-    /// barrier's combining tree does).
-    pub pow2_nodes: bool,
-}
+/// Largest workload data-set tier a scenario may name.
+pub const MAX_SCALE: u32 = 2;
 
 /// A fully deterministic scenario: everything needed to reproduce one run.
 ///
@@ -74,9 +57,9 @@ pub struct ScenarioSpec {
     /// `true` selects the polling-watchdog expiry policy instead of
     /// revocation (the paper's §2 citation of Maquelin et al.).
     pub watchdog: bool,
-    /// Workload name, resolved by [`crate::scenario`].
-    pub workload: String,
-    /// Workload data-set tier (0 is the smallest).
+    /// The workload [`crate::scenario`] instantiates.
+    pub workload: Workload,
+    /// Workload data-set tier, `0..=`[`MAX_SCALE`] (0 is the smallest).
     pub scale: u32,
     /// Whether a background null job shares the machine.
     pub bg_null: bool,
@@ -94,7 +77,7 @@ impl Default for ScenarioSpec {
             frames: 256,
             atom_timeout: 8_192,
             watchdog: false,
-            workload: "synth".to_string(),
+            workload: Workload::Synth,
             scale: 0,
             bg_null: false,
             faults: FaultPlan::default(),
@@ -117,7 +100,7 @@ impl ScenarioSpec {
             self.frames,
             self.atom_timeout,
             u8::from(self.watchdog),
-            self.workload,
+            self.workload.name(),
             self.scale,
             u8::from(self.bg_null),
         );
@@ -136,8 +119,11 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending entry on unknown keys or
-    /// malformed values.
+    /// Returns a message naming the offending entry on unknown keys,
+    /// unknown workloads or malformed values, and on values the machine
+    /// cannot run: a node count outside `1..=`[`MAX_NODES`], a zero
+    /// timeslice, a skew of a whole timeslice or more, or a `scale` above
+    /// [`MAX_SCALE`].
     pub fn parse(text: &str) -> Result<ScenarioSpec, String> {
         let mut spec = ScenarioSpec::default();
         for part in text.split(':') {
@@ -187,11 +173,18 @@ impl ScenarioSpec {
                 "frames" => spec.frames = int(value)?,
                 "atimeout" => spec.atom_timeout = int(value)?,
                 "watchdog" => spec.watchdog = flag(value)?,
-                "workload" => spec.workload = value.to_string(),
+                "workload" => {
+                    spec.workload = Workload::parse(value)
+                        .ok_or_else(|| format!("unknown scenario workload `{value}`"))?;
+                }
                 "scale" => {
-                    spec.scale = u32::try_from(int(value)?).map_err(|_| {
-                        format!("scenario `scale` must fit in 32 bits, got `{value}`")
-                    })?;
+                    let scale = int(value)?;
+                    if scale > u64::from(MAX_SCALE) {
+                        return Err(format!(
+                            "scenario `scale` is a data-set tier in 0..={MAX_SCALE}, got `{value}`"
+                        ));
+                    }
+                    spec.scale = scale as u32;
                 }
                 "bg" => spec.bg_null = flag(value)?,
                 "faults" => spec.faults = FaultPlan::parse(value)?,
@@ -227,18 +220,19 @@ impl fmt::Display for ScenarioSpec {
 /// rendered specs short and exactly round-trippable.
 const PROBS: &[f64] = &[0.005, 0.01, 0.02, 0.05, 0.1, 0.25];
 
-/// Draws one scenario from `rng`, over the workloads in [`WORKLOADS`].
+/// Draws one scenario from `rng`, over the workloads in [`Workload::DRAWN`].
 ///
 /// Every knob is sampled independently; knobs spanning orders of magnitude
 /// (timeslice, frame budget, delay lengths) use
 /// [`DetRng::log_range_u64`] so small machines are as likely as large
-/// ones. The lossy `drop` class is only enabled for workloads marked
-/// [`WorkloadInfo::loss_tolerant`] — dropping a message a protocol cannot
-/// recover turns the run into a guaranteed deadlock, which tests nothing.
+/// ones. The lossy `drop` class is only enabled for
+/// [loss-tolerant](Workload::loss_tolerant) workloads — dropping a message
+/// a protocol cannot recover turns the run into a guaranteed deadlock,
+/// which tests nothing.
 pub fn generate(rng: &mut DetRng) -> ScenarioSpec {
-    let w = *rng.pick(WORKLOADS);
+    let workload = *rng.pick(&Workload::DRAWN);
     let mut faults = FaultPlan::default();
-    if w.loss_tolerant && rng.chance(0.25) {
+    if workload.loss_tolerant() && rng.chance(0.25) {
         faults.drop = *rng.pick(&PROBS[..4]);
     }
     if rng.chance(0.25) {
@@ -268,7 +262,7 @@ pub fn generate(rng: &mut DetRng) -> ScenarioSpec {
     }
     ScenarioSpec {
         seed: rng.next_u64(),
-        nodes: if w.pow2_nodes {
+        nodes: if workload.pow2_nodes() {
             *rng.pick(&[2usize, 4, 8])
         } else {
             *rng.pick(&[2usize, 3, 4, 6, 8])
@@ -282,8 +276,8 @@ pub fn generate(rng: &mut DetRng) -> ScenarioSpec {
         frames: rng.log_range_u64(8, 512),
         atom_timeout: rng.log_range_u64(200, 50_000),
         watchdog: rng.chance(0.15),
-        workload: w.name.to_string(),
-        scale: rng.range_u64(0, 3) as u32,
+        workload,
+        scale: rng.range_u64(0, u64::from(MAX_SCALE) + 1) as u32,
         bg_null: rng.chance(0.3),
         faults,
     }
@@ -379,7 +373,7 @@ impl Outcome {
     pub fn signature(&self) -> String {
         let mut out = format!(
             "{}/{}/buf{}:rev{}:pg{}{}",
-            self.spec.workload,
+            self.spec.workload.name(),
             self.status.as_str(),
             octile(self.buffered, self.fast + self.buffered),
             magnitude(self.revocations),
@@ -601,16 +595,10 @@ fn shrink_candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
 mod tests {
     use super::*;
     use crate::scenario::panic_message;
+    use crate::AppKind;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
     use udm::{JobSpec, Machine, MachineConfig, Program, Sim, UserCtx};
-
-    fn workload(name: &str) -> WorkloadInfo {
-        *WORKLOADS
-            .iter()
-            .find(|w| w.name == name)
-            .expect("generated workloads are listed")
-    }
 
     fn busy_spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -621,7 +609,7 @@ mod tests {
             frames: 32,
             atom_timeout: 999,
             watchdog: true,
-            workload: "barrier".to_string(),
+            workload: Workload::App(AppKind::Barrier),
             scale: 2,
             bg_null: true,
             faults: FaultPlan::parse("drop=0.01,handler-fault=0.5,jitter=700").unwrap(),
@@ -637,6 +625,25 @@ mod tests {
         let plain = ScenarioSpec::default();
         assert!(!plain.render().contains("faults="));
         assert_eq!(ScenarioSpec::parse(&plain.render()).unwrap(), plain);
+        // Every workload the runner resolves round-trips by name, the two
+        // the generator never draws included.
+        for (name, workload) in [
+            ("synth", Workload::Synth),
+            ("barrier", Workload::App(AppKind::Barrier)),
+            ("enum", Workload::App(AppKind::Enum)),
+            ("lu", Workload::App(AppKind::Lu)),
+            ("mix", Workload::Mix),
+            ("barnes", Workload::App(AppKind::Barnes)),
+            ("water", Workload::App(AppKind::Water)),
+        ] {
+            let spec = ScenarioSpec {
+                workload,
+                ..busy_spec()
+            };
+            let text = spec.render();
+            assert!(text.contains(&format!(":workload={name}:")), "{text}");
+            assert_eq!(ScenarioSpec::parse(&text).unwrap(), spec);
+        }
     }
 
     #[test]
@@ -655,6 +662,8 @@ mod tests {
         assert!(ScenarioSpec::parse("bogus=1").is_err());
         assert!(ScenarioSpec::parse("watchdog=maybe").is_err());
         assert!(ScenarioSpec::parse("faults=bogus=1").is_err());
+        let err = ScenarioSpec::parse("workload=bogus").unwrap_err();
+        assert_eq!(err, "unknown scenario workload `bogus`");
     }
 
     #[test]
@@ -667,10 +676,10 @@ mod tests {
         assert!(ScenarioSpec::parse("timeslice=0").is_err());
         // Out-of-range integers are errors, not silent truncation.
         assert!(ScenarioSpec::parse("scale=4294967296").is_err());
-        assert_eq!(
-            ScenarioSpec::parse("scale=4294967295").unwrap().scale,
-            u32::MAX
-        );
+        // The runner has three data-set tiers: a larger one is an error,
+        // not a run of tier 2 under another name.
+        assert!(ScenarioSpec::parse("scale=3").is_err());
+        assert_eq!(ScenarioSpec::parse("scale=2").unwrap().scale, MAX_SCALE);
         assert!(ScenarioSpec::parse("faults=frame-burst=4294967296").is_err());
     }
 
@@ -705,9 +714,9 @@ mod tests {
             let spec = generate(&mut rng);
             if spec.faults.drop > 0.0 {
                 assert!(
-                    workload(&spec.workload).loss_tolerant,
+                    spec.workload.loss_tolerant(),
                     "drop on lossy-intolerant {}",
-                    spec.workload
+                    spec.workload.name()
                 );
                 tolerant_drops += 1;
             }
@@ -721,7 +730,7 @@ mod tests {
         let mut pow2_runs = 0u32;
         for _ in 0..300 {
             let spec = generate(&mut rng);
-            if workload(&spec.workload).pow2_nodes {
+            if spec.workload.pow2_nodes() {
                 assert!(spec.nodes.is_power_of_two(), "{spec}");
                 pow2_runs += 1;
             }

@@ -339,6 +339,62 @@ impl AppKind {
     }
 }
 
+/// A workload the scenario runner instantiates: one Table 6 application,
+/// the synth-N microbenchmark of §5.2, or `mix` (enum and synth
+/// gang-scheduled against each other).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    App(AppKind),
+    Synth,
+    Mix,
+}
+
+impl Workload {
+    /// The workloads the explorer's generator draws from, in draw order
+    /// (`DetRng::pick` draws by index, so reordering moves every corpus).
+    /// Barnes and water are never drawn; a `--replay` spec may name them.
+    pub const DRAWN: [Workload; 5] = [
+        Workload::Synth,
+        Workload::App(AppKind::Barrier),
+        Workload::App(AppKind::Enum),
+        Workload::App(AppKind::Lu),
+        Workload::Mix,
+    ];
+
+    /// The name a scenario spec and a coverage signature use.
+    pub fn name(self) -> &'static str {
+        match self {
+            Workload::App(kind) => kind.name(),
+            Workload::Synth => "synth",
+            Workload::Mix => "mix",
+        }
+    }
+
+    /// The workload called `name`, if there is one.
+    pub fn parse(name: &str) -> Option<Workload> {
+        AppKind::ALL
+            .into_iter()
+            .map(Workload::App)
+            .chain([Workload::Synth, Workload::Mix])
+            .find(|w| w.name() == name)
+    }
+
+    /// Whether the workload's protocols survive dropped messages
+    /// (acknowledgement and retry, loss-tolerant barrier tokens). Synth,
+    /// and `mix` which includes it, block forever on a lost reply, so a
+    /// drop fault would turn every run into a deadlock, which tests
+    /// nothing.
+    pub fn loss_tolerant(self) -> bool {
+        !matches!(self, Workload::Synth | Workload::Mix)
+    }
+
+    /// Whether the workload needs a power-of-two node count (the barrier
+    /// app and LU's message barrier do).
+    pub fn pow2_nodes(self) -> bool {
+        matches!(self, Workload::App(AppKind::Barrier | AppKind::Lu))
+    }
+}
+
 /// Barnes-Hut at `bodies` bodies, the harnesses' cost calibration.
 fn barnes_params(bodies: usize) -> BarnesParams {
     BarnesParams {
@@ -382,16 +438,17 @@ pub fn machine(nodes: usize, skew: f64, seed: u64, costs: CostModel) -> Machine 
     })
 }
 
-/// Runs one application standalone (Table 6 conditions).
-pub fn run_standalone(kind: AppKind, opts: &Opts, trial: u32) -> RunReport {
+/// The Table 6 machine: one application standalone, zero skew, seeded
+/// `opts.seed + trial`.
+pub fn standalone(kind: AppKind, opts: &Opts, trial: u32) -> Machine {
     let mut m = machine(
         opts.nodes,
         0.0,
-        opts.seed + trial as u64,
+        opts.seed + u64::from(trial),
         CostModel::hard_atomicity(),
     );
     m.add_job(kind.job(opts.nodes, opts.quick));
-    m.run()
+    m
 }
 
 /// Cost model for the multiprogramming experiments. The paper's 500k-cycle
@@ -407,18 +464,21 @@ pub fn multiprogram_costs() -> CostModel {
     }
 }
 
-/// Runs one application multiprogrammed against the null application at the
-/// given skew (Fig. 7/8 conditions).
-pub fn run_vs_null(kind: AppKind, skew: f64, opts: &Opts, trial: u32) -> RunReport {
-    let mut m = machine(
-        opts.nodes,
-        skew,
-        opts.seed + trial as u64,
-        multiprogram_costs(),
-    );
-    m.add_job(kind.job(opts.nodes, opts.quick));
+/// The Fig. 7/8 machine: one application multiprogrammed against the null
+/// application at the given skew, seeded `opts.seed + trial`.
+pub fn vs_null(kind: AppKind, skew: f64, opts: &Opts, trial: u32) -> Machine {
+    let job = kind.job(opts.nodes, opts.quick);
+    job_vs_null(job, skew, multiprogram_costs(), opts, trial)
+}
+
+/// `job` multiprogrammed against the null application at the given skew
+/// under `costs`, seeded `opts.seed + trial`: the machine of Figs. 7–10
+/// and of the synth ablations.
+pub fn job_vs_null(job: JobSpec, skew: f64, costs: CostModel, opts: &Opts, trial: u32) -> Machine {
+    let mut m = machine(opts.nodes, skew, opts.seed + u64::from(trial), costs);
+    m.add_job(job);
     m.add_job(NullApp::spec());
-    m.run()
+    m
 }
 
 /// Runs synth-N multiprogrammed against null (Fig. 9/10 conditions: four
@@ -434,7 +494,6 @@ pub fn run_synth(
         extra_buffer_cost,
         ..CostModel::hard_atomicity()
     };
-    let mut m = machine(opts.nodes, 0.01, opts.seed + trial as u64, costs);
     let total_requests: u32 = if opts.quick { 2_000 } else { 8_000 };
     let params = SynthParams {
         group,
@@ -442,9 +501,7 @@ pub fn run_synth(
         t_betw,
         handler_stall: 193,
     };
-    m.add_job(SynthApp::spec(opts.nodes, params));
-    m.add_job(NullApp::spec());
-    m.run()
+    job_vs_null(SynthApp::spec(opts.nodes, params), 0.01, costs, opts, trial).run()
 }
 
 /// The skew sweep of Figures 7 and 8 ("decreasing schedule quality").

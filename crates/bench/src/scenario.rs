@@ -1,9 +1,9 @@
 //! The scenario runner shared by `explore` and `chaos`.
 //!
 //! [`run_scenario`] builds a machine from a [`ScenarioSpec`], instantiates
-//! the spec's workload (one of [`WORKLOADS`], or `barnes`/`water`) and runs
-//! it under the full oracle stack, all read from the one trace oracle
-//! ([`InvariantChecker`]) and its message ledger:
+//! the spec's [`Workload`] and runs it under the full oracle stack, all
+//! read from the one trace oracle ([`InvariantChecker`]) and its message
+//! ledger:
 //!
 //! - delivery invariants: conservation, per-channel FIFO, drain progress,
 //!   buffering accounting, frame-budget bound;
@@ -30,40 +30,8 @@ use fugu_sim::fault::FaultPlan;
 use fugu_sim::ledger::Tally;
 use udm::{CostModel, InvariantChecker, Machine, MachineConfig, RunReport};
 
-use crate::explore::{Outcome, RunStatus, ScenarioSpec, WorkloadInfo};
-use crate::{barnes_params, lu_params, water_params, Opts};
-
-/// Workloads the explorer's generator draws from, in draw order. `synth`
-/// (and `mix`, which includes it) blocks forever on a lost reply, so only
-/// the loss-tolerant protocols are eligible for `drop` faults. The runner
-/// also resolves `barnes` and `water`, which the generator never draws.
-pub const WORKLOADS: &[WorkloadInfo] = &[
-    WorkloadInfo {
-        name: "synth",
-        loss_tolerant: false,
-        pow2_nodes: false,
-    },
-    WorkloadInfo {
-        name: "barrier",
-        loss_tolerant: true,
-        pow2_nodes: true,
-    },
-    WorkloadInfo {
-        name: "enum",
-        loss_tolerant: true,
-        pow2_nodes: false,
-    },
-    WorkloadInfo {
-        name: "lu",
-        loss_tolerant: true,
-        pow2_nodes: true,
-    },
-    WorkloadInfo {
-        name: "mix",
-        loss_tolerant: false,
-        pow2_nodes: false,
-    },
-];
+use crate::explore::{Outcome, RunStatus, ScenarioSpec};
+use crate::{barnes_params, lu_params, water_params, AppKind, Opts, Workload};
 
 /// One scenario run: the oracle stack's verdict plus what a harness reads
 /// beyond it.
@@ -129,9 +97,9 @@ type Probe = Box<dyn FnOnce() -> (Option<u64>, Option<u64>)>;
 /// Instantiates the spec's workload jobs on the machine. `scale` picks one
 /// of three data-set tiers; for barnes, water and lu, tiers 1 and 2 are the
 /// figure harnesses' `--quick` and full sizes.
-fn add_workload(m: &mut Machine, spec: &ScenarioSpec) -> Result<Probe, String> {
+fn add_workload(m: &mut Machine, spec: &ScenarioSpec) -> Probe {
     let nodes = spec.nodes;
-    let scale = spec.scale.min(2) as usize;
+    let scale = spec.scale as usize;
     let synth = |scale: usize| {
         SynthApp::spec(
             nodes,
@@ -145,12 +113,12 @@ fn add_workload(m: &mut Machine, spec: &ScenarioSpec) -> Result<Probe, String> {
     };
     let enumerate = |scale: usize| EnumApp::spec(nodes, enum_params(scale));
     let no_result: Probe = Box::new(|| (None, None));
-    let probe: Probe = match spec.workload.as_str() {
-        "synth" => {
+    let probe: Probe = match spec.workload {
+        Workload::Synth => {
             m.add_job(synth(scale));
             no_result
         }
-        "barrier" => {
+        Workload::App(AppKind::Barrier) => {
             m.add_job(BarrierApp::spec(
                 nodes,
                 BarrierParams {
@@ -160,12 +128,12 @@ fn add_workload(m: &mut Machine, spec: &ScenarioSpec) -> Result<Probe, String> {
             ));
             no_result
         }
-        "enum" => {
+        Workload::App(AppKind::Enum) => {
             let a = enumerate(scale);
             m.add_job(EnumApp::job(&a));
             Box::new(move || (a.solutions(), None))
         }
-        "lu" => {
+        Workload::App(AppKind::Lu) => {
             let a = LuApp::spec(nodes, lu_params([24, 48, 96][scale]));
             m.add_job(LuApp::job(&a));
             Box::new(move || {
@@ -173,36 +141,31 @@ fn add_workload(m: &mut Machine, spec: &ScenarioSpec) -> Result<Probe, String> {
                 (bits, Some(a.crl_retries()))
             })
         }
-        "barnes" => {
+        Workload::App(AppKind::Barnes) => {
             let a = BarnesApp::spec(nodes, barnes_params([16, 64, 256][scale]));
             m.add_job(BarnesApp::job(&a));
             Box::new(move || (a.checksum(), Some(a.crl_retries())))
         }
-        "water" => {
+        Workload::App(AppKind::Water) => {
             let a = WaterApp::spec(nodes, water_params([8, 32, 128][scale]));
             m.add_job(WaterApp::job(&a));
             Box::new(move || (a.checksum(), Some(a.crl_retries())))
         }
-        "mix" => {
+        Workload::Mix => {
             // Two foreground jobs gang-scheduled against each other.
             m.add_job(EnumApp::job(&enumerate(scale.min(1))));
             m.add_job(synth(scale.min(1)));
             no_result
         }
-        other => return Err(format!("unknown workload `{other}`")),
     };
     if spec.bg_null {
         m.add_job(NullApp::spec());
     }
-    Ok(probe)
+    probe
 }
 
 /// Runs one scenario under the full oracle stack.
-///
-/// # Errors
-///
-/// Returns a message if the spec names an unknown workload.
-pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
+pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioRun {
     let mut m = Machine::new(machine_config(spec));
     let oracle = InvariantChecker::new().with_page_bound(spec.frames);
     oracle.attach(m.tracer());
@@ -211,9 +174,9 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
     // spec can violate an application precondition (e.g. the barrier's
     // power-of-two node count), which should classify, not crash.
     let run = catch_unwind(AssertUnwindSafe(move || {
-        let probe = add_workload(&mut m, spec)?;
+        let probe = add_workload(&mut m, spec);
         let report = m.run();
-        Ok::<_, String>((report, probe()))
+        (report, probe())
     }));
 
     let trace = oracle.tally();
@@ -243,8 +206,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
     };
     let outcome = &mut out.outcome;
     match run {
-        Ok(Err(unknown_workload)) => return Err(unknown_workload),
-        Ok(Ok((report, (result, crl_retries)))) => {
+        Ok((report, (result, crl_retries))) => {
             outcome.cycles = report.end_time;
             let mut sent = 0u64;
             for j in &report.jobs {
@@ -299,7 +261,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
         }
     }
     out.outcome.violations = violations;
-    Ok(out)
+    out
 }
 
 /// The message a caught panic carried.
@@ -336,14 +298,10 @@ fn report_trace_divergence(report: &Tally, trace: &Tally) -> Option<String> {
 /// Runs a scenario and, when `check_replay` (or when it fails), runs it a
 /// second time and flags any byte-level divergence between the two
 /// outcomes.
-///
-/// # Errors
-///
-/// Returns a message if the spec names an unknown workload.
-pub fn run_checked(spec: &ScenarioSpec, check_replay: bool) -> Result<Outcome, String> {
-    let mut outcome = run_scenario(spec)?.outcome;
+pub fn run_checked(spec: &ScenarioSpec, check_replay: bool) -> Outcome {
+    let mut outcome = run_scenario(spec).outcome;
     if check_replay || outcome.failed() {
-        let again = run_scenario(spec)?.outcome;
+        let again = run_scenario(spec).outcome;
         if again.to_json().render() != outcome.to_json().render() {
             outcome.violations.push((
                 "nondeterministic-replay".to_string(),
@@ -351,14 +309,14 @@ pub fn run_checked(spec: &ScenarioSpec, check_replay: bool) -> Result<Outcome, S
             ));
         }
     }
-    Ok(outcome)
+    outcome
 }
 
-/// The scenario of one `chaos` cell: `app` at data-set tier 1 (`--quick`)
-/// or 2, on the explorer's default machine, under one knob `rate` scaled
-/// into a plan that exercises every injection site at once (none at rate
-/// 0), seeded `opts.seed + trial`.
-pub fn chaos_spec(app: &str, rate: f64, trial: u32, opts: &Opts) -> ScenarioSpec {
+/// The scenario of one `chaos` cell: `workload` at data-set tier 1
+/// (`--quick`) or 2, on the explorer's default machine, under one knob
+/// `rate` scaled into a plan that exercises every injection site at once
+/// (none at rate 0), seeded `opts.seed + trial`.
+pub fn chaos_spec(workload: Workload, rate: f64, trial: u32, opts: &Opts) -> ScenarioSpec {
     let faults = if rate == 0.0 {
         FaultPlan::default()
     } else {
@@ -377,7 +335,7 @@ pub fn chaos_spec(app: &str, rate: f64, trial: u32, opts: &Opts) -> ScenarioSpec
     ScenarioSpec {
         nodes: opts.nodes,
         seed: opts.seed + u64::from(trial),
-        workload: app.to_string(),
+        workload,
         scale: if opts.quick { 1 } else { 2 },
         faults,
         ..ScenarioSpec::default()
@@ -495,7 +453,7 @@ mod tests {
                 for bg_null in [false, true] {
                     let spec = ScenarioSpec {
                         seed,
-                        workload: "enum".to_string(),
+                        workload: Workload::App(AppKind::Enum),
                         scale: 1,
                         bg_null,
                         timeslice: 50_000,
@@ -503,7 +461,7 @@ mod tests {
                         faults: faults.clone(),
                         ..ScenarioSpec::default()
                     };
-                    let run = run_scenario(&spec).unwrap();
+                    let run = run_scenario(&spec);
                     let repro = spec.render();
                     assert!(!run.outcome.failed(), "{repro}: {:?}", run.outcome);
                     assert_eq!(run.result, Some(expected), "{repro}");

@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use fugu_bench::scenario::chaos_spec;
-use fugu_bench::{Json, Opts};
+use fugu_bench::{Json, Opts, Workload};
 
 fn fig7() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fig7"))
@@ -166,7 +166,13 @@ fn explore_help_exits_0() {
 
 #[test]
 fn replay_of_an_unrunnable_spec_exits_2() {
-    for spec in ["skew=150", "timeslice=0", "faults=frame-burst=4294967296"] {
+    for spec in [
+        "skew=150",
+        "timeslice=0",
+        "faults=frame-burst=4294967296",
+        "workload=bogus",
+        "scale=3",
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_explore"))
             .args(["--replay", spec])
             .output()
@@ -225,7 +231,8 @@ fn chaos_cells_replay_through_explore() {
         let Some(Json::Str(app)) = point.get("app") else {
             panic!("chaos point has no app");
         };
-        let spec = chaos_spec(app, rate, 0, &opts).render();
+        let workload = Workload::parse(app).expect("chaos reports known workloads");
+        let spec = chaos_spec(workload, rate, 0, &opts).render();
         let out = Command::new(env!("CARGO_BIN_EXE_explore"))
             .args(["--replay", &spec])
             .output()

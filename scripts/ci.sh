@@ -37,11 +37,16 @@ cargo test --offline -q -p fugu-apps --test crl_chaos_props
 # Chaos smoke: sweep fault injection over every app and assert the
 # delivery guarantees (exits nonzero on any violation). The sweep is a
 # pure function of the seed, so its JSON report must be byte-identical
-# at any host parallelism.
-cargo run --offline --release -p fugu-bench --bin chaos -- --quick --jobs 4 --json "$tmpdir/chaos_a.json"
+# at any host parallelism, and its report and stdout table must match the
+# committed results/chaos.{json,txt}.
+cargo run --offline --release -p fugu-bench --bin chaos -- --quick --jobs 4 --json "$tmpdir/chaos_a.json" >"$tmpdir/chaos.txt"
 cargo run --offline --release -p fugu-bench --bin chaos -- --quick --jobs 1 --json "$tmpdir/chaos_b.json" >/dev/null
 cmp "$tmpdir/chaos_a.json" "$tmpdir/chaos_b.json" \
   || { echo "ci: chaos report not deterministic across --jobs" >&2; exit 1; }
+cmp results/chaos.json "$tmpdir/chaos_a.json" \
+  || { echo "ci: results/chaos.json drifted from regenerated output" >&2; exit 1; }
+cmp results/chaos.txt "$tmpdir/chaos.txt" \
+  || { echo "ci: results/chaos.txt drifted from regenerated output" >&2; exit 1; }
 # Differential property test: the slab event queue vs a naive reference
 # model in the test file (same pop order / now / cancel semantics). Covered
 # by the workspace run; re-run by name for a standalone failure line.
