@@ -23,9 +23,13 @@
 //! message is taken and run to completion (an upcall, §3). The handler
 //! context's [`UserCtx`] outlives its dispatches: each future borrows it
 //! and hands it back when it finishes. A future runs until it awaits a
-//! machine call; the call goes through a one-slot exchange, the machine
-//! services it, and either polls the future again with the answer or
-//! parks it (a `compute` block, a `block`, a main polling its handler).
+//! machine request. Calls without an answer (`send`, `wake`, the atomic
+//! section bounds, `touch_page`) are posts: the future queues them in the
+//! exchange and runs on, and the machine applies them in program order
+//! after every poll, before the request the poll ended with. The machine
+//! then services the request and either polls the future again with the
+//! answer or parks it (a `compute` block, a `block`, a main polling its
+//! handler).
 //! The machine's event loop processes network arrivals, compute
 //! completions, atomicity timeouts and quantum switches; each node's
 //! processor is a resource on which kernel work preempts user work,
@@ -51,7 +55,7 @@ use fugu_sim::Cycles;
 
 use crate::config::{JobSpec, MachineConfig};
 use crate::report::{JobReport, NodeReport, RunReport};
-use crate::user::{CtxKind, Envelope, Exchange, SimCall, SimResp, UserCtx};
+use crate::user::{CtxKind, Envelope, Exchange, Post, Program, SimCall, SimResp, UserCtx};
 
 /// Events in the machine's global future-event list.
 #[derive(Debug)]
@@ -207,6 +211,9 @@ struct NodeState {
 /// Per-job bookkeeping.
 struct JobState {
     spec: JobSpec,
+    /// A non-atomic handle to `spec.program`, cloned for each handler
+    /// dispatch so the per-message path leaves the `Arc`'s count alone.
+    program: Rc<Arc<dyn Program>>,
     gid: Gid,
     mains_remaining: usize,
     suspended: bool,
@@ -255,7 +262,8 @@ struct JobState {
 pub struct Machine {
     cfg: MachineConfig,
     queue: EventQueue<Ev>,
-    /// The request/response slot every context's [`UserCtx`] shares.
+    /// The post queue and request/response slots every context's
+    /// [`UserCtx`] shares.
     exchange: Rc<Exchange>,
     net: Network,
     sched: Option<GangScheduler>,
@@ -376,6 +384,7 @@ impl Machine {
         let nnodes = self.cfg.nodes;
         let seed = self.cfg.seed;
         let faults = self.faults.is_active();
+        let program = Rc::new(Arc::clone(&spec.program));
         for n in 0..nnodes {
             let ctx = |kind, salt| {
                 let seed = mix_seed(seed, job, n, salt);
@@ -389,7 +398,7 @@ impl Machine {
                     seed,
                 )
             };
-            let program = Arc::clone(&spec.program);
+            let program = Rc::clone(&program);
             let mut ctx_main = ctx(CtxKind::Main, 0);
             let main: Task = Box::pin(async move {
                 program.main(&mut ctx_main).await;
@@ -419,6 +428,7 @@ impl Machine {
         self.jobs.push(JobState {
             report: JobReport::new(&spec.name),
             spec,
+            program,
             gid,
             mains_remaining: nnodes,
             suspended: false,
@@ -898,9 +908,8 @@ impl Machine {
             let t = node.free_at.max(now);
             let frames = &mut node.frames;
             let proc = &mut node.procs[j];
-            // The clone is O(1): the payload is an `Rc<[u32]>`, so the
-            // fallback path below can still consume `msg` without a deep
-            // copy here.
+            // The clone copies the message's inline words, so the
+            // fallback path below can still consume `msg`.
             cost = match proc.vbuf.insert(msg.clone(), frames) {
                 Ok(outcome) => {
                     if outcome.allocated_page {
@@ -1119,7 +1128,7 @@ impl Machine {
     /// with [`Machine::run_burst`]; like a main's, its first poll reads no
     /// response.
     fn begin_upcall(&mut self, n: NodeId, j: usize, upcall: Upcall, env: Envelope) {
-        let program = Arc::clone(&self.jobs[j].spec.program);
+        let program = Rc::clone(&self.jobs[j].program);
         let proc = &mut self.nodes[n].procs[j];
         let mut ctx = proc
             .handler_ctx
@@ -1159,9 +1168,11 @@ impl Machine {
     // Sim-thread execution
     // ==================================================================
 
-    /// Resumes a thread with `resp` and services its requests until it
-    /// suspends or finishes. A panic in simulated code is caught here and
-    /// re-raised naming the job, context and node.
+    /// Resumes a thread with `resp` and services its posts and requests
+    /// until it suspends or finishes. After every poll the thread's posts
+    /// are applied first, in program order, then whatever the poll ended
+    /// with: its request, its completion, or its panic, which is caught
+    /// here and re-raised naming the job, context and node.
     fn run_burst(&mut self, n: NodeId, j: usize, which: CtxKind, first: SimResp) {
         let mut resp = first;
         loop {
@@ -1169,8 +1180,11 @@ impl Machine {
             let slot = slot_mut(&mut self.nodes[n].procs[j], which);
             let task = slot.task.as_mut().expect("a running thread has a future");
             let mut cx = Context::from_waker(Waker::noop());
-            match catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx))) {
+            let polled = catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx)));
+            self.apply_posts(n, j);
+            match polled {
                 Ok(Poll::Ready(ctx)) => {
+                    let slot = slot_mut(&mut self.nodes[n].procs[j], which);
                     slot.task = None;
                     slot.state = TState::Done;
                     self.on_thread_finished(n, j, which, ctx);
@@ -1198,6 +1212,17 @@ impl Machine {
         }
     }
 
+    /// Applies the posts the running thread of process `j` queued since
+    /// its last poll, in program order. The queue's buffer goes back into
+    /// the exchange, so steady-state posting allocates nothing.
+    fn apply_posts(&mut self, n: NodeId, j: usize) {
+        let mut posts = self.exchange.posts.take();
+        for post in posts.drain(..) {
+            self.post(n, j, post);
+        }
+        self.exchange.posts.replace(posts);
+    }
+
     fn on_thread_finished(&mut self, n: NodeId, j: usize, which: CtxKind, ctx: UserCtx) {
         match which {
             CtxKind::Handler => {
@@ -1218,7 +1243,7 @@ impl Machine {
         }
     }
 
-    /// Services one simulator call from a thread. Returns `Some(resp)` to
+    /// Services one request from a thread. Returns `Some(resp)` to
     /// continue the burst, or `None` if the thread suspended (its state has
     /// been recorded).
     fn apply(&mut self, n: NodeId, j: usize, which: CtxKind, call: SimCall) -> Option<SimResp> {
@@ -1228,15 +1253,6 @@ impl Machine {
             SimCall::Compute(c) => {
                 self.start_compute(n, j, which, c);
                 None
-            }
-
-            SimCall::Send {
-                dst,
-                handler,
-                payload,
-            } => {
-                self.do_send(n, j, dst, handler, payload);
-                Some(SimResp::Ok)
             }
 
             SimCall::TrySend {
@@ -1258,30 +1274,6 @@ impl Machine {
                 }
             }
 
-            SimCall::BeginAtomic => {
-                let node = &mut self.nodes[n];
-                node.free_at += 1;
-                node.procs[j].atomic = true;
-                if node.cur_job == j {
-                    node.nic
-                        .beginatom(Mode::User, UacMask::INTERRUPT_DISABLE)
-                        .expect("interrupt-disable is a user bit");
-                }
-                self.reconcile_timer(n);
-                Some(SimResp::Ok)
-            }
-
-            SimCall::EndAtomic => {
-                let node = &mut self.nodes[n];
-                node.free_at += 1;
-                node.procs[j].atomic = false;
-                if node.cur_job == j && node.procs[j].upcall.is_none() {
-                    node.nic.kernel_clear_uac(UacMask::INTERRUPT_DISABLE);
-                }
-                self.reconcile_timer(n);
-                Some(SimResp::Ok)
-            }
-
             SimCall::Block { key, timeout } => {
                 if self.nodes[n].procs[j].take_permit(key) {
                     return Some(SimResp::Bool(true));
@@ -1301,22 +1293,6 @@ impl Machine {
                 None
             }
 
-            SimCall::Wake(key) => {
-                let proc = &mut self.nodes[n].procs[j];
-                match proc.main.state {
-                    TState::Blocked { key: k, deadline } if k == key => {
-                        // A wake on a deadline-block cancels its pending
-                        // timeout.
-                        if let Some(event) = deadline {
-                            self.queue.cancel(event);
-                        }
-                        proc.main.state = TState::Ready(SimResp::Bool(true));
-                    }
-                    _ => proc.bank_permit(key),
-                }
-                Some(SimResp::Ok)
-            }
-
             SimCall::PollExtract => Some(SimResp::Extract(self.poll_take(n, j, false))),
 
             SimCall::Peek => {
@@ -1331,7 +1307,67 @@ impl Machine {
                 Some(SimResp::Extract(msg.map(envelope)))
             }
 
-            SimCall::TouchPage(page) => {
+            SimCall::PollDispatch => {
+                if self.poll_take(n, j, true).is_none() {
+                    return Some(SimResp::Bool(false));
+                }
+                // Park the polling main *before* the handler runs: the
+                // handler may complete synchronously inside this call, and
+                // its completion is what re-readies the main thread.
+                self.nodes[n].procs[j].main.state = TState::WaitingPoll;
+                self.run_burst(n, j, CtxKind::Handler, SimResp::Ok);
+                None
+            }
+        }
+    }
+
+    /// Applies one post from process `j`'s running thread.
+    fn post(&mut self, n: NodeId, j: usize, post: Post) {
+        match post {
+            Post::Send {
+                dst,
+                handler,
+                payload,
+            } => self.do_send(n, j, dst, handler, payload),
+
+            Post::BeginAtomic => {
+                let node = &mut self.nodes[n];
+                node.free_at += 1;
+                node.procs[j].atomic = true;
+                if node.cur_job == j {
+                    node.nic
+                        .beginatom(Mode::User, UacMask::INTERRUPT_DISABLE)
+                        .expect("interrupt-disable is a user bit");
+                }
+                self.reconcile_timer(n);
+            }
+
+            Post::EndAtomic => {
+                let node = &mut self.nodes[n];
+                node.free_at += 1;
+                node.procs[j].atomic = false;
+                if node.cur_job == j && node.procs[j].upcall.is_none() {
+                    node.nic.kernel_clear_uac(UacMask::INTERRUPT_DISABLE);
+                }
+                self.reconcile_timer(n);
+            }
+
+            Post::Wake(key) => {
+                let proc = &mut self.nodes[n].procs[j];
+                match proc.main.state {
+                    TState::Blocked { key: k, deadline } if k == key => {
+                        // A wake on a deadline-block cancels its pending
+                        // timeout.
+                        if let Some(event) = deadline {
+                            self.queue.cancel(event);
+                        }
+                        proc.main.state = TState::Ready(SimResp::Bool(true));
+                    }
+                    _ => proc.bank_permit(key),
+                }
+            }
+
+            Post::TouchPage(page) => {
                 let hit = self.nodes[n].procs[j].heap_pages.contains(&page);
                 if hit {
                     self.nodes[n].free_at += 1;
@@ -1360,19 +1396,6 @@ impl Machine {
                         self.enter_buffered(n, j);
                     }
                 }
-                Some(SimResp::Ok)
-            }
-
-            SimCall::PollDispatch => {
-                if self.poll_take(n, j, true).is_none() {
-                    return Some(SimResp::Bool(false));
-                }
-                // Park the polling main *before* the handler runs: the
-                // handler may complete synchronously inside this call, and
-                // its completion is what re-readies the main thread.
-                self.nodes[n].procs[j].main.state = TState::WaitingPoll;
-                self.run_burst(n, j, CtxKind::Handler, SimResp::Ok);
-                None
             }
         }
     }
@@ -1583,7 +1606,7 @@ fn envelope(msg: &Message) -> Envelope {
     Envelope {
         src: msg.src(),
         handler: msg.handler(),
-        payload: msg.payload_shared(),
+        payload: msg.payload_words(),
     }
 }
 

@@ -13,8 +13,13 @@
 //! completion, the upcall of §3; every dispatch on a node gets the same
 //! handler-context `UserCtx`, so its state (such as [`UserCtx::rng`])
 //! carries over from one message to the next. Every `UserCtx` method that
-//! acts on the machine is an `async fn`; awaiting it hands one request to
-//! the machine through a one-slot exchange and resumes with the answer.
+//! acts on the machine is an `async fn`, and each is one of two kinds. A
+//! *post* (`send`, `wake`, `begin_atomic`, `end_atomic`, `touch_page`)
+//! has no answer: awaiting it queues the call in the machine's exchange
+//! and the future runs on without yielding. A *request* (`compute`,
+//! `block`, `now`, `try_send`, `poll`, `poll_extract`, `peek`) yields: the
+//! machine applies the queued posts, then the request, and polls the
+//! future again with the answer.
 //!
 //! Crucially — and this is the paper's *transparent access* principle
 //! (§4.3) — nothing in this API reveals whether a message was delivered
@@ -22,7 +27,7 @@
 //! software buffer in virtual memory (buffered case). The machine switches
 //! between the two cases freely; user code cannot tell, except by timing.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -36,9 +41,9 @@ use fugu_sim::Cycles;
 /// and payload. The routing header and GID have been consumed by the
 /// delivery path (hardware demultiplexing or the software buffer).
 ///
-/// The payload is a [`Payload`] — shared with the message it was delivered
-/// from, so constructing an envelope never copies the words. It dereferences
-/// to `&[u32]`, so `env.payload[0]` and `&env.payload[4..]` read as before.
+/// The payload is a [`Payload`]: at most 14 words stored inline, so
+/// building an envelope never allocates. It dereferences to `&[u32]`, so
+/// `env.payload[0]` and `&env.payload[4..]` read as before.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
     /// Sending node.
@@ -49,12 +54,12 @@ pub struct Envelope {
     pub payload: Payload,
 }
 
-/// Requests a sim-thread makes of the machine: the protocol between
-/// [`UserCtx`] and the machine, private to this crate.
+/// Calls a sim-thread makes of the machine that have no answer: the
+/// context queues them in the [`Exchange`] and keeps running. The machine
+/// applies them in program order after every poll, before whatever the
+/// poll ended with (a [`SimCall`], the future finishing, or a panic).
 #[derive(Debug)]
-pub(crate) enum SimCall {
-    /// Consume `0` CPU cycles of computation (preemptible by interrupts).
-    Compute(Cycles),
+pub(crate) enum Post {
     /// Blocking `inject`: describe + launch a message.
     Send {
         /// Destination node.
@@ -64,8 +69,27 @@ pub(crate) enum SimCall {
         /// Payload words (at most 14).
         payload: Payload,
     },
-    /// Conditional `injectc`: like `Send` but reports acceptance instead of
-    /// blocking.
+    /// Touch a page of the process's demand-zero heap; may page-fault.
+    TouchPage(u32),
+    /// Enter an atomic section (disable message interrupts).
+    BeginAtomic,
+    /// Leave an atomic section.
+    EndAtomic,
+    /// Wake the main thread if blocked on the key (otherwise bank a permit).
+    Wake(u32),
+}
+
+/// Requests a sim-thread makes of the machine: calls that answer with a
+/// [`SimResp`] or suspend the thread, so the context yields on each. Part
+/// of the protocol between [`UserCtx`] and the machine, private to this
+/// crate.
+#[derive(Debug)]
+pub(crate) enum SimCall {
+    /// Consume the given CPU cycles of computation (preemptible by
+    /// interrupts).
+    Compute(Cycles),
+    /// Conditional `injectc`: like [`Post::Send`] but reports acceptance
+    /// instead of blocking.
     TrySend {
         /// Destination node.
         dst: NodeId,
@@ -81,13 +105,7 @@ pub(crate) enum SimCall {
     PollExtract,
     /// Examine the pending message without consuming it (§3's `peek`).
     Peek,
-    /// Touch a page of the process's demand-zero heap; may page-fault.
-    TouchPage(u32),
-    /// Enter an atomic section (disable message interrupts).
-    BeginAtomic,
-    /// Leave an atomic section.
-    EndAtomic,
-    /// Deschedule the main thread until [`SimCall::Wake`] on `key`, or
+    /// Deschedule the main thread until [`Post::Wake`] on `key`, or
     /// until `timeout` cycles pass if there is one. Responds `Bool(true)`
     /// when woken (or a banked permit was taken), `Bool(false)` on timeout;
     /// a wake after the timeout stays banked for a later block.
@@ -97,8 +115,6 @@ pub(crate) enum SimCall {
         /// Cycles to wait before giving up; `None` waits forever.
         timeout: Option<Cycles>,
     },
-    /// Wake the main thread if blocked on the key (otherwise bank a permit).
-    Wake(u32),
     /// Read the current simulated time.
     Now,
 }
@@ -106,7 +122,8 @@ pub(crate) enum SimCall {
 /// Responses paired with [`SimCall`]s.
 #[derive(Debug)]
 pub(crate) enum SimResp {
-    /// Generic acknowledgement.
+    /// Acknowledgement: a `compute` finished, or a thread's first poll
+    /// (which reads no response).
     Ok,
     /// Boolean result (`TrySend`, `PollDispatch`, `Block`).
     Bool(bool),
@@ -116,13 +133,14 @@ pub(crate) enum SimResp {
     Extract(Option<Envelope>),
 }
 
-/// The one-slot request/response cell between the machine and the context
-/// it is running. Only one context runs at a time, so one exchange per
-/// machine serves them all: a pending context leaves its [`SimCall`] in
-/// `call`, and the machine puts the answer in `resp` before polling it
-/// again.
+/// The cells between the machine and the context it is running. Only one
+/// context runs at a time, so one exchange per machine serves them all: a
+/// running context appends its [`Post`]s to `posts`, a pending one leaves
+/// its [`SimCall`] in `call`, and the machine drains `posts`, then puts
+/// the call's answer in `resp` before polling the context again.
 #[derive(Default)]
 pub(crate) struct Exchange {
+    pub(crate) posts: RefCell<Vec<Post>>,
     pub(crate) call: Cell<Option<SimCall>>,
     pub(crate) resp: Cell<Option<SimResp>>,
 }
@@ -238,12 +256,9 @@ impl UserCtx {
         .await
     }
 
-    /// Issues a call whose response is an acknowledgement.
-    async fn call_ok(&self, call: SimCall) {
-        match self.call(call).await {
-            SimResp::Ok => {}
-            other => unreachable!("bad response {other:?}"),
-        }
+    /// Queues `post` for the machine; the caller runs on without yielding.
+    fn post(&self, post: Post) {
+        self.exchange.posts.borrow_mut().push(post);
     }
 
     /// Issues a call whose response is a boolean.
@@ -301,7 +316,10 @@ impl UserCtx {
         if cycles == 0 {
             return;
         }
-        self.call_ok(SimCall::Compute(cycles)).await;
+        match self.call(SimCall::Compute(cycles)).await {
+            SimResp::Ok => {}
+            other => unreachable!("bad response {other:?}"),
+        }
     }
 
     /// `inject`: sends a message (Table 4: 7 cycles + 3 per payload word).
@@ -311,12 +329,11 @@ impl UserCtx {
     /// Panics if `payload` exceeds 14 words (the 16-word send buffer) or
     /// `dst` is not a valid node.
     pub async fn send(&mut self, dst: NodeId, handler: u32, payload: &[u32]) {
-        self.call_ok(SimCall::Send {
+        self.post(Post::Send {
             dst,
             handler: HandlerId(handler),
             payload: Payload::from(payload),
-        })
-        .await;
+        });
     }
 
     /// `injectc`: conditional send; returns `false` if the network refused
@@ -375,7 +392,7 @@ impl UserCtx {
     /// the network is not blocked while the fault is serviced (§4.3's
     /// first mode-transition cause).
     pub async fn touch_page(&mut self, page: u32) {
-        self.call_ok(SimCall::TouchPage(page)).await;
+        self.post(Post::TouchPage(page));
     }
 
     /// Enters an atomic section: message interrupts are deferred; the
@@ -383,12 +400,12 @@ impl UserCtx {
     /// atomicity too long with a message waiting and the OS switches the
     /// process to buffered mode (§4.1 "Revocable Interrupt Disable").
     pub async fn begin_atomic(&mut self) {
-        self.call_ok(SimCall::BeginAtomic).await;
+        self.post(Post::BeginAtomic);
     }
 
     /// Leaves an atomic section; deferred messages are then delivered.
     pub async fn end_atomic(&mut self) {
-        self.call_ok(SimCall::EndAtomic).await;
+        self.post(Post::EndAtomic);
     }
 
     /// Blocks the main thread until a handler calls [`UserCtx::wake`] with
@@ -436,6 +453,6 @@ impl UserCtx {
 
     /// Wakes the main thread blocked on `key` (or banks a permit).
     pub async fn wake(&mut self, key: u32) {
-        self.call_ok(SimCall::Wake(key)).await;
+        self.post(Post::Wake(key));
     }
 }

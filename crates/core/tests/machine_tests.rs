@@ -1618,3 +1618,292 @@ fn every_context_runs_on_the_thread_that_called_run() {
         );
     }
 }
+
+// ======================================================================
+// Posts and requests: answer-free calls never yield
+// ======================================================================
+
+/// Node 0 sends `sends` one-word messages to node 1 and then reads the
+/// clock; node 1 computes until all of them were handled.
+struct SendThenNow {
+    sends: u32,
+    handled: Cell<u32>,
+    read: Cell<Option<u64>>,
+}
+
+impl Program for SendThenNow {
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            if ctx.node() == 0 {
+                for i in 0..self.sends {
+                    ctx.send(1, 0, &[i]).await;
+                }
+                self.read.set(Some(ctx.now().await));
+            } else {
+                while self.handled.get() < self.sends {
+                    ctx.compute(100).await;
+                }
+            }
+        })
+    }
+    fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            self.handled.set(self.handled.get() + 1);
+        })
+    }
+}
+
+#[test]
+fn posts_are_charged_before_a_later_request_reads_the_clock() {
+    let p = Arc::new(SendThenNow {
+        sends: 5,
+        handled: Cell::new(0),
+        read: Cell::new(None),
+    });
+    let mut m = machine(2);
+    m.add_job(JobSpec::new("sendnow", Arc::clone(&p) as Arc<dyn Program>));
+    let r = m.run();
+    // The main starts at cycle 0, so the clock reads exactly the five
+    // launches' Table 4 charges.
+    assert_eq!(p.read.get(), Some(5 * CostModel::default().send_total(1)));
+    assert_eq!(r.job("sendnow").delivered(), 5);
+}
+
+#[test]
+fn posts_before_a_main_returns_are_still_launched_and_handled() {
+    // OneShot's node-0 main ends on its `send`: the post is applied with
+    // the main's completion, and the message still reaches the handler.
+    let p = Arc::new(OneShot {
+        got: Cell::new(false),
+    });
+    let mut m = machine(2);
+    m.add_job(JobSpec::new("last", Arc::clone(&p) as Arc<dyn Program>));
+    let r = m.run();
+    assert!(p.got.get());
+    assert_eq!(r.job("last").sent, 1);
+    assert_eq!(r.job("last").delivered_fast, 1);
+}
+
+#[test]
+fn posts_a_wake_only_handler_releases_its_main_within_the_same_event() {
+    // Node 1's main blocks; the handler of node 0's message only wakes it.
+    // The woken main's reply is launched in the arrival's own event, so
+    // its launch carries the upcall's trace time.
+    struct WakeOnly;
+    impl Program for WakeOnly {
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                if ctx.node() == 0 {
+                    ctx.send(1, 0, &[]).await;
+                    ctx.block(9).await;
+                } else {
+                    ctx.block(9).await;
+                    ctx.send(0, 0, &[]).await;
+                }
+            })
+        }
+        fn handler<'a>(&'a self, ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {
+                ctx.wake(9).await;
+            })
+        }
+    }
+    let mut m = machine(2);
+    let tracer = Tracer::recorder(64, CategoryMask::ALL);
+    m.set_tracer(tracer.clone());
+    m.add_job(JobSpec::new("wake", Arc::new(WakeOnly)));
+    let r = m.run();
+    assert_eq!(r.job("wake").delivered_fast, 2);
+    let records = tracer.records();
+    let upcall_at = records
+        .iter()
+        .find(|rec| matches!(rec.event, TraceEvent::FastUpcall { node: 1, .. }))
+        .expect("node 1 took an upcall")
+        .at;
+    let reply_at = records
+        .iter()
+        .find(|rec| matches!(rec.event, TraceEvent::MsgLaunch { node: 1, .. }))
+        .expect("node 1's main replied")
+        .at;
+    assert_eq!(reply_at, upcall_at);
+}
+
+#[test]
+fn posts_then_a_panic_apply_the_posts_and_name_the_context() {
+    struct SendThenPanic;
+    impl Program for SendThenPanic {
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                if ctx.node() == 0 {
+                    ctx.send(1, 0, &[]).await;
+                    panic!("after the send");
+                }
+                ctx.compute(1_000).await;
+            })
+        }
+        fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {})
+        }
+    }
+    let mut m = machine(2);
+    let tracer = Tracer::recorder(16, CategoryMask::MSG);
+    m.set_tracer(tracer.clone());
+    m.add_job(JobSpec::new("sendpanic", Arc::new(SendThenPanic)));
+    assert_eq!(
+        run_panic_message(m),
+        "job 'sendpanic' Main context on node 0 panicked: after the send"
+    );
+    // The send was posted before the panic, so its launch is traced.
+    assert!(tracer
+        .records()
+        .iter()
+        .any(|rec| matches!(rec.event, TraceEvent::MsgLaunch { node: 0, .. })));
+}
+
+/// Wraps a sim-thread future and counts how often the machine polls it.
+struct CountPolls<'a> {
+    inner: Sim<'a>,
+    polls: &'a Cell<u32>,
+}
+
+impl std::future::Future for CountPolls<'_> {
+    type Output = ();
+
+    fn poll(
+        mut self: std::pin::Pin<&mut Self>,
+        cx: &mut std::task::Context<'_>,
+    ) -> std::task::Poll<()> {
+        self.polls.set(self.polls.get() + 1);
+        self.inner.as_mut().poll(cx)
+    }
+}
+
+#[test]
+fn posts_never_yield_a_main_that_makes_only_posts_is_polled_once() {
+    // Node 0's main makes only posts — N sends, a wake and an atomic
+    // section — and returns, so the machine polls it exactly once.
+    const N: u32 = 8;
+    struct PostsOnly {
+        polls: Cell<u32>,
+        handled: Cell<u32>,
+    }
+    impl Program for PostsOnly {
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            if ctx.node() != 0 {
+                return Box::pin(async move {
+                    while self.handled.get() < N {
+                        ctx.compute(100).await;
+                    }
+                });
+            }
+            let inner: Sim<'a> = Box::pin(async move {
+                for i in 0..N {
+                    ctx.send(1, 0, &[i]).await;
+                }
+                ctx.wake(3).await;
+                ctx.begin_atomic().await;
+                ctx.end_atomic().await;
+            });
+            Box::pin(CountPolls {
+                inner,
+                polls: &self.polls,
+            })
+        }
+        fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, _env: &'a Envelope) -> Sim<'a> {
+            Box::pin(async move {
+                self.handled.set(self.handled.get() + 1);
+            })
+        }
+    }
+    let p = Arc::new(PostsOnly {
+        polls: Cell::new(0),
+        handled: Cell::new(0),
+    });
+    let mut m = machine(2);
+    m.add_job(JobSpec::new("posts", Arc::clone(&p) as Arc<dyn Program>));
+    let r = m.run();
+    assert_eq!(p.polls.get(), 1, "a post suspended the main");
+    assert_eq!(r.job("posts").sent, u64::from(N));
+    assert_eq!(r.job("posts").delivered(), u64::from(N));
+}
+
+// ======================================================================
+// Payloads: at most 14 inline words
+// ======================================================================
+
+/// The widest payload the 16-word send buffer carries.
+const WIDE: [u32; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14];
+
+/// Node 0 sends one 14-word message to node 1, which takes it through an
+/// upcall (fast path) or, holding an atomic section past the atomicity
+/// timeout, by polling the software buffer (buffered path).
+struct Wide {
+    buffered: bool,
+    got: RefCell<Option<Vec<u32>>>,
+}
+
+impl Program for Wide {
+    fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+        Box::pin(async move {
+            if ctx.node() == 0 {
+                ctx.send(1, 0, &WIDE).await;
+            } else if self.buffered {
+                ctx.begin_atomic().await;
+                ctx.compute(100_000).await; // >> default 8192-cycle timeout
+                while !ctx.poll().await {}
+                ctx.end_atomic().await;
+            } else {
+                while self.got.borrow().is_none() {
+                    ctx.compute(50).await;
+                }
+            }
+        })
+    }
+    fn handler<'a>(&'a self, _ctx: &'a mut UserCtx, env: &'a Envelope) -> Sim<'a> {
+        Box::pin(async move {
+            *self.got.borrow_mut() = Some(env.payload.to_vec());
+        })
+    }
+}
+
+#[test]
+fn payload_of_14_words_reaches_the_handler_on_both_paths() {
+    for buffered in [false, true] {
+        let p = Arc::new(Wide {
+            buffered,
+            got: RefCell::new(None),
+        });
+        let mut m = machine(2);
+        m.add_job(JobSpec::new("wide", Arc::clone(&p) as Arc<dyn Program>));
+        let r = m.run();
+        let j = r.job("wide");
+        assert_eq!(
+            (j.delivered_fast, j.delivered_buffered),
+            if buffered { (0, 1) } else { (1, 0) }
+        );
+        assert_eq!(p.got.take().as_deref(), Some(&WIDE[..]));
+    }
+}
+
+#[test]
+fn payload_of_15_words_panics_in_the_sending_context_naming_the_send_buffer() {
+    // The payload is built inside the sim-thread, so the send-buffer check
+    // fails there and the machine re-raises it with the job prefix.
+    struct TooWide;
+    impl Program for TooWide {
+        fn main<'a>(&'a self, ctx: &'a mut UserCtx) -> Sim<'a> {
+            Box::pin(async move {
+                if ctx.node() == 0 {
+                    ctx.send(1, 0, &[0; 15]).await;
+                }
+            })
+        }
+    }
+    let mut m = machine(2);
+    m.add_job(JobSpec::new("toowide", Arc::new(TooWide)));
+    assert_eq!(
+        run_panic_message(m),
+        "job 'toowide' Main context on node 0 panicked: message of 17 words \
+         exceeds the 16-word send buffer (use DMA for bulk data)"
+    );
+}

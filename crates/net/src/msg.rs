@@ -1,7 +1,5 @@
 //! The UDM message: routing header, handler word, payload, GID stamp.
 
-use std::rc::Rc;
-
 /// Index of a node (processor) in the simulated machine.
 ///
 /// A plain alias rather than a newtype because node indices are used
@@ -70,17 +68,25 @@ impl std::fmt::Display for HandlerId {
     }
 }
 
-/// The payload words of a message, shared by reference.
+/// Most payload words a message can carry: the 16-word send buffer minus
+/// the routing header and handler words.
+const MAX_PAYLOAD_WORDS: usize = MAX_MESSAGE_WORDS - 2;
+
+/// The payload words of a message, stored inline.
 ///
 /// Message payloads are written once (by the sender) and then copied — into
 /// the software buffer, into fault-injected duplicates, into the envelope a
-/// handler sees. Backing the words with an `Rc<[u32]>` makes every one of
-/// those copies a non-atomic reference-count increment instead of a heap
-/// allocation, which matters because buffered delivery is the simulator's
-/// hottest path.
+/// handler sees. A payload holds at most 14 words (the 16-word send buffer
+/// less two header words), so it lives in a fixed array beside its length:
+/// `Payload` is `Copy`, and building, sending or copying one never touches
+/// the heap.
 ///
 /// `Payload` dereferences to `&[u32]`, so indexing, slicing and iteration
 /// work as they did when payloads were plain vectors.
+///
+/// # Panics
+///
+/// Building a payload of more than 14 words panics naming the send buffer.
 ///
 /// # Example
 ///
@@ -88,67 +94,117 @@ impl std::fmt::Display for HandlerId {
 /// use fugu_net::Payload;
 ///
 /// let p = Payload::from(vec![1, 2, 3]);
-/// let copy = p.clone(); // O(1): bumps a refcount, no allocation
+/// let copy = p; // a plain copy of the inline words, no allocation
 /// assert_eq!(copy[0], 1);
 /// assert_eq!(&p[1..], &[2, 3]);
 /// assert_eq!(p, [1, 2, 3]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Payload(Rc<[u32]>);
+#[derive(Clone, Copy)]
+pub struct Payload {
+    len: u32,
+    words: [u32; MAX_PAYLOAD_WORDS],
+}
+
+impl Payload {
+    /// The empty payload the constructors fill in.
+    const EMPTY: Payload = Payload {
+        len: 0,
+        words: [0; MAX_PAYLOAD_WORDS],
+    };
+}
+
+/// Panics for a payload of `words` words.
+#[cold]
+fn too_long(words: usize) -> ! {
+    panic!(
+        "message of {} words exceeds the {}-word send buffer (use DMA for bulk data)",
+        words + 2,
+        MAX_MESSAGE_WORDS
+    )
+}
 
 impl std::ops::Deref for Payload {
     type Target = [u32];
 
     fn deref(&self) -> &[u32] {
-        &self.0
+        &self.words[..self.len as usize]
     }
 }
 
-impl From<Vec<u32>> for Payload {
-    fn from(words: Vec<u32>) -> Self {
-        Payload(Rc::from(words))
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Payload").field(&&**self).finish()
     }
 }
 
 impl From<&[u32]> for Payload {
     fn from(words: &[u32]) -> Self {
-        Payload(Rc::from(words))
+        if words.len() > MAX_PAYLOAD_WORDS {
+            too_long(words.len());
+        }
+        let mut p = Payload::EMPTY;
+        p.words[..words.len()].copy_from_slice(words);
+        p.len = words.len() as u32;
+        p
+    }
+}
+
+impl From<Vec<u32>> for Payload {
+    fn from(words: Vec<u32>) -> Self {
+        Payload::from(&words[..])
     }
 }
 
 impl<const N: usize> From<[u32; N]> for Payload {
     fn from(words: [u32; N]) -> Self {
-        Payload(Rc::from(words))
+        Payload::from(&words[..])
     }
 }
 
 impl FromIterator<u32> for Payload {
     fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
-        Payload(iter.into_iter().collect())
+        let mut p = Payload::EMPTY;
+        for word in iter {
+            let len = p.len as usize;
+            if len == MAX_PAYLOAD_WORDS {
+                too_long(len + 1);
+            }
+            p.words[len] = word;
+            p.len += 1;
+        }
+        p
     }
 }
 
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
+
 impl PartialEq<[u32]> for Payload {
     fn eq(&self, other: &[u32]) -> bool {
-        *self.0 == *other
+        **self == *other
     }
 }
 
 impl PartialEq<&[u32]> for Payload {
     fn eq(&self, other: &&[u32]) -> bool {
-        *self.0 == **other
+        **self == **other
     }
 }
 
 impl PartialEq<Vec<u32>> for Payload {
     fn eq(&self, other: &Vec<u32>) -> bool {
-        *self.0 == other[..]
+        **self == other[..]
     }
 }
 
 impl<const N: usize> PartialEq<[u32; N]> for Payload {
     fn eq(&self, other: &[u32; N]) -> bool {
-        *self.0 == other[..]
+        **self == other[..]
     }
 }
 
@@ -184,6 +240,7 @@ impl Message {
     ///
     /// Panics if the message would exceed [`MAX_MESSAGE_WORDS`] (two header
     /// words plus the payload); the FUGU send buffer cannot describe it.
+    /// The check is [`Payload`]'s: no payload holds more than 14 words.
     pub fn new(
         src: NodeId,
         dst: NodeId,
@@ -191,19 +248,12 @@ impl Message {
         handler: HandlerId,
         payload: impl Into<Payload>,
     ) -> Self {
-        let payload = payload.into();
-        assert!(
-            payload.len() + 2 <= MAX_MESSAGE_WORDS,
-            "message of {} words exceeds the {}-word send buffer (use DMA for bulk data)",
-            payload.len() + 2,
-            MAX_MESSAGE_WORDS
-        );
         Message {
             src,
             dst,
             gid,
             handler,
-            payload,
+            payload: payload.into(),
             uid: 0,
         }
     }
@@ -233,11 +283,10 @@ impl Message {
         &self.payload
     }
 
-    /// The payload by shared reference: an O(1) clone of the words, used by
-    /// delivery paths that hand the payload to an envelope without
-    /// copying it.
-    pub fn payload_shared(&self) -> Payload {
-        self.payload.clone()
+    /// The payload by value (it is `Copy`), for delivery paths that hand
+    /// it to an envelope.
+    pub fn payload_words(&self) -> Payload {
+        self.payload
     }
 
     /// Total length in words as seen by the send descriptor: routing header
@@ -304,6 +353,34 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn oversized_message_panics() {
         let _ = Message::new(0, 1, Gid::new(1), HandlerId(0), vec![0; 15]);
+    }
+
+    #[test]
+    fn payload_debug_reads_as_the_word_list() {
+        assert_eq!(format!("{:?}", Payload::from([1, 2])), "Payload([1, 2])");
+        assert_eq!(format!("{:?}", Payload::from(vec![])), "Payload([])");
+    }
+
+    #[test]
+    fn payloads_compare_by_their_words_only() {
+        let collected: Payload = [4, 5].into_iter().collect();
+        assert_eq!(collected, Payload::from([4, 5]));
+        assert_ne!(Payload::from([4, 5]), Payload::from([4, 5, 0]));
+        assert_eq!(Payload::from(vec![0; 14]).len(), 14);
+    }
+
+    #[test]
+    #[should_panic(expected = "message of 17 words exceeds the 16-word send buffer")]
+    fn collecting_15_payload_words_panics() {
+        let _: Payload = (0..15).collect();
+    }
+
+    #[test]
+    fn message_size_is_pinned() {
+        // Every event-queue arrival slot holds a `Message`; a field added
+        // to it (or a wider payload) grows them all.
+        assert_eq!(std::mem::size_of::<Payload>(), 60);
+        assert_eq!(std::mem::size_of::<Message>(), 96);
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! uids from one counter, densely from 1, so the records are found through
 //! a vector indexed by uid; per-node state is a vector indexed by node.
 //! Both grow on demand (the uid index only on a launch), so an empty
-//! ledger allocates nothing.
+//! ledger allocates nothing. The records themselves sit in fixed chunks of
+//! 4,096, allocated one at a time as launches fill them: a record never
+//! moves once written, and growing the store never copies it or holds two
+//! copies at once, as a doubling vector would.
 //!
 //! An attached oracle holds one record per launched message, so the record
 //! is packed into 80 bytes: seven plain cycle counts, the uid in 32 bits,
@@ -402,7 +405,7 @@ struct NodeState {
 #[derive(Debug, Default)]
 pub(crate) struct MessageLedger {
     /// Records in launch order.
-    records: Vec<MessageSpan>,
+    records: Records,
     /// Indexed by uid: the uid's position in `records` plus 1, or 0 (or no
     /// slot at all) if it was never launched.
     index: Vec<u32>,
@@ -411,6 +414,53 @@ pub(crate) struct MessageLedger {
     /// Buffer extracts of launched messages, counted in their records'
     /// `deliveries` too.
     extracts: u64,
+}
+
+/// Records per chunk of [`Records`].
+const CHUNK: usize = 4096;
+
+/// The ledger's records in launch order, in chunks of [`CHUNK`] that are
+/// allocated full-size and never reallocated, so a record keeps its place
+/// in memory while the store grows.
+#[derive(Debug, Default)]
+struct Records {
+    chunks: Vec<Vec<MessageSpan>>,
+    len: usize,
+}
+
+impl Records {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, span: MessageSpan) {
+        if self.len.is_multiple_of(CHUNK) {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        self.chunks
+            .last_mut()
+            .expect("a chunk was just ensured")
+            .push(span);
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &MessageSpan> {
+        self.chunks.iter().flatten()
+    }
+}
+
+impl std::ops::Index<usize> for Records {
+    type Output = MessageSpan;
+
+    fn index(&self, i: usize) -> &MessageSpan {
+        &self.chunks[i / CHUNK][i % CHUNK]
+    }
+}
+
+impl std::ops::IndexMut<usize> for Records {
+    fn index_mut(&mut self, i: usize) -> &mut MessageSpan {
+        &mut self.chunks[i / CHUNK][i % CHUNK]
+    }
 }
 
 /// The position in the records of `uid`, if it was launched.
@@ -617,7 +667,7 @@ impl MessageLedger {
             launched: self.records.len() as u64,
             ..Tally::default()
         };
-        for s in &self.records {
+        for s in self.records.iter() {
             tally.delivered += u64::from(s.deliveries);
             tally.buffered += u64::from(s.inserts);
         }
@@ -627,7 +677,8 @@ impl MessageLedger {
 
     /// Every record, sorted by uid.
     pub fn into_spans(self) -> Vec<MessageSpan> {
-        let mut spans = self.records;
+        let mut spans = Vec::with_capacity(self.records.len());
+        spans.extend(self.records.chunks.into_iter().flatten());
         spans.sort_by_key(|s| s.uid);
         spans
     }
@@ -705,6 +756,31 @@ mod tests {
         assert_eq!(ledger.observe(11, &upcall(1)), Observed::Fresh(0));
         let uids: Vec<u64> = ledger.into_spans().iter().map(|s| s.uid()).collect();
         assert_eq!(uids, [1, 100]);
+    }
+
+    #[test]
+    fn records_keep_their_positions_and_addresses_across_chunks() {
+        let mut ledger = MessageLedger::default();
+        ledger.observe(0, &launch(1));
+        let first = std::ptr::from_ref(ledger.record(0));
+        let launches = 2 * CHUNK as u64 + 5;
+        for uid in 2..=launches {
+            assert_eq!(
+                ledger.observe(uid, &launch(uid)),
+                Observed::Fresh(uid as usize - 1)
+            );
+        }
+        // Growing the store moved no record.
+        assert!(std::ptr::eq(first, ledger.record(0)));
+        let late = CHUNK as u64 + 3;
+        assert_eq!(
+            ledger.observe(9, &upcall(late)),
+            Observed::Fresh(late as usize - 1)
+        );
+        assert_eq!(ledger.record(late as usize - 1).deliver(), Some(9));
+        assert_eq!(ledger.tally().launched, launches);
+        let uids: Vec<u64> = ledger.into_spans().iter().map(|s| s.uid()).collect();
+        assert_eq!(uids, (1..=launches).collect::<Vec<_>>());
     }
 
     #[test]

@@ -55,6 +55,12 @@ cargo test --offline -q -p fugu-sim --test event_differential
 # reference model in the test file (same violations, tally and span
 # report). Covered by the workspace run; re-run by name likewise.
 cargo test --offline -q -p fugu-sim --test ledger_differential
+# Post/request contract of the sim-thread exchange: answer-free calls
+# (send, wake, the atomic-section bounds, touch_page) never yield and are
+# applied in program order before the request, completion or panic that
+# ends the poll; payloads of up to 14 words travel inline on both paths.
+# Covered by the workspace run; re-run by name likewise.
+cargo test --offline -q -p udm --test machine_tests -- posts_ payload_
 # Differential property test: the node-indexed network tables vs a
 # hash-keyed reference model of the arrival rule and in-flight counts.
 # Covered by the workspace run; re-run by name likewise.
